@@ -665,139 +665,7 @@ let faultsweep () =
       (List.length wl * List.length seeds)
   else pr "\n!! %d runs diverged\n%!" !mismatches
 
-(* ------------------------------------------------------------------ *)
-(* Throughput: simulated-MIPS per workload (host wall time)           *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike every artifact above, this one measures the {e host}: how
-   many application instructions the runtime retires per host second
-   (simulated MIPS).  Simulated cycle counts are the paper's metric and
-   must never change from host-side optimization; this subcommand is
-   the perf trajectory future PRs regress against. *)
-
 let time_now = Sweep.time_now
-
-type tp_row = {
-  tp_name : string;
-  tp_app_insns : int;     (* app instructions retired by one native run *)
-  tp_runs : int;
-  tp_host_s : float;
-  tp_mips : float;
-  tp_cycles : int;        (* simulated cycles of one RIO run (determinism check) *)
-}
-
-(* Measure one workload: repeat whole RIO runs (machine construction
-   included — it is part of serving a request) until [target_s] of host
-   time has elapsed, minimum [min_runs]. *)
-let throughput_one ~target_s ~min_runs (w : Workload.t) : tp_row =
-  let image = Asm.Assemble.assemble w.Workload.program in
-  let run_once () =
-    let m = Vm.Machine.create () in
-    Vm.Machine.set_input m w.Workload.input;
-    ignore (Asm.Image.load m image);
-    let rt = Rio.create m in
-    let o = Rio.run rt in
-    if o.Rio.reason <> Rio.All_exited then
-      failwith (w.Workload.name ^ ": throughput run did not complete");
-    o.Rio.cycles
-  in
-  let native = Sweep.native_checked w in
-  (* warm-up run, also records the simulated cycle count *)
-  let cycles = run_once () in
-  let t0 = time_now () in
-  let runs = ref 0 in
-  while !runs < min_runs || time_now () -. t0 < target_s do
-    ignore (run_once ());
-    incr runs
-  done;
-  let host_s = time_now () -. t0 in
-  let mips =
-    float_of_int (!runs * native.Workload.insns) /. host_s /. 1.0e6
-  in
-  {
-    tp_name = w.Workload.name;
-    tp_app_insns = native.Workload.insns;
-    tp_runs = !runs;
-    tp_host_s = host_s;
-    tp_mips = mips;
-    tp_cycles = cycles;
-  }
-
-let read_baseline = Sweep.read_baseline
-
-let throughput ~quick ~baseline_path ~out_path () =
-  let target_s = if quick then 0.25 else 1.0 in
-  let min_runs = if quick then 2 else 4 in
-  pr "\n=== Throughput: simulated MIPS per workload (host wall clock) ===\n";
-  pr "(%s mode; >= %d runs or %.2fs per workload; default RIO options)\n"
-    (if quick then "quick" else "full")
-    min_runs target_s;
-  let baseline = read_baseline baseline_path in
-  if baseline = [] then
-    pr "(no baseline at %s: speedups omitted)\n" baseline_path;
-  pr "%-9s %12s %6s %9s %10s %10s %8s\n" "bench" "app-insns" "runs" "host-s"
-    "MIPS" "base-MIPS" "speedup";
-  let rows =
-    List.map
-      (fun w ->
-        let r = throughput_one ~target_s ~min_runs w in
-        let base = List.assoc_opt r.tp_name baseline in
-        (match base with
-         | Some b ->
-             pr "%-9s %12d %6d %9.3f %10.3f %10.3f %8.2f\n%!" r.tp_name
-               r.tp_app_insns r.tp_runs r.tp_host_s r.tp_mips b (r.tp_mips /. b)
-         | None ->
-             pr "%-9s %12d %6d %9.3f %10.3f %10s %8s\n%!" r.tp_name
-               r.tp_app_insns r.tp_runs r.tp_host_s r.tp_mips "-" "-");
-        (r, base))
-      Suite.all
-  in
-  let gm = geomean (List.map (fun (r, _) -> r.tp_mips) rows) in
-  let base_rows = List.filter_map (fun (_, b) -> b) rows in
-  let base_gm = if base_rows = [] then None else Some (geomean base_rows) in
-  let speedups =
-    List.filter_map
-      (fun (r, b) -> Option.map (fun b -> r.tp_mips /. b) b)
-      rows
-  in
-  let gm_speedup = if speedups = [] then None else Some (geomean speedups) in
-  pr "%-9s %12s %6s %9s %10.3f" "geomean" "" "" "" gm;
-  (match (base_gm, gm_speedup) with
-   | Some bg, Some s -> pr " %10.3f %8.2f\n" bg s
-   | _ -> pr " %10s %8s\n" "-" "-");
-  (* write the JSON datapoint *)
-  let open Sweep in
-  write_json ~path:out_path
-    (Obj
-       ([ ("schema", Str "rio-throughput-v1");
-          ("quick", Bool quick);
-          ("geomean_mips", Float gm) ]
-       @ (match base_gm with
-         | Some bg -> [ ("baseline_geomean_mips", Float bg) ]
-         | None -> [])
-       @ (match gm_speedup with
-         | Some s -> [ ("geomean_speedup_vs_baseline", Float s) ]
-         | None -> [])
-       @ [
-           ( "workloads",
-             Arr
-               (List.map
-                  (fun (r, base) ->
-                    Obj
-                      ([ ("name", Str r.tp_name);
-                         ("app_insns", Int r.tp_app_insns);
-                         ("runs", Int r.tp_runs);
-                         ("host_seconds", Float r.tp_host_s);
-                         ("mips", Float r.tp_mips);
-                         ("sim_cycles", Int r.tp_cycles) ]
-                      @
-                      match base with
-                      | Some b ->
-                          [ ("baseline_mips", Float b);
-                            ("speedup", Float (r.tp_mips /. b)) ]
-                      | None -> []))
-                  rows) );
-         ]))
 
 (* ------------------------------------------------------------------ *)
 (* Cache sweep: capacity ladder x flush policy                        *)
@@ -1390,18 +1258,6 @@ let all () =
 let () =
   match Array.to_list Sys.argv with
   | _ :: [] | [] -> all ()
-  | _ :: "throughput" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"throughput" ~string_opts:[ "--baseline" ]
-          ~default_out:"BENCH_throughput.json" rest
-      in
-      let baseline_path =
-        Option.value
-          (List.assoc_opt "--baseline" cli.Sweep.extra)
-          ~default:"bench/BASELINE_throughput.txt"
-      in
-      throughput ~quick:cli.Sweep.quick ~baseline_path
-        ~out_path:cli.Sweep.out_path ()
   | _ :: "optsweep" :: rest ->
       let cli =
         Sweep.parse_cli ~cmd:"optsweep" ~string_opts:[ "--bundle" ]
@@ -1475,6 +1331,6 @@ let () =
           | "all" -> all ()
           | "--help" | "-h" ->
               print_endline
-                "usage: main.exe [table1|table1x|table2|figure1|figure2|figure4|figure5|ablation|tracestats|faultsweep|micro|throughput [--quick] [--baseline f] [--out f]|cachesweep [--quick] [--out f]|optsweep [--quick] [--out f]|specsweep [--quick] [--out f]|parsweep [--quick] [--out f]|servesweep [--quick] [--out f]|chaossweep [--quick] [--out f]|persistsweep [--quick] [--out f]|autotune [--quick] [--out f] [--bundle-out f]|all]"
+                "usage: main.exe [table1|table1x|table2|figure1|figure2|figure4|figure5|ablation|tracestats|faultsweep|micro|cachesweep [--quick] [--out f]|optsweep [--quick] [--out f]|specsweep [--quick] [--out f]|parsweep [--quick] [--out f]|servesweep [--quick] [--out f]|chaossweep [--quick] [--out f]|persistsweep [--quick] [--out f]|autotune [--quick] [--out f] [--bundle-out f]|all]"
           | a -> Printf.eprintf "unknown artifact %S\n" a)
         args

@@ -1,5 +1,5 @@
-(** Shared scaffolding for the bench sweep subcommands (throughput,
-    cachesweep, optsweep, parsweep): CLI parsing, native-checked runs,
+(** Shared scaffolding for the bench sweep subcommands (cachesweep,
+    optsweep, parsweep): CLI parsing, native-checked runs,
     and JSON datapoint emission.  Factoring it here keeps each sweep
     about its experiment, not its plumbing. *)
 
@@ -203,28 +203,3 @@ let check_pass ~divergences tag (results : Rio.Pool.result list) : unit =
           (Rio.Engine.stop_reason_to_string r.Rio.Pool.res_reason)
       end)
     results
-
-(* ------------------------------------------------------------------ *)
-(* Baselines                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(** Baseline file: one "<name> <value>" pair per line, '#' comments. *)
-let read_baseline path : (string * float) list =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let acc = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" && line.[0] <> '#' then
-           match String.split_on_char ' ' line with
-           | name :: rest -> (
-               match List.filter (fun s -> s <> "") rest with
-               | [ v ] -> acc := (name, float_of_string v) :: !acc
-               | _ -> ())
-           | [] -> ()
-       done
-     with End_of_file -> close_in ic);
-    List.rev !acc
-  end

@@ -362,6 +362,8 @@ type t = {
   mutable down_streak : int;
   mutable pool_stats : Stats.t;   (* serving counters + latency histogram *)
   mutable results : result list;  (* reversed completion order *)
+  mutable notify : unit -> unit;  (* completion hook: results went
+                                     from empty to non-empty *)
   mutable stopping : bool;
   mutable reloading : bool;       (* pause job claims while reloading *)
   mutable dead : worker list;     (* carcasses awaiting the supervisor *)
@@ -720,6 +722,7 @@ let record_final pool (w : worker) (j : job) (res : result) : unit =
   pool.completed <- pool.completed + 1;
   if res.res_warm then pool.warm_hits <- pool.warm_hits + 1
   else pool.cold_boots <- pool.cold_boots + 1;
+  if pool.results = [] then pool.notify ();
   pool.results <- res :: pool.results;
   let q = quar_state pool j.jr.req_key in
   if res.res_ok then begin
@@ -995,6 +998,7 @@ let create ?(cfg = Options.default_pool) ?chaos
           st_cache_refused = 0;
         };
       results = [];
+      notify = ignore;
       stopping = false;
       reloading = false;
       dead = [];
@@ -1116,14 +1120,20 @@ let try_submit pool (r : request) : (unit, reject) Stdlib.result =
       end
 
 (** Results completed so far, in completion order, without waiting:
-    the server's poll loop pairs this with {!try_submit} to stream
-    responses while requests are still in flight. *)
+    the server's loop pairs this with {!try_submit} to stream responses
+    while requests are still in flight. *)
 let take_results pool : result list =
   Mutex.lock pool.mu;
   let rs = List.rev pool.results in
   pool.results <- [];
   Mutex.unlock pool.mu;
   rs
+
+(** Install the completion hook; see pool.mli. *)
+let set_notify pool (f : unit -> unit) : unit =
+  Mutex.lock pool.mu;
+  pool.notify <- f;
+  Mutex.unlock pool.mu
 
 let drain pool : result list =
   Mutex.lock pool.mu;

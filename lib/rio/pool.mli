@@ -146,8 +146,17 @@ val drain : t -> result list
 
 val take_results : t -> result list
 (** Results completed so far, in completion order, without waiting;
-    the server's poll loop pairs this with {!try_submit} to stream
+    the server's loop pairs this with {!try_submit} to stream
     responses while other requests are still in flight. *)
+
+val set_notify : t -> (unit -> unit) -> unit
+(** Install the completion hook (default [ignore]).  It runs on the
+    completing worker domain, under the pool mutex, each time the
+    pending results go from empty to non-empty: one call per batch
+    that {!take_results} (or {!drain}) will collect, not one per
+    completion.  It must be quick, must not raise, and must not call
+    back into the pool.  The server uses it to wake its [select] loop
+    through a self-pipe (DESIGN.md §6.10). *)
 
 val drain_and_reload : ?rebuild:bool -> t -> unit
 (** Quiesce service (claimed requests finish, queued requests wait),

@@ -84,7 +84,6 @@ let connect (a : addr) : Unix.file_descr =
 type conn = {
   c_fd : Unix.file_descr;
   c_buf : Buffer.t;
-  c_cid : int;  (* connection id, keys the routing table *)
 }
 
 (* Append available bytes; false when the peer closed.  The chunk is
@@ -134,7 +133,7 @@ type stats = {
   mutable sv_requests : int;    (** run frames admitted to the pool *)
   mutable sv_rejects : int;     (** run frames answered with a typed reject *)
   mutable sv_responses : int;   (** responses written *)
-  mutable sv_dropped : int;     (** results whose connection had gone away *)
+  mutable sv_dropped : int;     (** responses whose connection had gone away *)
 }
 
 let reject_status : Pool.reject -> Wire.status = function
@@ -143,20 +142,40 @@ let reject_status : Pool.reject -> Wire.status = function
   | Pool.Overloaded _ -> Wire.St_shed
   | Pool.Pool_stopping -> Wire.St_stopping
 
+(* The self-pipe that turns pool completions into [select] events: the
+   pool's completion hook writes one byte, the loop watches the read
+   end.  Both ends are non-blocking — the hook runs under the pool
+   mutex and must never wait, and a full pipe already means a wake is
+   pending. *)
+let wake_byte = Bytes.make 1 '!'
+
+let poke (w : Unix.file_descr) () =
+  (* EAGAIN means the pipe is full and a wake is already pending; no
+     other error could be reported from a worker domain anyway *)
+  try ignore (Unix.single_write w wake_byte 0 1) with Unix.Unix_error _ -> ()
+
+let drain_pipe (r : Unix.file_descr) =
+  let buf = Bytes.create 64 in
+  try while Unix.read r buf 0 (Bytes.length buf) > 0 do () done
+  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+
 (** Run the accept/serve loop until a client sends [Quit] (and every
-    admitted request has been answered).  [tick] is the poll interval:
-    the loop wakes at least this often to flush completed results even
-    when no socket is readable. *)
-let run ?(tick = 0.01) (pool : Pool.t) (listeners : Unix.file_descr list) :
-    stats =
+    admitted request has been answered).  The loop sleeps in [select]
+    with no timeout: sockets wake it for I/O, and the pool's completion
+    hook ({!Pool.set_notify}) wakes it through a self-pipe when results
+    are ready, so a response leaves as soon as its request finishes.
+    Sets [SIGPIPE] to ignored for the whole process. *)
+let run (pool : Pool.t) (listeners : Unix.file_descr list) : stats =
+  (* a peer that closes before its response is written must cost an
+     EPIPE on that write, not the whole process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let st =
     { sv_accepted = 0; sv_requests = 0; sv_rejects = 0; sv_responses = 0;
       sv_dropped = 0 }
   in
-  let conns : (int, conn) Hashtbl.t = Hashtbl.create 16 in
-  (* server request id -> (connection id, client's correlation id) *)
-  let routes : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let next_cid = ref 0 in
+  let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 16 in
+  (* server request id -> (connection, client's correlation id) *)
+  let routes : (int, conn * int) Hashtbl.t = Hashtbl.create 64 in
   let next_rid = ref 0 in
   let quitting = ref false in
   let send_to (c : conn) (r : Wire.response) : unit =
@@ -165,10 +184,10 @@ let run ?(tick = 0.01) (pool : Pool.t) (listeners : Unix.file_descr list) :
       st.sv_responses <- st.sv_responses + 1
     with Wire.Closed | Unix.Unix_error _ ->
       (* writer saw the close first; the reader side will reap it *)
-      ()
+      st.sv_dropped <- st.sv_dropped + 1
   in
   let close_conn (c : conn) : unit =
-    Hashtbl.remove conns c.c_cid;
+    Hashtbl.remove conns c.c_fd;
     try Unix.close c.c_fd with Unix.Unix_error _ -> ()
   in
   let handle_msg (c : conn) (m : Wire.client_msg) : unit =
@@ -189,7 +208,7 @@ let run ?(tick = 0.01) (pool : Pool.t) (listeners : Unix.file_descr list) :
         match Pool.try_submit pool req with
         | Ok () ->
             st.sv_requests <- st.sv_requests + 1;
-            Hashtbl.replace routes rid (c.c_cid, c_id)
+            Hashtbl.replace routes rid (c, c_id)
         | Error e ->
             st.sv_rejects <- st.sv_rejects + 1;
             send_to c
@@ -206,11 +225,12 @@ let run ?(tick = 0.01) (pool : Pool.t) (listeners : Unix.file_descr list) :
       (fun (res : Pool.result) ->
         match Hashtbl.find_opt routes res.Pool.res_id with
         | None -> st.sv_dropped <- st.sv_dropped + 1
-        | Some (cid, client_id) -> (
+        | Some (c, client_id) -> (
             Hashtbl.remove routes res.Pool.res_id;
-            match Hashtbl.find_opt conns cid with
-            | None -> st.sv_dropped <- st.sv_dropped + 1
-            | Some c ->
+            (* the connection may have closed, and its fd number been
+               reused by a newer one *)
+            match Hashtbl.find_opt conns c.c_fd with
+            | Some c' when c' == c ->
                 send_to c
                   {
                     Wire.r_id = client_id;
@@ -219,54 +239,71 @@ let run ?(tick = 0.01) (pool : Pool.t) (listeners : Unix.file_descr list) :
                     r_warm = res.Pool.res_warm;
                     r_cycles = res.Pool.res_cycles;
                     r_output = res.Pool.res_output;
-                  }))
+                  }
+            | _ -> st.sv_dropped <- st.sv_dropped + 1))
       (Pool.take_results pool)
   in
+  let serve_conn (c : conn) : unit =
+    match pull c with
+    | false -> close_conn c
+    | true -> (
+        try
+          List.iter
+            (fun payload -> handle_msg c (Wire.decode_client_msg payload))
+            (frames c)
+        with Failure _ ->
+          (* malformed frame: drop the connection, keep serving *)
+          close_conn c)
+    | exception Unix.Unix_error _ -> close_conn c
+  in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  Pool.set_notify pool (poke wake_w);
+  (* the hook fires only when pending results go from empty to
+     non-empty, so a result left over from before it was installed
+     would silence every later wake; prime one so the first pass
+     collects it *)
+  poke wake_w ();
   let finished () = !quitting && Hashtbl.length routes = 0 in
-  while not (finished ()) do
-    let conn_fds = Hashtbl.fold (fun _ c acc -> c.c_fd :: acc) conns [] in
-    let watch = if !quitting then conn_fds else listeners @ conn_fds in
-    let readable, _, _ =
-      try Unix.select watch [] [] tick
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    List.iter
-      (fun fd ->
-        if List.mem fd listeners then begin
-          let cfd, _ = Unix.accept fd in
-          let cid = !next_cid in
-          incr next_cid;
-          st.sv_accepted <- st.sv_accepted + 1;
-          Hashtbl.replace conns cid
-            { c_fd = cfd; c_buf = Buffer.create 256; c_cid = cid }
-        end
-        else
-          match
-            Hashtbl.fold
-              (fun _ c acc -> if c.c_fd = fd then Some c else acc)
-              conns None
-          with
-          | None -> ()
-          | Some c -> (
-              match pull c with
-              | false -> close_conn c
-              | true -> (
-                  try
-                    List.iter
-                      (fun payload ->
-                        handle_msg c (Wire.decode_client_msg payload))
-                      (frames c)
-                  with Failure _ ->
-                    (* malformed frame: drop the connection, keep serving *)
-                    close_conn c)
-              | exception Unix.Unix_error _ -> close_conn c))
-      readable;
-    flush_results ()
-  done;
-  (* answer anything that raced the quit *)
-  flush_results ();
-  Hashtbl.iter (fun _ c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) conns;
-  st
+  Fun.protect
+    ~finally:(fun () ->
+      (* detach before closing: a late completion must not write to a
+         reused fd number *)
+      Pool.set_notify pool ignore;
+      Unix.close wake_r;
+      Unix.close wake_w;
+      Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ()) conns)
+    (fun () ->
+      while not (finished ()) do
+        let conn_fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) conns [] in
+        (* listeners before connections: an fd closed this pass cannot
+           be handed out again by an accept later in the same pass *)
+        let watch =
+          wake_r :: (if !quitting then conn_fds else listeners @ conn_fds)
+        in
+        let readable, _, _ =
+          try Unix.select watch [] [] (-1.0)
+          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+        in
+        List.iter
+          (fun fd ->
+            if fd = wake_r then begin
+              (* drain before take: a result landing in between leaves
+                 a byte behind (one spurious empty pass), never a
+                 result without a wake *)
+              drain_pipe wake_r;
+              flush_results ()
+            end
+            else if List.mem fd listeners then begin
+              let cfd, _ = Unix.accept fd in
+              st.sv_accepted <- st.sv_accepted + 1;
+              Hashtbl.replace conns cfd { c_fd = cfd; c_buf = Buffer.create 256 }
+            end
+            else Option.iter serve_conn (Hashtbl.find_opt conns fd))
+          readable
+      done;
+      st)
 
 (* ------------------------------------------------------------------ *)
 (* Client convenience                                                 *)

@@ -264,6 +264,40 @@ let pool_case () =
   Alcotest.(check bool) "merged stats saw blocks" true
     (snap2.Rio.Pool.snap_stats.Rio.Stats.blocks_built > 0)
 
+(* The completion hook fires once per batch of pending results, not
+   once per completion.  Completion is observed through the counters
+   ({!Rio.Pool.stats}), which leave the pending results untouched. *)
+let notify_case () =
+  let pool =
+    Rio.Pool.create
+      ~cfg:{ Rio.Options.default_pool with domains = 2; prewarm = true }
+      ~boots:(pool_boots ~opts:default_opts) ()
+  in
+  let fired = Atomic.make 0 in
+  Rio.Pool.set_notify pool (fun () -> Atomic.incr fired);
+  let wait_completed k =
+    while (Rio.Pool.stats pool).Rio.Pool.snap_completed < k do
+      Unix.sleepf 0.002
+    done
+  in
+  let n = 6 in
+  List.iter (submit_ok pool) (pool_requests n);
+  wait_completed n;
+  Alcotest.(check int) "one wake for n untaken results" 1 (Atomic.get fired);
+  Alcotest.(check int) "take collects them all" n
+    (List.length (Rio.Pool.take_results pool));
+  let one = List.hd (pool_requests 1) in
+  submit_ok pool { one with Rio.Pool.req_id = n };
+  wait_completed (n + 1);
+  Alcotest.(check int) "a take re-arms the hook" 2 (Atomic.get fired);
+  ignore (Rio.Pool.take_results pool);
+  Rio.Pool.set_notify pool ignore;
+  submit_ok pool { one with Rio.Pool.req_id = n + 1 };
+  wait_completed (n + 2);
+  Alcotest.(check int) "a detached hook stays silent" 2 (Atomic.get fired);
+  ignore (Rio.Pool.drain pool);
+  Rio.Pool.shutdown pool
+
 let pool_faults_case () =
   let opts =
     {
@@ -661,6 +695,8 @@ let () =
           Alcotest.test_case "warm serving with backpressure" `Slow pool_case;
           Alcotest.test_case "serving under fault injection" `Slow
             pool_faults_case;
+          Alcotest.test_case "completion hook fires once per batch" `Quick
+            notify_case;
         ] );
       ( "supervision",
         [

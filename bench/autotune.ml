@@ -51,11 +51,11 @@ let set_opts (b : Rio.Bundle.t) o = { b with Rio.Bundle.b_opts = o }
 (* Knob space                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** One searchable dimension: a printable name, the candidate settings
-    (as strings, so the trial log and the JSON speak the same
-    language), and get/set against a bundle.  Setting a knob may
-    produce an invalid bundle — validation happens at trial time and
-    the refusal is recorded, not raised. *)
+(** One searchable dimension: an engine-table row name, its candidate
+    settings in the row's text form (so the trial log and the JSON
+    speak the same language), and the row's text get/set lifted to a
+    bundle.  Setting a knob may produce an invalid bundle — validation
+    happens at trial time and the refusal is recorded, not raised. *)
 type knob = {
   k_name : string;
   k_values : string list;
@@ -63,33 +63,13 @@ type knob = {
   k_set : Rio.Bundle.t -> string -> Rio.Bundle.t;
 }
 
-let int_knob name values get set =
-  {
-    k_name = name;
-    k_values = List.map string_of_int values;
-    k_get = (fun b -> string_of_int (get b));
-    k_set = (fun b v -> set b (int_of_string v));
-  }
-
-let bool_knob name get set =
-  {
-    k_name = name;
-    k_values = [ "false"; "true" ];
-    k_get = (fun b -> string_of_bool (get b));
-    k_set = (fun b v -> set b (bool_of_string v));
-  }
-
-(* int-option knobs print [None] as "none" *)
-let opt_int_knob name values get set =
+let knob (name, values) =
+  let get, set = Rio.Options.text_access Rio.Options.engine_table name in
   {
     k_name = name;
     k_values = values;
-    k_get =
-      (fun b ->
-        match get b with None -> "none" | Some n -> string_of_int n);
-    k_set =
-      (fun b v ->
-        set b (if v = "none" then None else Some (int_of_string v)));
+    k_get = (fun b -> get (opts b));
+    k_set = (fun b v -> set_opts b (set (opts b) v));
   }
 
 (** The searched surface.  Quick mode trims values (CI budget), full
@@ -101,48 +81,21 @@ let opt_int_knob name values get set =
     which scheduling cannot change, only smear with noise; pool sizing
     stays a deployment choice carried by the bundle's pool block. *)
 let knob_space ~quick : knob list =
-  let base =
-    [
-      int_knob "opt_level" [ 0; 1; 2; 3 ]
-        (fun b -> (opts b).Rio.Options.opt_level)
-        (fun b v -> set_opts b { (opts b) with Rio.Options.opt_level = v });
-      int_knob "trace_threshold"
-        (if quick then [ 25; 50 ] else [ 25; 50; 100 ])
-        (fun b -> (opts b).Rio.Options.trace_threshold)
-        (fun b v ->
-          set_opts b { (opts b) with Rio.Options.trace_threshold = v });
-      opt_int_knob "reopt_threshold"
-        (if quick then [ "none"; "2" ] else [ "none"; "2"; "8" ])
-        (fun b -> (opts b).Rio.Options.reopt_threshold)
-        (fun b v ->
-          set_opts b { (opts b) with Rio.Options.reopt_threshold = v });
-      int_knob "spec_threshold"
-        (if quick then [ 4; 8 ] else [ 4; 8; 16 ])
-        (fun b -> (opts b).Rio.Options.spec_threshold)
-        (fun b v ->
-          set_opts b { (opts b) with Rio.Options.spec_threshold = v });
-    ]
-  in
-  if quick then base
-  else
-    base
-    @ [
-        int_knob "max_trace_blocks" [ 8; 16; 32 ]
-          (fun b -> (opts b).Rio.Options.max_trace_blocks)
-          (fun b v ->
-            set_opts b { (opts b) with Rio.Options.max_trace_blocks = v });
-        int_knob "spec_max_violations" [ 1; 3; 8 ]
-          (fun b -> (opts b).Rio.Options.spec_max_violations)
-          (fun b v ->
-            set_opts b { (opts b) with Rio.Options.spec_max_violations = v });
-        opt_int_knob "cache_capacity" [ "none"; "16384"; "65536" ]
-          (fun b -> (opts b).Rio.Options.cache_capacity)
-          (fun b v ->
-            set_opts b { (opts b) with Rio.Options.cache_capacity = v });
-        int_knob "quantum" [ 50_000; 100_000; 200_000 ]
-          (fun b -> (opts b).Rio.Options.quantum)
-          (fun b v -> set_opts b { (opts b) with Rio.Options.quantum = v });
-      ]
+  let pick q full = if quick then q else full in
+  List.map knob
+    ([
+       ("opt_level", [ "0"; "1"; "2"; "3" ]);
+       ("trace_threshold", pick [ "25"; "50" ] [ "25"; "50"; "100" ]);
+       ("reopt_threshold", pick [ "none"; "2" ] [ "none"; "2"; "8" ]);
+       ("spec_threshold", pick [ "4"; "8" ] [ "4"; "8"; "16" ]);
+     ]
+    @ pick []
+        [
+          ("max_trace_blocks", [ "8"; "16"; "32" ]);
+          ("spec_max_violations", [ "1"; "3"; "8" ]);
+          ("cache_capacity", [ "none"; "16384"; "65536" ]);
+          ("quantum", [ "50000"; "100000"; "200000" ]);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Trial measurement                                                  *)
@@ -587,7 +540,7 @@ let run ~quick ~out_path ~bundle_out () =
         (Rio.Bundle.error_to_string e);
       exit 2);
   (* --- JSON datapoint --- *)
-  let open Sweep in
+  let open Rio.Json in
   let knob_obj b =
     Obj
       (List.map (fun k -> (k.k_name, Str (k.k_get b))) knobs
@@ -599,7 +552,7 @@ let run ~quick ~out_path ~bundle_out () =
                  b.Rio.Bundle.b_overrides) );
         ])
   in
-  write_json ~path:out_path
+  Sweep.write_json ~path:out_path
     (Obj
        [
          ("schema", Str "rio-autotune-v1");

@@ -258,8 +258,8 @@ let run ~quick ~out_path () =
      %d divergences\n%!"
     crashes respawns deadline_hits retried !lost_total !divergences;
 
-  let open Sweep in
-  write_json ~path:out_path
+  let open Rio.Json in
+  Sweep.write_json ~path:out_path
     (Obj
        [
          ("schema", Str "rio-chaossweep-v1");

@@ -777,8 +777,8 @@ let cachesweep ~quick ~out_path () =
     pr "\nall outputs identical to native; FIFO rows ran with zero full flushes\n%!"
   else pr "\n!! FIFO rows fell back to %d full flushes\n%!" fifo_flushes;
   (* write the JSON datapoint *)
-  let open Sweep in
-  write_json ~path:out_path
+  let open Rio.Json in
+  Sweep.write_json ~path:out_path
     (Obj
        [ ("schema", Str "rio-cachesweep-v1");
          ("quick", Bool quick);
@@ -1017,8 +1017,8 @@ let optsweep ~quick ~bundle_path ~out_path () =
   let bundle_rows = List.rev !bundle_rows in
 
   (* write the JSON datapoint *)
-  let open Sweep in
-  write_json ~path:out_path
+  let open Rio.Json in
+  Sweep.write_json ~path:out_path
     (Obj
        [ ("schema", Str "rio-optsweep-v1");
          ("quick", Bool quick);
@@ -1208,8 +1208,8 @@ let specsweep ~quick ~out_path () =
   if !regressions = 0 then
     pr "no bench regresses >2%% against its -O0 row at any level\n%!";
   (* write the JSON datapoint *)
-  let open Sweep in
-  write_json ~path:out_path
+  let open Rio.Json in
+  Sweep.write_json ~path:out_path
     (Obj
        [ ("schema", Str "rio-specsweep-v1");
          ("quick", Bool quick);

@@ -185,8 +185,8 @@ let run ~quick ~out_path () =
     List.find_opt (fun r -> r.pw_domains = 4) rows
     |> Option.map (fun r -> r.pw_eff_par)
   in
-  let open Sweep in
-  write_json ~path:out_path
+  let open Rio.Json in
+  Sweep.write_json ~path:out_path
     (Obj
        ([ ("schema", Str "rio-parsweep-v1");
           ("quick", Bool quick);

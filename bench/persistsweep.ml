@@ -367,8 +367,8 @@ let run ~quick ~out_path () =
     compacted.c_dropped compacted.c_compactions compacted.c_moved
     (if compacted.c_output_ok then "ok" else "BAD");
 
-  let open Sweep in
-  write_json ~path:out_path
+  let open Rio.Json in
+  Sweep.write_json ~path:out_path
     (Obj
        [
          ("schema", Str "rio-persistsweep-v1");

@@ -357,8 +357,8 @@ let run ~quick ~out_path () =
     bsnap.Rio.Pool.snap_live_domains bsnap.Rio.Pool.snap_cold_boots;
 
   (* ---------------- JSON + gates ---------------- *)
-  let open Sweep in
-  write_json ~path:out_path
+  let open Rio.Json in
+  Sweep.write_json ~path:out_path
     (Obj
        [ ("schema", Str "rio-servesweep-v1");
          ("quick", Bool quick);

@@ -1,6 +1,6 @@
 (** Shared scaffolding for the bench sweep subcommands (cachesweep,
     optsweep, parsweep): CLI parsing, native-checked runs,
-    and JSON datapoint emission.  Factoring it here keeps each sweep
+    and JSON datapoint emission (through {!Rio.Json}).  Factoring it here keeps each sweep
     about its experiment, not its plumbing. *)
 
 let pr fmt = Printf.printf fmt
@@ -59,54 +59,10 @@ let native_checked (w : Workloads.Workload.t) : Workloads.Workload.run_result =
 (* JSON                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type json =
-  | Obj of (string * json) list
-  | Arr of json list
-  | Str of string
-  | Int of int
-  | Float of float
-  | Bool of bool
-  | Null
-
-let rec output_json oc ~indent v =
-  let pad n = String.make n ' ' in
-  match v with
-  | Null -> output_string oc "null"
-  | Bool b -> output_string oc (string_of_bool b)
-  | Int n -> output_string oc (string_of_int n)
-  | Float f -> Printf.fprintf oc "%.6g" f
-  | Str s -> Printf.fprintf oc "%S" s
-  | Arr [] -> output_string oc "[]"
-  | Arr vs ->
-      output_string oc "[\n";
-      List.iteri
-        (fun k x ->
-          output_string oc (pad (indent + 2));
-          output_json oc ~indent:(indent + 2) x;
-          if k < List.length vs - 1 then output_string oc ",";
-          output_string oc "\n")
-        vs;
-      output_string oc (pad indent);
-      output_string oc "]"
-  | Obj [] -> output_string oc "{}"
-  | Obj fields ->
-      output_string oc "{\n";
-      List.iteri
-        (fun k (name, x) ->
-          output_string oc (pad (indent + 2));
-          Printf.fprintf oc "%S: " name;
-          output_json oc ~indent:(indent + 2) x;
-          if k < List.length fields - 1 then output_string oc ",";
-          output_string oc "\n")
-        fields;
-      output_string oc (pad indent);
-      output_string oc "}"
-
 (** Write a sweep's JSON datapoint and report the path. *)
-let write_json ~path (v : json) : unit =
+let write_json ~path (v : Rio.Json.t) : unit =
   let oc = open_out path in
-  output_json oc ~indent:0 v;
-  output_string oc "\n";
+  output_string oc (Rio.Json.to_string ~digits:6 v);
   close_out oc;
   pr "wrote %s\n%!" path
 

@@ -33,10 +33,8 @@ let client_names =
   [ "null"; "rlr"; "strength"; "strength-bb"; "ibdispatch"; "ctraces";
     "counter"; "edgeprof"; "opmix"; "redundant-cmp"; "combined" ]
 
-let run list workload_name file clients mode family no_link_direct
-    no_link_indirect no_traces threshold sideline cache_capacity flush_policy
-    faults fault_period audit opt_level opt_enable opt_disable reopt
-    spec_threshold spec_max_violations stats flow_log dump_cache =
+let run list workload_name file clients mode family engine faults fault_period
+    audit stats flow_log dump_cache =
   if list then begin
     Printf.printf "workloads:\n";
     List.iter
@@ -109,36 +107,10 @@ let run list workload_name file clients mode family no_link_direct
                       fi_seed = seed;
                       fi_period = fault_period }
             in
-            let pass_list which names =
-              List.map
-                (fun n ->
-                  match Rio.Options.pass_of_name n with
-                  | Some p -> p
-                  | None ->
-                      Printf.eprintf "unknown pass %S for --%s (one of: %s)\n" n
-                        which
-                        (String.concat ", "
-                           (List.map Rio.Options.pass_name Rio.Options.all_passes));
-                      exit 1)
-                names
-            in
             let opts =
               {
-                Rio.Options.default with
-                link_direct = not no_link_direct;
-                link_indirect = not no_link_indirect;
-                enable_traces = not no_traces;
-                trace_threshold = threshold;
-                sideline;
-                cache_capacity;
-                flush_policy;
-                opt_level;
-                opt_enable = pass_list "opt-enable" opt_enable;
-                opt_disable = pass_list "opt-disable" opt_disable;
-                reopt_threshold = reopt;
-                spec_threshold;
-                spec_max_violations;
-                faults = fault_opts;
+                (engine Rio.Options.default) with
+                Rio.Options.faults = fault_opts;
                 (* with injection on, audit every dispatch unless the
                    user chose a period explicitly *)
                 audit_period =
@@ -181,7 +153,7 @@ let run list workload_name file clients mode family no_link_direct
               Format.printf "%a@." Rio.Stats.pp_cache (Rio.stats rt);
               if Rio.Options.effective_passes opts <> [] then
                 Format.printf "%a@." Rio.Stats.pp_opt (Rio.stats rt);
-              if opt_level >= 3 then
+              if opts.Rio.Options.opt_level >= 3 then
                 Format.printf "%a@." Rio.Stats.pp_spec (Rio.stats rt);
               if faults <> None || audit <> None then
                 Format.printf "%a@." Rio.Stats.pp_faults (Rio.stats rt)
@@ -222,33 +194,6 @@ let cmd =
     Arg.(value & opt string "p4" & info [ "family" ] ~docv:"FAM"
            ~doc:"Processor family: p3 or p4.")
   in
-  let no_ld = Arg.(value & flag & info [ "no-link-direct" ] ~doc:"Disable direct linking.") in
-  let no_li = Arg.(value & flag & info [ "no-link-indirect" ] ~doc:"Disable the in-cache indirect lookup.") in
-  let no_tr = Arg.(value & flag & info [ "no-traces" ] ~doc:"Disable trace creation.") in
-  let threshold =
-    Arg.(value & opt int Rio.Options.default.Rio.Options.trace_threshold
-         & info [ "trace-threshold" ] ~docv:"N" ~doc:"Trace-head hotness threshold.")
-  in
-  let sideline =
-    Arg.(value & flag & info [ "sideline" ]
-           ~doc:"Run trace optimization on a simulated spare processor.")
-  in
-  let cache_capacity =
-    Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~docv:"BYTES"
-           ~doc:"Bound the code cache; see --flush-policy for what \
-                 happens on overflow.")
-  in
-  let flush_policy =
-    let p =
-      Arg.enum
-        [ ("fifo", Rio.Options.Flush_fifo); ("full", Rio.Options.Flush_full) ]
-    in
-    Arg.(value & opt p Rio.Options.default.Rio.Options.flush_policy
-         & info [ "flush-policy" ] ~docv:"POLICY"
-             ~doc:"Capacity policy for a bounded cache: $(b,fifo) evicts \
-                   the oldest fragments incrementally; $(b,full) flushes \
-                   the whole cache on overflow.")
-  in
   let faults =
     Arg.(value & opt (some int) None & info [ "faults" ] ~docv:"SEED"
            ~doc:"Enable deterministic fault injection with this seed.")
@@ -263,45 +208,6 @@ let cmd =
            ~doc:"Audit the code cache every N context switches \
                  (defaults to 1 when --faults is on).")
   in
-  let opt_level =
-    Arg.(value & opt int 0 & info [ "O"; "opt" ] ~docv:"N"
-           ~doc:"Trace optimization level: 0 (off), 1 (copy/constant \
-                 propagation, strength reduction, flag-save elision), \
-                 2 (adds redundant-load removal, dead-store elimination \
-                 and exit-check peepholes) or 3 (adds profile-guided \
-                 speculation: guarded dominant-target inlining, \
-                 constant-load folding and exit-layout biasing, with \
-                 mid-trace deoptimization).")
-  in
-  let opt_enable =
-    Arg.(value & opt_all string [] & info [ "opt-enable" ] ~docv:"PASS"
-           ~doc:"Enable a single optimizer pass on top of the -O level; \
-                 repeatable.  Passes: copyprop, strength, loadrem, \
-                 deadstore, peephole, flagelide.")
-  in
-  let opt_disable =
-    Arg.(value & opt_all string [] & info [ "opt-disable" ] ~docv:"PASS"
-           ~doc:"Disable a single optimizer pass from the -O level; \
-                 repeatable.")
-  in
-  let reopt =
-    Arg.(value & opt (some int) None & info [ "reopt" ] ~docv:"N"
-           ~doc:"Re-optimize a hot trace in place (decode + replace) \
-                 after N dispatcher entries (overrides the built-in \
-                 deferral threshold).")
-  in
-  let spec_threshold =
-    Arg.(value & opt int Rio.Options.default.Rio.Options.spec_threshold
-         & info [ "spec-threshold" ] ~docv:"N"
-             ~doc:"Successor-profile samples required at an exit site \
-                   before -O3 speculates on it.")
-  in
-  let spec_max_violations =
-    Arg.(value & opt int Rio.Options.default.Rio.Options.spec_max_violations
-         & info [ "spec-max-violations" ] ~docv:"K"
-             ~doc:"Guard violations tolerated before the trace is \
-                   re-optimized without that assumption.")
-  in
   let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print runtime statistics.") in
   let flow = Arg.(value & flag & info [ "flow-log" ] ~doc:"Print dispatch events.") in
   let dump =
@@ -310,10 +216,8 @@ let cmd =
   in
   let term =
     Term.(
-      const run $ list $ workload $ file $ clients $ mode $ family $ no_ld $ no_li
-      $ no_tr $ threshold $ sideline $ cache_capacity $ flush_policy $ faults
-      $ fault_period $ audit $ opt_level $ opt_enable $ opt_disable $ reopt
-      $ spec_threshold $ spec_max_violations $ stats $ flow $ dump)
+      const run $ list $ workload $ file $ clients $ mode $ family
+      $ Rio.Cli.engine $ faults $ fault_period $ audit $ stats $ flow $ dump)
   in
   Cmd.v (Cmd.info "rio_run" ~doc:"Run workloads under the RIO dynamic optimizer") term
 

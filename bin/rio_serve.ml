@@ -43,11 +43,9 @@ let parse_addr s =
       Printf.eprintf "rio_serve: %s\n" msg;
       exit 2
 
-let run nd nreq workload_names client_name seed0 affinity max_inflight faults
-    chaos retries quarantine deadline_cycles deadline_secs opt_level
-    spec_threshold spec_max_violations bundle_path cache_dir load_cache
-    save_cache listen_addr connect_addr prewarm accept_queue batch_window
-    min_domains send_quit show_stats quiet =
+let run nreq workload_names client_name seed0 engine pool faults chaos
+    bundle_path cache_dir load_cache save_cache listen_addr connect_addr
+    send_quit show_stats quiet =
   if listen_addr <> None && connect_addr <> None then begin
     Printf.eprintf "rio_serve: --listen and --connect are exclusive\n";
     exit 2
@@ -57,9 +55,8 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
     exit 2
   end;
   (* --bundle: a tuned configuration artifact (bench/main.exe autotune)
-     supersedes the per-knob engine flags (-O, --spec-threshold,
-     --spec-max-violations) and supplies the pool-opts base; explicit
-     pool/supervision flags and the fault/chaos overlays still apply. *)
+     is the base every engine and pool flag overrides when given; its
+     per-workload overrides and the fault/chaos overlays still apply. *)
   let bundle =
     match bundle_path with
     | None -> None
@@ -71,33 +68,23 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
               (Rio.Bundle.error_to_string e);
             exit 2)
   in
-  let pool_base =
+  let base =
     match bundle with
-    | Some b -> b.Rio.Bundle.b_pool
-    | None -> Rio.Options.default_pool
+    | Some b -> b
+    | None ->
+        {
+          Rio.Bundle.b_opts =
+            { Rio.Options.default with max_cycles = max_int / 2 };
+          b_pool = Rio.Options.default_pool;
+          b_overrides = [];
+          b_provenance = Rio.Bundle.default_provenance;
+        }
   in
-  let cfg =
-    {
-      pool_base with
-      Rio.Options.domains = nd;
-      max_inflight;
-      affinity;
-      retries;
-      quarantine_threshold = quarantine;
-      deadline_cycles;
-      deadline_secs;
-      (* serving knobs: explicit flags override the bundle's values *)
-      prewarm = (prewarm || pool_base.Rio.Options.prewarm);
-      accept_queue =
-        Option.value ~default:pool_base.Rio.Options.accept_queue accept_queue;
-      batch_window =
-        Option.value ~default:pool_base.Rio.Options.batch_window batch_window;
-      min_domains =
-        (match min_domains with
-        | Some _ -> min_domains
-        | None -> pool_base.Rio.Options.min_domains);
-    }
+  let base =
+    { base with b_opts = engine base.b_opts; b_pool = pool base.b_pool }
   in
+  let cfg = base.Rio.Bundle.b_pool in
+  let nd = cfg.Rio.Options.domains in
   (match Rio.Options.validate_pool cfg with
    | Ok () -> ()
    | Error msg ->
@@ -134,26 +121,10 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
       audit_period = (match faults with Some _ -> 1 | None -> 0);
     }
   in
-  let opts =
-    match bundle with
-    | Some b -> overlay b.Rio.Bundle.b_opts
-    | None ->
-        overlay
-          {
-            Rio.Options.default with
-            max_cycles = max_int / 2;
-            opt_level;
-            spec_threshold;
-            spec_max_violations;
-          }
-  in
   (* per-workload engine options: the bundle's overrides reach each
      booted instance here *)
-  let opts_for name =
-    match bundle with
-    | Some b -> overlay (Rio.Bundle.opts_for b name)
-    | None -> opts
-  in
+  let opts_for name = overlay (Rio.Bundle.opts_for base name) in
+  let opts = overlay base.Rio.Bundle.b_opts in
   (match Rio.Options.validate opts with
    | Ok () -> ()
    | Error msg ->
@@ -440,7 +411,8 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
          (Array.to_list
             (Array.map string_of_int snap.Rio.Pool.snap_busy_cycles)));
     if
-      chaos <> None || deadline_cycles <> None || deadline_secs <> None
+      chaos <> None || cfg.Rio.Options.deadline_cycles <> None
+      || cfg.Rio.Options.deadline_secs <> None
       || snap.Rio.Pool.snap_crashes > 0
       || snap.Rio.Pool.snap_retries > 0
     then begin
@@ -478,10 +450,6 @@ let run nd nreq workload_names client_name seed0 affinity max_inflight faults
   if bad = [] && lost = 0 then 0 else 1
 
 let cmd =
-  let nd =
-    Arg.(value & opt int 2 & info [ "d"; "domains" ] ~docv:"N"
-           ~doc:"Worker domains in the pool.")
-  in
   let nreq =
     Arg.(value & opt int 16 & info [ "n"; "requests" ] ~docv:"N"
            ~doc:"Requests to serve.")
@@ -500,14 +468,6 @@ let cmd =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S"
            ~doc:"Base request seed; request i uses seed S+i.")
   in
-  let affinity =
-    Arg.(value & flag & info [ "affinity" ]
-           ~doc:"Shard by workload-key hash instead of round-robin.")
-  in
-  let max_inflight =
-    Arg.(value & opt int 64 & info [ "max-inflight" ] ~docv:"N"
-           ~doc:"Bound on submitted-but-incomplete requests (backpressure).")
-  in
   let faults =
     Arg.(value & opt (some int) None & info [ "faults" ] ~docv:"SEED"
            ~doc:"Enable deterministic fault injection in every instance.")
@@ -518,51 +478,13 @@ let cmd =
                  poisoned warm instances, hook storms) with this seed; the \
                  supervisor, retry ladder, and quarantine must absorb it.")
   in
-  let retries =
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"N"
-           ~doc:"Retry-ladder depth per request: warm retry, cold retry, \
-                 cold retry on another domain.")
-  in
-  let quarantine =
-    Arg.(value & opt int 3 & info [ "quarantine" ] ~docv:"K"
-           ~doc:"Quarantine a workload key after K consecutive final \
-                 failures; a single probe request may then reopen it.")
-  in
-  let deadline_cycles =
-    Arg.(value & opt (some int) None & info [ "deadline-cycles" ] ~docv:"N"
-           ~doc:"Per-request simulated-cycle budget; the watchdog preempts \
-                 at the next fragment boundary.")
-  in
-  let deadline_secs =
-    Arg.(value & opt (some float) None & info [ "deadline-secs" ] ~docv:"S"
-           ~doc:"Per-request host wall-clock bound (catches stalled \
-                 workers).")
-  in
-  let opt_level =
-    Arg.(value & opt int 0 & info [ "O"; "opt" ] ~docv:"N"
-           ~doc:"Trace optimization level for every instance (0-3; 3 \
-                 adds profile-guided speculation with mid-trace \
-                 deoptimization).")
-  in
-  let spec_threshold =
-    Arg.(value & opt int Rio.Options.default.Rio.Options.spec_threshold
-         & info [ "spec-threshold" ] ~docv:"N"
-             ~doc:"Successor-profile samples required at an exit site \
-                   before -O3 speculates on it.")
-  in
-  let spec_max_violations =
-    Arg.(value & opt int Rio.Options.default.Rio.Options.spec_max_violations
-         & info [ "spec-max-violations" ] ~docv:"K"
-             ~doc:"Guard violations tolerated before a trace is \
-                   re-optimized without that assumption.")
-  in
   let bundle =
     Arg.(value & opt (some string) None & info [ "bundle" ] ~docv:"FILE"
            ~doc:"Boot from a tuned configuration bundle (bench/main.exe \
-                 autotune emits one): its engine options and per-workload \
-                 opt-level overrides supersede -O, --spec-threshold and \
-                 --spec-max-violations, and its pool options are the base \
-                 for the pool flags.  --faults/--chaos still overlay.")
+                 autotune emits one): its engine and pool options are the \
+                 base that every engine and pool flag overrides when \
+                 given, and its per-workload opt-level overrides apply on \
+                 top.  --faults/--chaos still overlay.")
   in
   let cache_dir =
     Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR"
@@ -592,28 +514,6 @@ let cmd =
                  at ADDR and check its responses against local native \
                  references.")
   in
-  let prewarm =
-    Arg.(value & flag & info [ "prewarm" ]
-           ~doc:"Build every (domain, workload) instance at pool boot, \
-                 before accepting traffic, so no request ever cold-boots.")
-  in
-  let accept_queue =
-    Arg.(value & opt (some int) None & info [ "accept-queue" ] ~docv:"N"
-           ~doc:"Admission bound for the server: once N requests are \
-                 admitted but unfinished, further requests are shed with \
-                 a typed reject instead of queueing without bound.")
-  in
-  let batch_window =
-    Arg.(value & opt (some int) None & info [ "batch-window" ] ~docv:"N"
-           ~doc:"Dequeue-time batching window: a worker looks this deep \
-                 into its queue for a request matching the key it just \
-                 served (0 disables).")
-  in
-  let min_domains =
-    Arg.(value & opt (some int) None & info [ "min-domains" ] ~docv:"N"
-           ~doc:"Enable the queue-depth autoscaler: park idle worker \
-                 domains down to N and wake them as queue depth grows.")
-  in
   let quit =
     Arg.(value & flag & info [ "quit" ]
            ~doc:"Client mode: send the quit op after the last response, \
@@ -627,12 +527,9 @@ let cmd =
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Only report divergences.") in
   let term =
     Term.(
-      const run $ nd $ nreq $ workloads $ client $ seed0 $ affinity
-      $ max_inflight $ faults $ chaos $ retries $ quarantine
-      $ deadline_cycles $ deadline_secs $ opt_level $ spec_threshold
-      $ spec_max_violations $ bundle $ cache_dir $ load_cache $ save_cache
-      $ listen $ connect $ prewarm $ accept_queue $ batch_window
-      $ min_domains $ quit $ stats $ quiet)
+      const run $ nreq $ workloads $ client $ seed0 $ Rio.Cli.engine
+      $ Rio.Cli.pool $ faults $ chaos $ bundle $ cache_dir $ load_cache
+      $ save_cache $ listen $ connect $ quit $ stats $ quiet)
   in
   Cmd.v
     (Cmd.info "rio_serve"

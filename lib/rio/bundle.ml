@@ -4,16 +4,18 @@
     engine knob ({!Options.t} including the cost model), the pool
     sizing/supervision block ({!Options.pool_opts}), and per-workload
     opt-level overrides — plus provenance describing where it came
-    from.  Bundles serialize to a small JSON dialect (objects, arrays,
-    strings, ints, floats, bools, null — parsed and printed here, no
-    external dependency), so the autotuner can ship its winner as
-    `bundle.json` and `rio_serve --bundle` can load it at boot.
+    from.  Bundles serialize through {!Json}, so the autotuner can ship
+    its winner as `bundle.json` and `rio_serve --bundle` can load it at
+    boot.  The engine and pool blocks are not written out here: their
+    codec walks {!Options.engine_table} / {!Options.pool_table}, whose
+    row order is the canonical field order.
 
-    Deserialization is *validating*: unknown keys, out-of-range values
-    (via {!Options.validate} / {!Options.validate_pool}, also applied
-    to every override-projected configuration), malformed JSON, and
-    stale [bundle_version]s are all rejected with a typed {!error},
-    never an exception.  {!digest} hashes the canonical printed form of
+    Deserialization is *validating*: unknown keys, values outside
+    their row's range (a path-qualified {!Bad_value}), cross-field
+    violations (via {!Options.validate} / {!Options.validate_pool},
+    also applied to every override-projected configuration), malformed
+    JSON, and stale [bundle_version]s are all rejected with a typed
+    {!error}, never an exception.  {!digest} hashes the canonical printed form of
     the semantic payload (engine + pool + sorted overrides, provenance
     excluded), so reordering fields in the file — or rewriting the
     provenance block — does not change a bundle's identity. *)
@@ -68,378 +70,113 @@ let error_to_string = function
 let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
-(* JSON dialect                                                       *)
+(* Codec derived from the knob table                                  *)
 (* ------------------------------------------------------------------ *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-let json_to_buf buf (j : json) =
-  let add = Buffer.add_string buf in
-  let escape s =
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> add "\\\""
-        | '\\' -> add "\\\\"
-        | '\n' -> add "\\n"
-        | '\t' -> add "\\t"
-        | '\r' -> add "\\r"
-        | c when Char.code c < 0x20 -> add (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s
-  in
-  let rec go ind j =
-    match j with
-    | Null -> add "null"
-    | Bool b -> add (if b then "true" else "false")
-    | Int i -> add (string_of_int i)
-    | Float f ->
-        (* %.17g round-trips every float; trim to a canonical form *)
-        let s = Printf.sprintf "%.17g" f in
-        add (if String.contains s '.' || String.contains s 'e'
-             || String.contains s 'n' (* nan/inf *)
-             then s else s ^ ".0")
-    | Str s -> add "\""; escape s; add "\""
-    | Arr [] -> add "[]"
-    | Arr xs ->
-        add "[";
-        List.iteri (fun i x -> if i > 0 then add ", "; go ind x) xs;
-        add "]"
-    | Obj [] -> add "{}"
-    | Obj kvs ->
-        let pad = String.make (ind + 2) ' ' in
-        add "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then add ",\n";
-            add pad; add "\""; escape k; add "\": ";
-            go (ind + 2) v)
-          kvs;
-        add "\n"; add (String.make ind ' '); add "}"
-  in
-  go 0 j
-
-let json_to_string (j : json) : string =
-  let buf = Buffer.create 1024 in
-  json_to_buf buf j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-(** Recursive-descent parser for the dialect above.  Duplicate object
-    keys are rejected (they would make round-tripping ambiguous). *)
-let json_of_string (s : string) : (json, error) result =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg =
-    (* report a 1-based line number for hand-edited bundles *)
-    let line = ref 1 in
-    for i = 0 to min !pos (n - 1) - 1 do
-      if s.[i] = '\n' then incr line
-    done;
-    Error (Parse_error (Printf.sprintf "line %d: %s" !line msg))
-  in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then (incr pos; Ok ())
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; Ok v)
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    let* () = expect '"' in
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> incr pos; Ok (Buffer.contents buf)
-        | '\\' ->
-            incr pos;
-            if !pos >= n then fail "unterminated escape"
-            else (
-              (match s.[!pos] with
-              | '"' -> Buffer.add_char buf '"'; incr pos
-              | '\\' -> Buffer.add_char buf '\\'; incr pos
-              | '/' -> Buffer.add_char buf '/'; incr pos
-              | 'n' -> Buffer.add_char buf '\n'; incr pos
-              | 't' -> Buffer.add_char buf '\t'; incr pos
-              | 'r' -> Buffer.add_char buf '\r'; incr pos
-              | 'b' -> Buffer.add_char buf '\b'; incr pos
-              | 'u' ->
-                  (* only codepoints < 0x80 are ever emitted by the
-                     printer; decode those, pass others through raw *)
-                  if !pos + 4 < n then begin
-                    (match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
-                    | Some c when c < 0x80 -> Buffer.add_char buf (Char.chr c)
-                    | _ -> Buffer.add_string buf ("\\u" ^ String.sub s (!pos + 1) 4));
-                    pos := !pos + 5
-                  end
-                  else incr pos
-              | c -> Buffer.add_char buf c; incr pos);
-              go ())
-        | c -> Buffer.add_char buf c; incr pos; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do incr pos done;
-    let tok = String.sub s start (!pos - start) in
-    if String.contains tok '.' || String.contains tok 'e' || String.contains tok 'E'
-    then
-      match float_of_string_opt tok with
-      | Some f -> Ok (Float f)
-      | None -> fail (Printf.sprintf "bad number %S" tok)
-    else
-      match int_of_string_opt tok with
-      | Some i -> Ok (Int i)
-      | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        incr pos;
-        let rec fields acc =
-          skip_ws ();
-          match peek () with
-          | Some '}' -> incr pos; Ok (Obj (List.rev acc))
-          | _ ->
-              let* k = parse_string () in
-              if List.mem_assoc k acc then fail (Printf.sprintf "duplicate key %S" k)
-              else
-                let* () = (skip_ws (); expect ':') in
-                let* v = parse_value () in
-                let acc = (k, v) :: acc in
-                skip_ws ();
-                (match peek () with
-                | Some ',' -> incr pos; fields acc
-                | Some '}' -> incr pos; Ok (Obj (List.rev acc))
-                | _ -> fail "expected ',' or '}'")
-        in
-        fields []
-    | Some '[' ->
-        incr pos;
-        let rec elems acc =
-          skip_ws ();
-          match peek () with
-          | Some ']' -> incr pos; Ok (Arr (List.rev acc))
-          | _ ->
-              let* v = parse_value () in
-              let acc = v :: acc in
-              skip_ws ();
-              (match peek () with
-              | Some ',' -> incr pos; elems acc
-              | Some ']' -> incr pos; Ok (Arr (List.rev acc))
-              | _ -> fail "expected ',' or ']'")
-        in
-        elems []
-    | Some '"' -> (match parse_string () with Ok s -> Ok (Str s) | Error e -> Error e)
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
-  in
-  let* v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage after document" else Ok v
-
-(* ------------------------------------------------------------------ *)
-(* Typed field access                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(** Every schema object is read through [fields]: a closed key list —
-    anything else is {!Unknown_key} — with per-field typed getters that
-    default to the hand-tuned values when a key is absent, so terse
-    hand-written bundles stay loadable. *)
-let check_keys ~ctx allowed kvs =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
-  | Some (k, _) -> Error (Unknown_key (if ctx = "" then k else ctx ^ "." ^ k))
-  | None -> Ok ()
 
 let path ctx k = if ctx = "" then k else ctx ^ "." ^ k
 
-let get_bool ~ctx kvs k ~default =
-  match List.assoc_opt k kvs with
-  | None -> Ok default
-  | Some (Bool b) -> Ok b
-  | Some _ -> Error (Bad_value (path ctx k, "expected a boolean"))
+(** Every schema object has a closed key list: anything else is
+    {!Unknown_key}. *)
+let check_keys ~ctx allowed kvs =
+  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
+  | Some (k, _) -> Error (Unknown_key (path ctx k))
+  | None -> Ok ()
 
-let get_int ~ctx kvs k ~default =
-  match List.assoc_opt k kvs with
-  | None -> Ok default
-  | Some (Int i) -> Ok i
-  | Some _ -> Error (Bad_value (path ctx k, "expected an integer"))
+let rec value_to_json : type a. a Options.ty -> a -> Json.t =
+ fun ty v ->
+  match ty with
+  | Options.Bool -> Json.Bool v
+  | Options.Int -> Json.Int v
+  | Options.Float -> Json.Float v
+  | Options.Opt t -> ( match v with None -> Json.Null | Some x -> value_to_json t x)
+  | Options.Passes -> Json.Arr (List.map (fun p -> Json.Str (Options.pass_name p)) v)
+  | Options.Policy -> Json.Str (Options.flush_policy_name v)
+  | Options.Table tbl ->
+      Json.Obj
+        (List.map
+           (fun (Options.Knob k) -> (k.key, value_to_json k.ty (k.get v)))
+           tbl.rows)
 
-let get_int_opt ~ctx kvs k ~default =
-  match List.assoc_opt k kvs with
-  | None -> Ok default
-  | Some Null -> Ok None
-  | Some (Int i) -> Ok (Some i)
-  | Some _ -> Error (Bad_value (path ctx k, "expected an integer or null"))
-
-let get_float_opt ~ctx kvs k ~default =
-  match List.assoc_opt k kvs with
-  | None -> Ok default
-  | Some Null -> Ok None
-  | Some (Float f) -> Ok (Some f)
-  | Some (Int i) -> Ok (Some (float_of_int i))
-  | Some _ -> Error (Bad_value (path ctx k, "expected a number or null"))
+(** Typed read of one value at field path [ctx].  An absent key never
+    reaches here — the enclosing table keeps its default — and a
+    [null] table reads as its default, so terse hand-written bundles
+    stay loadable. *)
+let rec value_of_json : type a. ctx:string -> a Options.ty -> Json.t -> (a, error) result =
+ fun ~ctx ty j ->
+  let expected what = Error (Bad_value (ctx, "expected " ^ what)) in
+  match (ty, j) with
+  | Options.Bool, Json.Bool b -> Ok b
+  | Options.Bool, _ -> expected "a boolean"
+  | Options.Int, Json.Int i -> Ok i
+  | Options.Int, _ -> expected "an integer"
+  | Options.Float, Json.Float f -> Ok f
+  | Options.Float, Json.Int i -> Ok (float_of_int i)
+  | Options.Float, _ -> expected "a number"
+  | Options.Opt _, Json.Null -> Ok None
+  | Options.Opt t, _ -> Result.map Option.some (value_of_json ~ctx t j)
+  | Options.Policy, Json.Str s ->
+      Result.map_error (fun m -> Bad_value (ctx, m)) (Options.parse ty s)
+  | Options.Policy, _ -> expected "a policy name"
+  | Options.Passes, Json.Arr xs ->
+      List.fold_right
+        (fun x acc ->
+          match (x, acc) with
+          | _, Error _ -> acc
+          | Json.Str s, Ok ps -> (
+              match Options.pass_of_name s with
+              | Some p -> Ok (p :: ps)
+              | None ->
+                  Error (Bad_value (ctx, Printf.sprintf "unknown optimizer pass %S" s)))
+          | _ -> expected "an array of pass names")
+        xs (Ok [])
+  | Options.Passes, _ -> expected "an array of pass names"
+  | Options.Table tbl, Json.Null -> Ok tbl.default
+  | Options.Table tbl, Json.Obj kvs ->
+      let* () = check_keys ~ctx (List.map (fun (Options.Knob k) -> k.key) tbl.rows) kvs in
+      List.fold_left
+        (fun acc (Options.Knob k) ->
+          let* r = acc in
+          match List.assoc_opt k.key kvs with
+          | None -> Ok r
+          | Some j -> (
+              let ctx = path ctx k.key in
+              let* v = value_of_json ~ctx k.ty j in
+              match k.range v with
+              | Some why -> Error (Bad_value (ctx, why))
+              | None -> Ok (k.set r v)))
+        (Ok tbl.default) tbl.rows
+  | Options.Table _, _ -> expected "an object or null"
 
 let get_str ~ctx kvs k ~default =
   match List.assoc_opt k kvs with
   | None -> Ok default
-  | Some (Str s) -> Ok s
+  | Some (Json.Str s) -> Ok s
   | Some _ -> Error (Bad_value (path ctx k, "expected a string"))
 
 let get_obj ~ctx kvs k =
   match List.assoc_opt k kvs with
-  | None -> Ok None
-  | Some (Obj o) -> Ok (Some o)
-  | Some Null -> Ok None
+  | None | Some Json.Null -> Ok None
+  | Some (Json.Obj o) -> Ok (Some o)
   | Some _ -> Error (Bad_value (path ctx k, "expected an object or null"))
-
-let get_pass_list ~ctx kvs k ~default =
-  match List.assoc_opt k kvs with
-  | None -> Ok default
-  | Some (Arr xs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Str s :: rest -> (
-            match Options.pass_of_name s with
-            | Some p -> go (p :: acc) rest
-            | None ->
-                Error
-                  (Bad_value
-                     ( path ctx k,
-                       Printf.sprintf "unknown optimizer pass %S" s )))
-        | _ -> Error (Bad_value (path ctx k, "expected an array of pass names"))
-      in
-      go [] xs
-  | Some _ -> Error (Bad_value (path ctx k, "expected an array of pass names"))
 
 (* ------------------------------------------------------------------ *)
 (* Schema: printer                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let costs_to_json (c : Options.costs) : json =
-  Obj
-    [
-      ("context_switch", Int c.context_switch);
-      ("ibl_lookup", Int c.ibl_lookup);
-      ("stub_exec", Int c.stub_exec);
-      ("bb_build_base", Int c.bb_build_base);
-      ("bb_build_per_insn", Int c.bb_build_per_insn);
-      ("trace_build_per_insn", Int c.trace_build_per_insn);
-      ("clean_call", Int c.clean_call);
-      ("replace_fragment", Int c.replace_fragment);
-      ("audit_per_fragment", Int c.audit_per_fragment);
-      ("evict_fragment", Int c.evict_fragment);
-      ("opt_per_insn_pass", Int c.opt_per_insn_pass);
-    ]
-
-let faults_to_json (f : Options.fault_opts option) : json =
-  match f with
-  | None -> Null
-  | Some f ->
-      Obj
-        [
-          ("seed", Int f.fi_seed);
-          ("period", Int f.fi_period);
-          ("corrupt", Bool f.fi_corrupt);
-          ("links", Bool f.fi_links);
-          ("hooks", Bool f.fi_hooks);
-          ("signals", Bool f.fi_signals);
-        ]
-
-let engine_to_json (o : Options.t) : json =
-  let opt_int = function None -> Null | Some i -> Int i in
-  Obj
-    [
-      ("emulate", Bool o.emulate);
-      ("link_direct", Bool o.link_direct);
-      ("link_indirect", Bool o.link_indirect);
-      ("enable_traces", Bool o.enable_traces);
-      ("trace_threshold", Int o.trace_threshold);
-      ("max_trace_blocks", Int o.max_trace_blocks);
-      ("max_bb_insns", Int o.max_bb_insns);
-      ("cache_capacity", opt_int o.cache_capacity);
-      ("flush_policy", Str (Options.flush_policy_name o.flush_policy));
-      ("cache_compaction", Bool o.cache_compaction);
-      ("quantum", Int o.quantum);
-      ("always_save_flags", Bool o.always_save_flags);
-      ("sideline", Bool o.sideline);
-      ("opt_level", Int o.opt_level);
-      ("opt_enable", Arr (List.map (fun p -> Str (Options.pass_name p)) o.opt_enable));
-      ("opt_disable", Arr (List.map (fun p -> Str (Options.pass_name p)) o.opt_disable));
-      ("reopt_threshold", opt_int o.reopt_threshold);
-      ("spec_threshold", Int o.spec_threshold);
-      ("spec_max_violations", Int o.spec_max_violations);
-      ("max_cycles", Int o.max_cycles);
-      ("faults", faults_to_json o.faults);
-      ("audit_period", Int o.audit_period);
-      ("client_fail_limit", Int o.client_fail_limit);
-      ("costs", costs_to_json o.costs);
-    ]
-
-let pool_to_json (p : Options.pool_opts) : json =
-  Obj
-    [
-      ("domains", Int p.domains);
-      ("max_inflight", Int p.max_inflight);
-      ("queue_capacity", Int p.queue_capacity);
-      ("affinity", Bool p.affinity);
-      ("retries", Int p.retries);
-      ("quarantine_threshold", Int p.quarantine_threshold);
-      ( "deadline_cycles",
-        match p.deadline_cycles with None -> Null | Some c -> Int c );
-      ( "deadline_secs",
-        match p.deadline_secs with None -> Null | Some s -> Float s );
-      ("accept_queue", Int p.accept_queue);
-      ("batch_window", Int p.batch_window);
-      ("prewarm", Bool p.prewarm);
-      ("min_domains", match p.min_domains with None -> Null | Some m -> Int m);
-      ("scale_up_depth", Int p.scale_up_depth);
-      ("scale_down_depth", Int p.scale_down_depth);
-      ("scale_hysteresis", Int p.scale_hysteresis);
-    ]
 
 let sorted_overrides ov =
   List.sort (fun (a, _) (b, _) -> compare a b) ov
 
 (** The semantic payload: everything that participates in {!digest},
     in canonical field order with overrides sorted by key. *)
-let payload_to_json (b : t) : json =
-  Obj
-    [
-      ("engine", engine_to_json b.b_opts);
-      ("pool", pool_to_json b.b_pool);
-      ( "overrides",
-        Obj (List.map (fun (k, v) -> (k, Int v)) (sorted_overrides b.b_overrides))
-      );
-    ]
+let payload (b : t) : (string * Json.t) list =
+  [
+    ("engine", value_to_json (Options.Table Options.engine_table) b.b_opts);
+    ("pool", value_to_json (Options.Table Options.pool_table) b.b_pool);
+    ( "overrides",
+      Json.Obj
+        (List.map (fun (k, v) -> (k, Json.Int v)) (sorted_overrides b.b_overrides))
+    );
+  ]
 
 (* FNV-1a, matching Options.digest's mixing. *)
 let fnv32 (s : string) : int =
@@ -455,208 +192,32 @@ let fnv32 (s : string) : int =
     payload.  Reordering fields in the file, re-indenting it, or
     editing provenance leaves the digest unchanged; changing any knob
     or override changes it. *)
-let digest (b : t) : int = fnv32 (json_to_string (payload_to_json b))
+let digest (b : t) : int = fnv32 (Json.to_string (Json.Obj (payload b)))
 
-let to_json (b : t) : json =
-  match payload_to_json b with
-  | Obj payload ->
-      Obj
-        (("bundle_version", Int format_version)
-        :: ("digest", Str (Printf.sprintf "%08x" (digest b)))
-        :: ("provenance",
-            Obj
-              [
-                ("created_by", Str b.b_provenance.pv_created_by);
-                ("created_at", Str b.b_provenance.pv_created_at);
-                ("objective", Str b.b_provenance.pv_objective);
-                ("note", Str b.b_provenance.pv_note);
-              ])
-        :: payload)
-  | _ -> assert false
+let to_json (b : t) : Json.t =
+  Json.Obj
+    (("bundle_version", Json.Int format_version)
+    :: ("digest", Json.Str (Printf.sprintf "%08x" (digest b)))
+    :: ( "provenance",
+         Json.Obj
+           [
+             ("created_by", Json.Str b.b_provenance.pv_created_by);
+             ("created_at", Json.Str b.b_provenance.pv_created_at);
+             ("objective", Json.Str b.b_provenance.pv_objective);
+             ("note", Json.Str b.b_provenance.pv_note);
+           ] )
+    :: payload b)
 
-let to_string (b : t) : string = json_to_string (to_json b)
+let to_string (b : t) : string = Json.to_string (to_json b)
 
 (* ------------------------------------------------------------------ *)
 (* Schema: parser                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let costs_of_json ~ctx kvs : (Options.costs, error) result =
-  let d = Options.default_costs in
-  let* () =
-    check_keys ~ctx
-      [ "context_switch"; "ibl_lookup"; "stub_exec"; "bb_build_base";
-        "bb_build_per_insn"; "trace_build_per_insn"; "clean_call";
-        "replace_fragment"; "audit_per_fragment"; "evict_fragment";
-        "opt_per_insn_pass" ]
-      kvs
-  in
-  let f k dv = get_int ~ctx kvs k ~default:dv in
-  let* context_switch = f "context_switch" d.context_switch in
-  let* ibl_lookup = f "ibl_lookup" d.ibl_lookup in
-  let* stub_exec = f "stub_exec" d.stub_exec in
-  let* bb_build_base = f "bb_build_base" d.bb_build_base in
-  let* bb_build_per_insn = f "bb_build_per_insn" d.bb_build_per_insn in
-  let* trace_build_per_insn = f "trace_build_per_insn" d.trace_build_per_insn in
-  let* clean_call = f "clean_call" d.clean_call in
-  let* replace_fragment = f "replace_fragment" d.replace_fragment in
-  let* audit_per_fragment = f "audit_per_fragment" d.audit_per_fragment in
-  let* evict_fragment = f "evict_fragment" d.evict_fragment in
-  let* opt_per_insn_pass = f "opt_per_insn_pass" d.opt_per_insn_pass in
-  Ok
-    {
-      Options.context_switch; ibl_lookup; stub_exec; bb_build_base;
-      bb_build_per_insn; trace_build_per_insn; clean_call; replace_fragment;
-      audit_per_fragment; evict_fragment; opt_per_insn_pass;
-    }
-
-let faults_of_json ~ctx kvs : (Options.fault_opts, error) result =
-  let d = Options.default_faults in
-  let* () = check_keys ~ctx [ "seed"; "period"; "corrupt"; "links"; "hooks"; "signals" ] kvs in
-  let* fi_seed = get_int ~ctx kvs "seed" ~default:d.fi_seed in
-  let* fi_period = get_int ~ctx kvs "period" ~default:d.fi_period in
-  let* fi_corrupt = get_bool ~ctx kvs "corrupt" ~default:d.fi_corrupt in
-  let* fi_links = get_bool ~ctx kvs "links" ~default:d.fi_links in
-  let* fi_hooks = get_bool ~ctx kvs "hooks" ~default:d.fi_hooks in
-  let* fi_signals = get_bool ~ctx kvs "signals" ~default:d.fi_signals in
-  if fi_period < 1 then Error (Bad_value (path ctx "period", "must be >= 1"))
-  else Ok { Options.fi_seed; fi_period; fi_corrupt; fi_links; fi_hooks; fi_signals }
-
-let engine_of_json ~ctx kvs : (Options.t, error) result =
-  let d = Options.default in
-  let* () =
-    check_keys ~ctx
-      [ "emulate"; "link_direct"; "link_indirect"; "enable_traces";
-        "trace_threshold"; "max_trace_blocks"; "max_bb_insns";
-        "cache_capacity"; "flush_policy"; "cache_compaction"; "quantum";
-        "always_save_flags"; "sideline"; "opt_level"; "opt_enable";
-        "opt_disable"; "reopt_threshold"; "spec_threshold";
-        "spec_max_violations"; "max_cycles"; "faults"; "audit_period";
-        "client_fail_limit"; "costs" ]
-      kvs
-  in
-  let* emulate = get_bool ~ctx kvs "emulate" ~default:d.emulate in
-  let* link_direct = get_bool ~ctx kvs "link_direct" ~default:d.link_direct in
-  let* link_indirect = get_bool ~ctx kvs "link_indirect" ~default:d.link_indirect in
-  let* enable_traces = get_bool ~ctx kvs "enable_traces" ~default:d.enable_traces in
-  let* trace_threshold = get_int ~ctx kvs "trace_threshold" ~default:d.trace_threshold in
-  let* max_trace_blocks = get_int ~ctx kvs "max_trace_blocks" ~default:d.max_trace_blocks in
-  let* max_bb_insns = get_int ~ctx kvs "max_bb_insns" ~default:d.max_bb_insns in
-  let* cache_capacity = get_int_opt ~ctx kvs "cache_capacity" ~default:d.cache_capacity in
-  let* policy_name =
-    get_str ~ctx kvs "flush_policy"
-      ~default:(Options.flush_policy_name d.flush_policy)
-  in
-  let* flush_policy =
-    match Options.flush_policy_of_name policy_name with
-    | Some p -> Ok p
-    | None ->
-        Error
-          (Bad_value
-             ( path ctx "flush_policy",
-               Printf.sprintf "unknown policy %S (expected \"fifo\" or \"full\")"
-                 policy_name ))
-  in
-  let* cache_compaction = get_bool ~ctx kvs "cache_compaction" ~default:d.cache_compaction in
-  let* quantum = get_int ~ctx kvs "quantum" ~default:d.quantum in
-  let* always_save_flags = get_bool ~ctx kvs "always_save_flags" ~default:d.always_save_flags in
-  let* sideline = get_bool ~ctx kvs "sideline" ~default:d.sideline in
-  let* opt_level = get_int ~ctx kvs "opt_level" ~default:d.opt_level in
-  let* opt_enable = get_pass_list ~ctx kvs "opt_enable" ~default:d.opt_enable in
-  let* opt_disable = get_pass_list ~ctx kvs "opt_disable" ~default:d.opt_disable in
-  let* reopt_threshold = get_int_opt ~ctx kvs "reopt_threshold" ~default:d.reopt_threshold in
-  let* spec_threshold = get_int ~ctx kvs "spec_threshold" ~default:d.spec_threshold in
-  let* spec_max_violations =
-    get_int ~ctx kvs "spec_max_violations" ~default:d.spec_max_violations
-  in
-  let* max_cycles = get_int ~ctx kvs "max_cycles" ~default:d.max_cycles in
-  let* faults =
-    let* fobj = get_obj ~ctx kvs "faults" in
-    match fobj with
-    | None -> Ok None
-    | Some f ->
-        let* f = faults_of_json ~ctx:(path ctx "faults") f in
-        Ok (Some f)
-  in
-  let* audit_period = get_int ~ctx kvs "audit_period" ~default:d.audit_period in
-  let* client_fail_limit = get_int ~ctx kvs "client_fail_limit" ~default:d.client_fail_limit in
-  let* costs =
-    let* cobj = get_obj ~ctx kvs "costs" in
-    match cobj with
-    | None -> Ok d.costs
-    | Some c -> costs_of_json ~ctx:(path ctx "costs") c
-  in
-  Ok
-    {
-      Options.emulate; link_direct; link_indirect; enable_traces;
-      trace_threshold; max_trace_blocks; max_bb_insns; cache_capacity;
-      flush_policy; cache_compaction; quantum; always_save_flags; sideline;
-      opt_level; opt_enable; opt_disable; reopt_threshold; spec_threshold;
-      spec_max_violations; max_cycles; faults; audit_period;
-      client_fail_limit; costs;
-    }
-
-(* {!Options.validate} only checks the combinations the engine itself
-   would trip over; a bundle is an external artifact, so the knobs the
-   autotuner sweeps get their ranges enforced at the parse boundary
-   with a field-qualified error. *)
-let engine_of_json ~ctx kvs : (Options.t, error) result =
-  let* o = engine_of_json ~ctx kvs in
-  let pos k v =
-    if v >= 1 then Ok ()
-    else Error (Bad_value (path ctx k, Printf.sprintf "must be >= 1 (got %d)" v))
-  in
-  let* () = pos "trace_threshold" o.Options.trace_threshold in
-  let* () = pos "max_trace_blocks" o.Options.max_trace_blocks in
-  let* () = pos "max_bb_insns" o.Options.max_bb_insns in
-  let* () = pos "quantum" o.Options.quantum in
-  let* () = pos "max_cycles" o.Options.max_cycles in
-  if o.Options.audit_period < 0 then
-    Error (Bad_value (path ctx "audit_period", "must be >= 0"))
-  else Ok o
-
-let pool_of_json ~ctx kvs : (Options.pool_opts, error) result =
-  let d = Options.default_pool in
-  let* () =
-    check_keys ~ctx
-      [ "domains"; "max_inflight"; "queue_capacity"; "affinity"; "retries";
-        "quarantine_threshold"; "deadline_cycles"; "deadline_secs";
-        "accept_queue"; "batch_window"; "prewarm"; "min_domains";
-        "scale_up_depth"; "scale_down_depth"; "scale_hysteresis" ]
-      kvs
-  in
-  let* domains = get_int ~ctx kvs "domains" ~default:d.domains in
-  let* max_inflight = get_int ~ctx kvs "max_inflight" ~default:d.max_inflight in
-  let* queue_capacity = get_int ~ctx kvs "queue_capacity" ~default:d.queue_capacity in
-  let* affinity = get_bool ~ctx kvs "affinity" ~default:d.affinity in
-  let* retries = get_int ~ctx kvs "retries" ~default:d.retries in
-  let* quarantine_threshold =
-    get_int ~ctx kvs "quarantine_threshold" ~default:d.quarantine_threshold
-  in
-  let* deadline_cycles = get_int_opt ~ctx kvs "deadline_cycles" ~default:d.deadline_cycles in
-  let* deadline_secs = get_float_opt ~ctx kvs "deadline_secs" ~default:d.deadline_secs in
-  let* accept_queue = get_int ~ctx kvs "accept_queue" ~default:d.accept_queue in
-  let* batch_window = get_int ~ctx kvs "batch_window" ~default:d.batch_window in
-  let* prewarm = get_bool ~ctx kvs "prewarm" ~default:d.prewarm in
-  let* min_domains = get_int_opt ~ctx kvs "min_domains" ~default:d.min_domains in
-  let* scale_up_depth = get_int ~ctx kvs "scale_up_depth" ~default:d.scale_up_depth in
-  let* scale_down_depth =
-    get_int ~ctx kvs "scale_down_depth" ~default:d.scale_down_depth
-  in
-  let* scale_hysteresis =
-    get_int ~ctx kvs "scale_hysteresis" ~default:d.scale_hysteresis
-  in
-  Ok
-    {
-      Options.domains; max_inflight; queue_capacity; affinity; retries;
-      quarantine_threshold; deadline_cycles; deadline_secs;
-      accept_queue; batch_window; prewarm; min_domains;
-      scale_up_depth; scale_down_depth; scale_hysteresis;
-    }
-
 let overrides_of_json ~ctx kvs : ((string * int) list, error) result =
   let rec go acc = function
     | [] -> Ok (sorted_overrides (List.rev acc))
-    | (k, Int lvl) :: rest ->
+    | (k, Json.Int lvl) :: rest ->
         if lvl < 0 || lvl > 3 then
           Error
             (Bad_value
@@ -717,31 +278,28 @@ let validate (b : t) : (unit, error) result =
   in
   check b.b_overrides
 
-let of_json (j : json) : (t, error) result =
+let of_json (j : Json.t) : (t, error) result =
   match j with
-  | Obj kvs ->
+  | Json.Obj kvs ->
       let* () =
         check_keys ~ctx:""
           [ "bundle_version"; "digest"; "provenance"; "engine"; "pool"; "overrides" ]
           kvs
       in
-      let* version = get_int ~ctx:"" kvs "bundle_version" ~default:(-1) in
-      if version = -1 then
-        Error (Bad_value ("bundle_version", "required field is missing"))
-      else if version <> format_version then Error (Stale_version version)
+      let* version =
+        match List.assoc_opt "bundle_version" kvs with
+        | None -> Error (Bad_value ("bundle_version", "required field is missing"))
+        | Some j -> value_of_json ~ctx:"bundle_version" Options.Int j
+      in
+      if version <> format_version then Error (Stale_version version)
       else
-        let* b_opts =
-          let* e = get_obj ~ctx:"" kvs "engine" in
-          match e with
-          | None -> Ok Options.default
-          | Some e -> engine_of_json ~ctx:"engine" e
+        let table k tbl =
+          match List.assoc_opt k kvs with
+          | None -> Ok tbl.Options.default
+          | Some j -> value_of_json ~ctx:k (Options.Table tbl) j
         in
-        let* b_pool =
-          let* p = get_obj ~ctx:"" kvs "pool" in
-          match p with
-          | None -> Ok Options.default_pool
-          | Some p -> pool_of_json ~ctx:"pool" p
-        in
+        let* b_opts = table "engine" Options.engine_table in
+        let* b_pool = table "pool" Options.pool_table in
         let* b_overrides =
           let* o = get_obj ~ctx:"" kvs "overrides" in
           match o with
@@ -775,7 +333,7 @@ let of_json (j : json) : (t, error) result =
   | _ -> Error (Parse_error "top-level value must be an object")
 
 let of_string (s : string) : (t, error) result =
-  let* j = json_of_string s in
+  let* j = Result.map_error (fun m -> Parse_error m) (Json.of_string s) in
   of_json j
 
 (* ------------------------------------------------------------------ *)

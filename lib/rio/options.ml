@@ -296,6 +296,388 @@ let default =
   }
 
 (* ------------------------------------------------------------------ *)
+(* The knob table (DESIGN.md §6.9)                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Every leaf of {!t}, {!costs}, {!fault_opts} and {!pool_opts} is one
+    typed row of a table.  The bundle codec ({!Bundle}), the
+    single-field range checks of {!validate} / {!validate_pool}, the
+    flags of both CLIs ({!Cli}) and the autotuner's get/set/print all
+    derive from the rows, so a new knob is one record field, one
+    default and one row.  Rows are in canonical bundle field order:
+    that order fixes the printed payload and hence every bundle
+    digest. *)
+type _ ty =
+  | Bool : bool ty
+  | Int : int ty
+  | Float : float ty
+  | Opt : 'a ty -> 'a option ty  (** [None] is JSON [null], text ["none"] *)
+  | Passes : opt_pass list ty
+  | Policy : flush_policy ty
+  | Table : 'r table -> 'r ty     (** a nested object *)
+
+and 'r table = { default : 'r; rows : 'r knob list }
+
+and 'r knob =
+  | Knob : {
+      key : string;  (** JSON key; dotted path for {!leaves} of nested tables *)
+      doc : string;  (** also the help text of the row's flag *)
+      ty : 'a ty;
+      get : 'r -> 'a;
+      set : 'r -> 'a -> 'r;
+      range : 'a -> string option;  (** [Some why] when out of range *)
+      flag : (string list * string) option;  (** CLI names and docv *)
+    }
+      -> 'r knob
+
+let knob ?(range = fun _ -> None) ?flag key ty get set doc =
+  Knob { key; doc; ty; get; set; range; flag }
+
+let at_least lo n =
+  if n >= lo then None else Some (Printf.sprintf "must be >= %d (got %d)" lo n)
+
+let some range = function None -> None | Some v -> range v
+
+let finite_positive f =
+  if Float.is_finite f && f > 0.0 then None
+  else Some (Printf.sprintf "must be finite and > 0 (got %g)" f)
+
+let costs_table =
+  {
+    default = default_costs;
+    rows =
+      [
+        knob "context_switch" Int (fun c -> c.context_switch)
+          (fun c v -> { c with context_switch = v })
+          "cycles to leave the cache, dispatch, and re-enter it";
+        knob "ibl_lookup" Int (fun c -> c.ibl_lookup)
+          (fun c v -> { c with ibl_lookup = v })
+          "in-cache indirect-branch hashtable lookup";
+        knob "stub_exec" Int (fun c -> c.stub_exec)
+          (fun c v -> { c with stub_exec = v })
+          "executing an exit stub's save/record path";
+        knob "bb_build_base" Int (fun c -> c.bb_build_base)
+          (fun c v -> { c with bb_build_base = v })
+          "fixed cost of building a basic block";
+        knob "bb_build_per_insn" Int (fun c -> c.bb_build_per_insn)
+          (fun c v -> { c with bb_build_per_insn = v })
+          "basic-block build cost per instruction";
+        knob "trace_build_per_insn" Int (fun c -> c.trace_build_per_insn)
+          (fun c v -> { c with trace_build_per_insn = v })
+          "trace build cost per instruction (decode, analysis, re-encode)";
+        knob "clean_call" Int (fun c -> c.clean_call)
+          (fun c v -> { c with clean_call = v })
+          "context save/restore around a clean call";
+        knob "replace_fragment" Int (fun c -> c.replace_fragment)
+          (fun c v -> { c with replace_fragment = v })
+          "replacing a fragment in the cache";
+        knob "audit_per_fragment" Int (fun c -> c.audit_per_fragment)
+          (fun c v -> { c with audit_per_fragment = v })
+          "auditing one fragment at a dispatch safe point";
+        knob "evict_fragment" Int (fun c -> c.evict_fragment)
+          (fun c v -> { c with evict_fragment = v })
+          "unlinking and reclaiming one fragment under FIFO eviction";
+        knob "opt_per_insn_pass" Int (fun c -> c.opt_per_insn_pass)
+          (fun c v -> { c with opt_per_insn_pass = v })
+          "one optimizer pass over one trace instruction";
+      ];
+  }
+
+let faults_table =
+  {
+    default = default_faults;
+    rows =
+      [
+        knob "seed" Int (fun f -> f.fi_seed) (fun f v -> { f with fi_seed = v })
+          "seed of the injector's private LCG";
+        knob "period" Int ~range:(at_least 1) (fun f -> f.fi_period)
+          (fun f v -> { f with fi_period = v })
+          "mean dispatches between injections";
+        knob "corrupt" Bool (fun f -> f.fi_corrupt)
+          (fun f v -> { f with fi_corrupt = v })
+          "flip a byte inside a live fragment";
+        knob "links" Bool (fun f -> f.fi_links) (fun f v -> { f with fi_links = v })
+          "re-patch a linked exit branch to a bogus target";
+        knob "hooks" Bool (fun f -> f.fi_hooks) (fun f v -> { f with fi_hooks = v })
+          "make the next client hook invocation raise";
+        knob "signals" Bool (fun f -> f.fi_signals)
+          (fun f v -> { f with fi_signals = v })
+          "queue a signal whose handler is outside app space";
+      ];
+  }
+
+let engine_table =
+  {
+    default;
+    rows =
+      [
+        knob "emulate" Bool (fun o -> o.emulate) (fun o v -> { o with emulate = v })
+          "pure emulation: no code cache at all";
+        knob "link_direct" Bool ~flag:([ "no-link-direct" ], "")
+          (fun o -> o.link_direct) (fun o v -> { o with link_direct = v })
+          "Disable direct linking.";
+        knob "link_indirect" Bool ~flag:([ "no-link-indirect" ], "")
+          (fun o -> o.link_indirect) (fun o v -> { o with link_indirect = v })
+          "Disable the in-cache indirect lookup.";
+        knob "enable_traces" Bool ~flag:([ "no-traces" ], "")
+          (fun o -> o.enable_traces) (fun o v -> { o with enable_traces = v })
+          "Disable trace creation.";
+        knob "trace_threshold" Int ~range:(at_least 0)
+          ~flag:([ "trace-threshold" ], "N")
+          (fun o -> o.trace_threshold) (fun o v -> { o with trace_threshold = v })
+          "Trace-head hotness threshold.";
+        knob "max_trace_blocks" Int ~range:(at_least 1)
+          (fun o -> o.max_trace_blocks) (fun o v -> { o with max_trace_blocks = v })
+          "cap on constituent blocks per trace";
+        knob "max_bb_insns" Int ~range:(at_least 1)
+          (fun o -> o.max_bb_insns) (fun o v -> { o with max_bb_insns = v })
+          "basic blocks stop after this many instructions";
+        knob "cache_capacity" (Opt Int) ~range:(some (at_least 1))
+          ~flag:([ "cache-capacity" ], "BYTES")
+          (fun o -> o.cache_capacity) (fun o v -> { o with cache_capacity = v })
+          "Bound the code cache; see --flush-policy for what happens on \
+           overflow.";
+        knob "flush_policy" Policy ~flag:([ "flush-policy" ], "POLICY")
+          (fun o -> o.flush_policy) (fun o v -> { o with flush_policy = v })
+          "Capacity policy for a bounded cache: $(b,fifo) evicts the oldest \
+           fragments incrementally; $(b,full) flushes the whole cache on \
+           overflow.";
+        knob "cache_compaction" Bool
+          (fun o -> o.cache_compaction) (fun o v -> { o with cache_compaction = v })
+          "slide live fragments over free holes under the FIFO policy";
+        knob "quantum" Int ~range:(at_least 1)
+          (fun o -> o.quantum) (fun o v -> { o with quantum = v })
+          "scheduler quantum, cycles";
+        knob "always_save_flags" Bool
+          (fun o -> o.always_save_flags) (fun o v -> { o with always_save_flags = v })
+          "disable the eflags liveness analysis";
+        knob "sideline" Bool ~flag:([ "sideline" ], "")
+          (fun o -> o.sideline) (fun o v -> { o with sideline = v })
+          "Run trace optimization on a simulated spare processor.";
+        knob "opt_level" Int ~flag:([ "O"; "opt" ], "N")
+          (fun o -> o.opt_level) (fun o v -> { o with opt_level = v })
+          "Trace optimization level: 0 (off), 1 (copy/constant propagation, \
+           strength reduction, flag-save elision), 2 (adds redundant-load \
+           removal, dead-store elimination and exit-check peepholes) or 3 \
+           (adds profile-guided speculation: guarded dominant-target \
+           inlining, constant-load folding and exit-layout biasing, with \
+           mid-trace deoptimization).";
+        knob "opt_enable" Passes ~flag:([ "opt-enable" ], "PASS")
+          (fun o -> o.opt_enable) (fun o v -> { o with opt_enable = v })
+          "Enable a single optimizer pass on top of the -O level; \
+           repeatable.  Passes: copyprop, strength, loadrem, deadstore, \
+           peephole, flagelide.";
+        knob "opt_disable" Passes ~flag:([ "opt-disable" ], "PASS")
+          (fun o -> o.opt_disable) (fun o v -> { o with opt_disable = v })
+          "Disable a single optimizer pass from the -O level; repeatable.";
+        knob "reopt_threshold" (Opt Int) ~range:(some (at_least 1))
+          ~flag:([ "reopt" ], "N")
+          (fun o -> o.reopt_threshold) (fun o v -> { o with reopt_threshold = v })
+          "Re-optimize a hot trace in place (decode + replace) after N \
+           dispatcher entries (overrides the built-in deferral threshold).";
+        knob "spec_threshold" Int ~range:(at_least 1)
+          ~flag:([ "spec-threshold" ], "N")
+          (fun o -> o.spec_threshold) (fun o v -> { o with spec_threshold = v })
+          "Successor-profile samples required at an exit site before -O3 \
+           speculates on it.";
+        knob "spec_max_violations" Int ~range:(at_least 1)
+          ~flag:([ "spec-max-violations" ], "K")
+          (fun o -> o.spec_max_violations)
+          (fun o v -> { o with spec_max_violations = v })
+          "Guard violations tolerated before the trace is re-optimized \
+           without that assumption.";
+        knob "max_cycles" Int ~range:(at_least 1)
+          (fun o -> o.max_cycles) (fun o v -> { o with max_cycles = v })
+          "safety stop, simulated cycles";
+        knob "faults" (Opt (Table faults_table))
+          (fun o -> o.faults) (fun o v -> { o with faults = v })
+          "deterministic fault injection; null = injector off";
+        knob "audit_period" Int ~range:(at_least 0)
+          (fun o -> o.audit_period) (fun o v -> { o with audit_period = v })
+          "run the cache auditor every N context switches; 0 = never";
+        knob "client_fail_limit" Int
+          (fun o -> o.client_fail_limit) (fun o v -> { o with client_fail_limit = v })
+          "client-hook failures tolerated before the client is quarantined";
+        knob "costs" (Table costs_table)
+          (fun o -> o.costs) (fun o v -> { o with costs = v })
+          "modelled runtime overheads";
+      ];
+  }
+
+let pool_table =
+  {
+    default = default_pool;
+    rows =
+      [
+        knob "domains" Int ~range:(at_least 1) ~flag:([ "d"; "domains" ], "N")
+          (fun p -> p.domains) (fun p v -> { p with domains = v })
+          "Worker domains in the pool.";
+        knob "max_inflight" Int ~range:(at_least 1)
+          ~flag:([ "max-inflight" ], "N")
+          (fun p -> p.max_inflight) (fun p v -> { p with max_inflight = v })
+          "Bound on submitted-but-incomplete requests (backpressure).";
+        knob "queue_capacity" Int ~range:(at_least 1)
+          (fun p -> p.queue_capacity) (fun p v -> { p with queue_capacity = v })
+          "initial per-worker deque capacity";
+        knob "affinity" Bool ~flag:([ "affinity" ], "")
+          (fun p -> p.affinity) (fun p v -> { p with affinity = v })
+          "Shard by workload-key hash instead of round-robin.";
+        knob "retries" Int ~range:(at_least 0) ~flag:([ "retries" ], "N")
+          (fun p -> p.retries) (fun p v -> { p with retries = v })
+          "Retry-ladder depth per request: warm retry, cold retry, cold \
+           retry on another domain.";
+        knob "quarantine_threshold" Int ~range:(at_least 1)
+          ~flag:([ "quarantine" ], "K")
+          (fun p -> p.quarantine_threshold)
+          (fun p v -> { p with quarantine_threshold = v })
+          "Quarantine a workload key after K consecutive final failures; a \
+           single probe request may then reopen it.";
+        knob "deadline_cycles" (Opt Int) ~range:(some (at_least 1))
+          ~flag:([ "deadline-cycles" ], "N")
+          (fun p -> p.deadline_cycles) (fun p v -> { p with deadline_cycles = v })
+          "Per-request simulated-cycle budget; the watchdog preempts at the \
+           next fragment boundary.";
+        knob "deadline_secs" (Opt Float) ~range:(some finite_positive)
+          ~flag:([ "deadline-secs" ], "S")
+          (fun p -> p.deadline_secs) (fun p v -> { p with deadline_secs = v })
+          "Per-request host wall-clock bound (catches stalled workers).";
+        knob "accept_queue" Int ~range:(at_least 1)
+          ~flag:([ "accept-queue" ], "N")
+          (fun p -> p.accept_queue) (fun p v -> { p with accept_queue = v })
+          "Admission bound for the server: once N requests are admitted but \
+           unfinished, further requests are shed with a typed reject instead \
+           of queueing without bound.";
+        knob "batch_window" Int ~range:(at_least 0)
+          ~flag:([ "batch-window" ], "N")
+          (fun p -> p.batch_window) (fun p v -> { p with batch_window = v })
+          "Dequeue-time batching window: a worker looks this deep into its \
+           queue for a request matching the key it just served (0 \
+           disables).";
+        knob "prewarm" Bool ~flag:([ "prewarm" ], "")
+          (fun p -> p.prewarm) (fun p v -> { p with prewarm = v })
+          "Build every (domain, workload) instance at pool boot, before \
+           accepting traffic, so no request ever cold-boots.";
+        knob "min_domains" (Opt Int) ~range:(some (at_least 1))
+          ~flag:([ "min-domains" ], "N")
+          (fun p -> p.min_domains) (fun p v -> { p with min_domains = v })
+          "Enable the queue-depth autoscaler: park idle worker domains down \
+           to N and wake them as queue depth grows.";
+        knob "scale_up_depth" Int
+          (fun p -> p.scale_up_depth) (fun p v -> { p with scale_up_depth = v })
+          "queued requests per live worker that wake a parked worker";
+        knob "scale_down_depth" Int ~range:(at_least 0)
+          (fun p -> p.scale_down_depth) (fun p v -> { p with scale_down_depth = v })
+          "queued requests per live worker below which a worker parks";
+        knob "scale_hysteresis" Int ~range:(at_least 1)
+          (fun p -> p.scale_hysteresis) (fun p v -> { p with scale_hysteresis = v })
+          "consecutive same-direction decisions before the autoscaler acts";
+      ];
+  }
+
+(** The leaf rows of a table, nested tables flattened in place with
+    dotted keys (["costs.ibl_lookup"]).  An absent optional sub-table
+    ([faults = None]) reads as its default. *)
+let rec leaves : type r. r table -> r knob list =
+ fun tbl ->
+  let nest : type s. string -> s table -> (r -> s) -> (r -> s -> r) -> r knob list =
+   fun key sub get set ->
+    List.map
+      (fun (Knob c) ->
+        Knob
+          {
+            key = key ^ "." ^ c.key;
+            doc = c.doc;
+            ty = c.ty;
+            get = (fun r -> c.get (get r));
+            set = (fun r v -> set r (c.set (get r) v));
+            range = c.range;
+            flag = c.flag;
+          })
+      (leaves sub)
+  in
+  List.concat_map
+    (fun (Knob k as row) ->
+      match k.ty with
+      | Table sub -> nest k.key sub k.get k.set
+      | Opt (Table sub) ->
+          nest k.key sub
+            (fun r -> Option.value (k.get r) ~default:sub.default)
+            (fun r v -> k.set r (Some v))
+      | _ -> [ row ])
+    tbl.rows
+
+(** Text form of a value: what the autotuner logs and what a flag
+    parses. *)
+let rec print : type a. a ty -> a -> string =
+ fun ty v ->
+  match ty with
+  | Bool -> string_of_bool v
+  | Int -> string_of_int v
+  | Float -> Printf.sprintf "%g" v
+  | Opt t -> ( match v with None -> "none" | Some x -> print t x)
+  | Passes -> String.concat "," (List.map pass_name v)
+  | Policy -> flush_policy_name v
+  | Table _ -> invalid_arg "Options.print: a nested table has no text form"
+
+let rec parse : type a. a ty -> string -> (a, string) result =
+ fun ty s ->
+  let expect what = function
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "expected %s (got %S)" what s)
+  in
+  match ty with
+  | Bool -> expect "true or false" (bool_of_string_opt s)
+  | Int -> expect "an integer" (int_of_string_opt s)
+  | Float -> expect "a number" (float_of_string_opt s)
+  | Opt _ when s = "none" -> Ok None
+  | Opt t -> Result.map Option.some (parse t s)
+  | Passes ->
+      List.fold_right
+        (fun name acc ->
+          match (pass_of_name name, acc) with
+          | Some p, Ok ps -> Ok (p :: ps)
+          | None, _ ->
+              Error
+                (Printf.sprintf "unknown pass %S (one of: %s)" name
+                   (String.concat ", " (List.map pass_name all_passes)))
+          | _, (Error _ as e) -> e)
+        (if s = "" then [] else String.split_on_char ',' s)
+        (Ok [])
+  | Policy -> expect "fifo or full" (flush_policy_of_name s)
+  | Table _ -> Error "a nested table has no text form"
+
+(** Text-level get/set of the leaf row [key] (dotted for nested rows):
+    a search space names knobs and value ladders, the table does the
+    rest.  Raises [Invalid_argument] on an unknown key or a value that
+    does not parse. *)
+let text_access (tbl : 'r table) (key : string) :
+    ('r -> string) * ('r -> string -> 'r) =
+  match List.find_opt (fun (Knob k) -> k.key = key) (leaves tbl) with
+  | None -> invalid_arg ("Options.text_access: no knob " ^ key)
+  | Some (Knob k) ->
+      ( (fun r -> print k.ty (k.get r)),
+        fun r s ->
+          match parse k.ty s with
+          | Ok v -> k.set r v
+          | Error e -> invalid_arg (key ^ ": " ^ e) )
+
+(** The first leaf of [v] outside its row's range, as a message.  The
+    leaves are flattened once, at partial application. *)
+let check_ranges (tbl : 'r table) : 'r -> (unit, string) result =
+  let rows = leaves tbl in
+  fun v ->
+    match
+      List.find_map
+        (fun (Knob k) -> Option.map (fun why -> k.key ^ " " ^ why) (k.range (k.get v)))
+        rows
+    with
+    | None -> Ok ()
+    | Some msg -> Error msg
+
+let engine_ranges = check_ranges engine_table
+let pool_ranges = check_ranges pool_table
+
+(* ------------------------------------------------------------------ *)
 (* Digest (persistent-cache compatibility key)                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -350,114 +732,64 @@ let effective_passes (t : t) : opt_pass list =
       && not (List.mem p t.opt_disable))
     all_passes
 
-let validate_opt (t : t) : (unit, string) result =
-  if t.opt_level < 0 || t.opt_level > 3 then
-    Error
-      (Printf.sprintf "optimization level must be between 0 and 3 (got %d)"
-         t.opt_level)
-  else if t.spec_threshold < 1 then
-    Error
-      (Printf.sprintf "speculation threshold must be >= 1 (got %d)"
-         t.spec_threshold)
-  else if t.spec_max_violations < 1 then
-    Error
-      (Printf.sprintf "speculation max-violations must be >= 1 (got %d)"
-         t.spec_max_violations)
-  else if t.opt_level = 0 && t.opt_enable <> [] then
-    Error
-      (Printf.sprintf
-         "pass %s is enabled but the optimizer is off (-O0); raise the \
-          level to -O1 or higher or drop the per-pass enable"
-         (pass_name (List.hd t.opt_enable)))
-  else
-    match t.reopt_threshold with
-    | Some n when n <= 0 ->
-        Error
-          (Printf.sprintf
-             "re-optimization threshold must be positive (got %d)" n)
-    | Some _ when t.opt_level = 0 ->
-        Error
-          "re-optimization is requested but the optimizer is off (-O0); \
-           raise the level to -O1 or higher or drop the threshold"
-    | _ -> Ok ()
-
+(** Single-field ranges come from {!engine_table}; the checks written
+    out here span fields: the opt-level range every level gate keys
+    on, the FIFO capacity floor, and the knobs that need the optimizer
+    on. *)
 let validate (t : t) : (unit, string) result =
-  let cache =
-    match t.cache_capacity with
-    | None -> Ok ()
-    | Some cap ->
-        if cap <= 0 then
-          Error (Printf.sprintf "cache capacity must be positive (got %d)" cap)
-        else if t.flush_policy = Flush_fifo && cap < min_cache_capacity t then
-          Error
-            (Printf.sprintf
-               "cache capacity %d is below the FIFO floor of %d bytes (twice \
-                the worst-case basic-block fragment for max-bb-insns=%d); \
-                raise the capacity or use the full flush policy"
-               cap (min_cache_capacity t) t.max_bb_insns)
-        else Ok ()
-  in
-  match cache with Error _ as e -> e | Ok () -> validate_opt t
+  match engine_ranges t with
+  | Error _ as e -> e
+  | Ok () -> (
+      if t.opt_level < 0 || t.opt_level > 3 then
+        Error
+          (Printf.sprintf "optimization level must be between 0 and 3 (got %d)"
+             t.opt_level)
+      else
+        match t.cache_capacity with
+        | Some cap when t.flush_policy = Flush_fifo && cap < min_cache_capacity t ->
+            Error
+              (Printf.sprintf
+                 "cache capacity %d is below the FIFO floor of %d bytes (twice \
+                  the worst-case basic-block fragment for max-bb-insns=%d); \
+                  raise the capacity or use the full flush policy"
+                 cap (min_cache_capacity t) t.max_bb_insns)
+        | _ ->
+            if t.opt_level = 0 && t.opt_enable <> [] then
+              Error
+                (Printf.sprintf
+                   "pass %s is enabled but the optimizer is off (-O0); raise \
+                    the level to -O1 or higher or drop the per-pass enable"
+                   (pass_name (List.hd t.opt_enable)))
+            else if t.opt_level = 0 && t.reopt_threshold <> None then
+              Error
+                "re-optimization is requested but the optimizer is off (-O0); \
+                 raise the level to -O1 or higher or drop the threshold"
+            else Ok ())
 
 let validate_exn (t : t) : unit =
   match validate t with Ok () -> () | Error msg -> raise (Invalid_options msg)
 
 (** Validate pool sizing and supervision parameters; {!Pool.create} and
     the [rio_serve] CLI both reject bad values through here so the
-    message is identical at every entry point. *)
+    message is identical at every entry point.  Single-field ranges
+    come from {!pool_table}. *)
 let validate_pool (p : pool_opts) : (unit, string) result =
-  if p.domains < 1 then
-    Error (Printf.sprintf "pool domains must be >= 1 (got %d)" p.domains)
-  else if p.max_inflight < 1 then
-    Error
-      (Printf.sprintf "pool max-inflight must be >= 1 (got %d)" p.max_inflight)
-  else if p.queue_capacity < 1 then
-    Error
-      (Printf.sprintf
-         "pool queue capacity must be >= 1 (got %d): a zero-capacity deque \
-          can never hold a request"
-         p.queue_capacity)
-  else if p.retries < 0 then
-    Error (Printf.sprintf "pool retries must be >= 0 (got %d)" p.retries)
-  else if p.quarantine_threshold < 1 then
-    Error
-      (Printf.sprintf "quarantine threshold must be >= 1 (got %d)"
-         p.quarantine_threshold)
-  else if p.accept_queue < 1 then
-    Error
-      (Printf.sprintf
-         "pool accept-queue must be >= 1 (got %d): a zero admission bound \
-          sheds every request"
-         p.accept_queue)
-  else if p.batch_window < 0 then
-    Error (Printf.sprintf "pool batch-window must be >= 0 (got %d)" p.batch_window)
-  else if p.scale_hysteresis < 1 then
-    Error
-      (Printf.sprintf "pool scale-hysteresis must be >= 1 (got %d)"
-         p.scale_hysteresis)
-  else if p.scale_down_depth < 0 then
-    Error
-      (Printf.sprintf "pool scale-down-depth must be >= 0 (got %d)"
-         p.scale_down_depth)
-  else if p.scale_up_depth <= p.scale_down_depth then
-    Error
-      (Printf.sprintf
-         "pool scale-up-depth (%d) must exceed scale-down-depth (%d): \
-          overlapping thresholds make the autoscaler flap"
-         p.scale_up_depth p.scale_down_depth)
-  else
-    match p.min_domains with
-    | Some m when m < 1 || m > p.domains ->
+  match pool_ranges p with
+  | Error _ as e -> e
+  | Ok () -> (
+      if p.scale_up_depth <= p.scale_down_depth then
         Error
           (Printf.sprintf
-             "pool min-domains must be between 1 and domains=%d (got %d)"
-             p.domains m)
-    | _ -> (
-        match (p.deadline_cycles, p.deadline_secs) with
-        | Some c, _ when c <= 0 ->
-            Error (Printf.sprintf "deadline-cycles must be positive (got %d)" c)
-        | _, Some s when s <= 0.0 ->
-            Error (Printf.sprintf "deadline-secs must be positive (got %g)" s)
+             "pool scale-up-depth (%d) must exceed scale-down-depth (%d): \
+              overlapping thresholds make the autoscaler flap"
+             p.scale_up_depth p.scale_down_depth)
+      else
+        match p.min_domains with
+        | Some m when m > p.domains ->
+            Error
+              (Printf.sprintf
+                 "pool min-domains must be between 1 and domains=%d (got %d)"
+                 p.domains m)
         | _ -> Ok ())
 
 let validate_pool_exn (p : pool_opts) : unit =

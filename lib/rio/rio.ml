@@ -19,7 +19,9 @@ module Instr = Instr
 module Instrlist = Instrlist
 module Create = Create
 module Options = Options
+module Json = Json
 module Bundle = Bundle
+module Cli = Cli
 module Stats = Stats
 module Types = Types
 module Fragindex = Fragindex

@@ -9,6 +9,7 @@
 
 module B = Rio.Bundle
 module O = Rio.Options
+module J = Rio.Json
 
 (* ------------------------------------------------------------------ *)
 (* Generator: random valid bundles                                    *)
@@ -143,15 +144,15 @@ let prop_roundtrip =
 
 (* Deterministic shuffle of every object's field order; array order is
    semantic (pass lists) and stays put. *)
-let rec shuffle_json rand (j : B.json) : B.json =
+let rec shuffle_json rand (j : J.t) : J.t =
   match j with
-  | B.Obj kvs ->
+  | J.Obj kvs ->
       let tagged =
         List.map (fun kv -> (rand (), kv)) kvs
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
-      B.Obj (List.map (fun (_, (k, v)) -> (k, shuffle_json rand v)) tagged)
-  | B.Arr xs -> B.Arr (List.map (shuffle_json rand) xs)
+      J.Obj (List.map (fun (_, (k, v)) -> (k, shuffle_json rand v)) tagged)
+  | J.Arr xs -> J.Arr (List.map (shuffle_json rand) xs)
   | _ -> j
 
 let lcg_rand seed =
@@ -235,9 +236,9 @@ let test_rejections () =
     {|{"bundle_version": 1, "engine": {"flush_policy": "lru"}}|};
   check_reject "unknown pool key" "unknown:pool.turbo"
     {|{"bundle_version": 1, "pool": {"turbo": true}}|};
-  check_reject "zero accept queue" "invalid"
+  check_reject "zero accept queue" "bad:pool.accept_queue"
     {|{"bundle_version": 1, "pool": {"accept_queue": 0}}|};
-  check_reject "negative batch window" "invalid"
+  check_reject "negative batch window" "bad:pool.batch_window"
     {|{"bundle_version": 1, "pool": {"batch_window": -1}}|};
   check_reject "non-bool prewarm" "bad:pool.prewarm"
     {|{"bundle_version": 1, "pool": {"prewarm": 3}}|};
@@ -245,13 +246,28 @@ let test_rejections () =
     {|{"bundle_version": 1, "pool": {"domains": 2, "min_domains": 4}}|};
   check_reject "overlapping scale thresholds" "invalid"
     {|{"bundle_version": 1, "pool": {"scale_up_depth": 1, "scale_down_depth": 1}}|};
-  check_reject "zero scale hysteresis" "invalid"
+  check_reject "zero scale hysteresis" "bad:pool.scale_hysteresis"
     {|{"bundle_version": 1, "pool": {"scale_hysteresis": 0}}|};
   check_reject "duplicate key" "parse"
     {|{"bundle_version": 1, "bundle_version": 1}|};
   check_reject "trailing garbage" "parse" {|{"bundle_version": 1} x|};
   check_reject "digest mismatch" "bad:digest"
-    {|{"bundle_version": 1, "digest": "00000000"}|}
+    {|{"bundle_version": 1, "digest": "00000000"}|};
+  (* 1e400 parses to infinity, which would print as a non-number *)
+  check_reject "infinite deadline" "bad:pool.deadline_secs"
+    {|{"bundle_version":1,"pool":{"deadline_secs":1e400}}|};
+  check_reject "negative fault period" "bad:engine.faults.period"
+    {|{"bundle_version": 1, "engine": {"faults": {"period": 0}}}|};
+  check_reject "deep nesting" "parse" (String.make 1_000_000 '[')
+
+(* Every printed document is valid JSON: a non-finite float has no
+   JSON spelling, so it prints as null. *)
+let test_non_finite_floats () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%g prints as null" f) "null\n"
+        (J.to_string (J.Float f)))
+    [ nan; infinity; neg_infinity ]
 
 (* A stored digest that matches is accepted; the written form always
    carries one that matches. *)
@@ -308,6 +324,175 @@ let test_opts_for () =
   Alcotest.(check bool) "reopt dropped at level 0" true
     (gcc.O.reopt_threshold = None)
 
+(* ------------------------------------------------------------------ *)
+(* The committed bundle                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The shipped artifact must keep verifying under the current codec,
+   re-print byte for byte, and project the tuned per-workload levels. *)
+let test_committed_bundle () =
+  let text = In_channel.with_open_bin "../bundle.json" In_channel.input_all in
+  match B.of_string text with
+  | Error e -> Alcotest.failf "bundle.json rejected: %s" (B.error_to_string e)
+  | Ok b ->
+      Alcotest.(check string) "digest" "ea494a40" (Printf.sprintf "%08x" (B.digest b));
+      Alcotest.(check string) "re-prints byte for byte" text (B.to_string b);
+      List.iter
+        (fun (w, lvl) ->
+          Alcotest.(check int) ("opt level of " ^ w) lvl (B.opts_for b w).O.opt_level)
+        [ ("gcc", 0); ("mcf", 0); ("gzip", 1); ("art", 3); ("crafty", 3); ("vpr", 3) ]
+
+(* ------------------------------------------------------------------ *)
+(* Knob-table completeness                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Non-default candidate values for a row, by type. *)
+let candidates : type a. a O.ty -> a -> a list =
+ fun ty d ->
+  match ty with
+  | O.Bool -> [ not d ]
+  | O.Int -> [ d + 1; d - 1; d + 65536 ]
+  | O.Float -> [ d +. 1.5 ]
+  | O.Opt t -> (
+      match d with
+      | Some _ -> [ None ]
+      | None -> (
+          match t with
+          | O.Int -> [ Some 1; Some 65536 ]
+          | O.Float -> [ Some 1.5 ]
+          | _ -> []))
+  | O.Passes -> [ [ O.Copy_prop ]; [ O.Load_removal ] ]
+  | O.Policy -> [ (if d = O.Flush_fifo then O.Flush_full else O.Flush_fifo) ]
+  | O.Table _ -> []
+
+let bundle_of opts pool =
+  { B.b_opts = opts; b_pool = pool; b_overrides = []; b_provenance = B.default_provenance }
+
+(* For every leaf, an in-range non-default value that yields a valid
+   configuration must reach the record (get after set), move both
+   digests, and survive the printed round trip; every leaf must write
+   its own field; and the leaves must cover every record field. *)
+let check_table (type r) name (tbl : r O.table) ~bases ~(bundle : r -> B.t)
+    ~(record_moves : r -> r -> bool) =
+  let leaves = O.leaves tbl in
+  List.iter
+    (fun (O.Knob k) ->
+      let row = name ^ "." ^ k.key in
+      let valid r = B.validate (bundle r) = Ok () in
+      let picks =
+        List.concat_map
+          (fun base ->
+            List.filter_map
+              (fun v ->
+                let r = k.set base v in
+                if k.range v = None && v <> k.get base && valid r then
+                  Some (base, v, r)
+                else None)
+              (candidates k.ty (k.get base)))
+          bases
+      in
+      match picks with
+      | [] -> Alcotest.failf "%s: no valid non-default value to try" row
+      | (base, v, r) :: _ ->
+          Alcotest.(check bool) (row ^ ": get after set") true (k.get r = v);
+          Alcotest.(check bool) (row ^ ": bundle digest moves") true
+            (B.digest (bundle r) <> B.digest (bundle base));
+          Alcotest.(check bool) (row ^ ": record digest moves") true
+            (record_moves base r);
+          Alcotest.(check bool) (row ^ ": printed round trip") true
+            (B.of_string (B.to_string (bundle r)) = Ok (bundle r));
+          (* no other row writes this row's field *)
+          List.iter
+            (fun (O.Knob j) ->
+              if j.key <> k.key then
+                match candidates j.ty (j.get r) with
+                | w :: _ ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s survives setting %s" row j.key)
+                      true
+                      (k.get (j.set r w) = v)
+                | [] -> ())
+            leaves)
+    leaves
+
+let fields r = Obj.size (Obj.repr r)
+
+let test_table_complete () =
+  (* the two nested-table fields of Options.t are not leaves *)
+  Alcotest.(check int) "one leaf per record field"
+    (fields O.default - 2 + fields O.default_costs + fields O.default_faults
+    + fields O.default_pool)
+    (List.length (O.leaves O.engine_table) + List.length (O.leaves O.pool_table));
+  check_table "engine" O.engine_table
+    ~bases:[ O.default; { O.default with O.opt_level = 3 } ]
+    ~bundle:(fun o -> bundle_of o O.default_pool)
+    ~record_moves:(fun a b -> O.digest a <> O.digest b);
+  check_table "pool" O.pool_table ~bases:[ O.default_pool ]
+    ~bundle:(fun p -> bundle_of O.default p)
+    ~record_moves:( <> )
+
+(* ------------------------------------------------------------------ *)
+(* Derived CLI flags                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A flag that is given overrides the base; one that is not leaves the
+   base alone — the base here stands in for a --bundle file. *)
+let test_pool_flags () =
+  let base = { O.default_pool with O.domains = 4; retries = 1 } in
+  let eval args =
+    let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "t") Rio.Cli.pool in
+    match Cmdliner.Cmd.eval_value ~argv:(Array.of_list ("t" :: args)) cmd with
+    | Ok (`Ok overlay) -> overlay base
+    | _ -> Alcotest.failf "flags %s did not parse" (String.concat " " args)
+  in
+  Alcotest.(check bool) "no flags: base unchanged" true (eval [] = base);
+  Alcotest.(check bool) "-d 3: only domains" true
+    (eval [ "-d"; "3" ] = { base with O.domains = 3 });
+  Alcotest.(check bool) "--prewarm --deadline-secs" true
+    (eval [ "--prewarm"; "--deadline-secs"; "0.5" ]
+    = { base with O.prewarm = true; deadline_secs = Some 0.5 })
+
+(* ------------------------------------------------------------------ *)
+(* Parser fuzzing                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Byte-level damage to a printed bundle: flip, insert, delete, or
+   truncate, biased toward the characters JSON structure hangs on. *)
+let gen_damaged : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let* b = gen_bundle in
+  let* edits =
+    list_size (int_range 1 6)
+      (triple (int_range 0 3) nat
+         (oneof
+            [ char; oneofl [ '{'; '}'; '['; ']'; '"'; ','; ':'; '\\'; '-'; '0'; 'e'; 'n'; '.' ] ]))
+  in
+  let edit s (kind, at, c) =
+    let n = String.length s in
+    if n = 0 then String.make 1 c
+    else
+      let i = at mod n in
+      match kind with
+      | 0 -> String.mapi (fun j x -> if j = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+      | 2 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+      | _ -> String.sub s 0 i
+  in
+  return (List.fold_left edit (B.to_string b) edits)
+
+let prop_fuzz =
+  QCheck.Test.make ~count:2000
+    ~name:"damaged bundles parse or fail typed, and accepted ones re-print"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_damaged)
+    (fun text ->
+      match B.of_string text with
+      | exception e -> QCheck.Test.fail_reportf "escaped: %s" (Printexc.to_string e)
+      | Error _ -> true
+      | Ok b -> (
+          match B.of_string (B.to_string b) with
+          | Ok b' when b' = b -> true
+          | _ -> QCheck.Test.fail_reportf "accepted bundle does not re-parse"))
+
 let () =
   Alcotest.run "bundle"
     [
@@ -315,6 +500,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_digest_reorder;
+          QCheck_alcotest.to_alcotest prop_fuzz;
         ] );
       ( "directed",
         [
@@ -324,5 +510,10 @@ let () =
           Alcotest.test_case "embedded digest verified" `Quick
             test_digest_verified;
           Alcotest.test_case "override projection" `Quick test_opts_for;
+          Alcotest.test_case "non-finite floats print as null" `Quick
+            test_non_finite_floats;
+          Alcotest.test_case "committed bundle.json" `Quick test_committed_bundle;
+          Alcotest.test_case "knob table complete" `Quick test_table_complete;
+          Alcotest.test_case "pool flags overlay their base" `Quick test_pool_flags;
         ] );
     ]

@@ -60,6 +60,17 @@ let rec deliver_signals (rt : runtime) (ts : thread_state) =
         log_flow rt "deliver signal -> 0x%x" h
       end
 
+(* The application wrote over code it executed: flush the fragments
+   built from [ranges].  A trace being generated that already stitched
+   one of those blocks holds the stale instructions in its IL, so it is
+   abandoned too (it would otherwise be emitted after the flush). *)
+let smc_flush (rt : runtime) (ts : thread_state) ranges : fragment list =
+  (match ts.tracegen with
+   | Some tg when Emit.ranges_overlap ranges tg.tg_src ->
+       Trace.abort_tracegen rt ts
+   | _ -> ());
+  Emit.flush_ranges rt ts ranges
+
 (* ------------------------------------------------------------------ *)
 (* Fragment lookup                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -386,7 +397,7 @@ let run_quantum (rt : runtime) (ts : thread_state) : quantum_result =
       | Vm.Interp.Smc _ ->
           let ranges = m.Vm.Machine.pending_smc in
           m.Vm.Machine.pending_smc <- [];
-          let flushed = Emit.flush_ranges rt ts ranges in
+          let flushed = smc_flush rt ts ranges in
           log_flow rt "smc flush (emulated): %d fragments" (List.length flushed);
           step_emulated ()
       | Vm.Interp.Signal _ ->
@@ -403,11 +414,20 @@ let run_quantum (rt : runtime) (ts : thread_state) : quantum_result =
        entries and IBL hits; ts.in_cache is still false, so the old
        body is unpinned while its replacement is emitted *)
     let frag = Opt.maybe_reoptimize rt ts frag in
-    (match frag.kind with
-     | Bb -> rt.stats.Stats.enters_bb <- rt.stats.Stats.enters_bb + 1
-     | Trace -> rt.stats.Stats.enters_trace <- rt.stats.Stats.enters_trace + 1);
-    t.Vm.Machine.pc <- frag.entry;
-    resume ()
+    if frag.deleted then begin
+      (* a replacement that found no room may have evicted the old
+         body on the way: its space is reclaimed, so dispatch the tag
+         afresh instead of entering it *)
+      ts.next_tag <- frag.tag;
+      from_dispatcher ()
+    end
+    else begin
+      (match frag.kind with
+       | Bb -> rt.stats.Stats.enters_bb <- rt.stats.Stats.enters_bb + 1
+       | Trace -> rt.stats.Stats.enters_trace <- rt.stats.Stats.enters_trace + 1);
+      t.Vm.Machine.pc <- frag.entry;
+      resume ()
+    end
   and resume () =
     ts.in_cache <- true;
     if budget () <= 0 then Q_budget
@@ -445,7 +465,7 @@ let run_quantum (rt : runtime) (ts : thread_state) : quantum_result =
              fragments, then continue where the hardware stopped *)
           let ranges = m.Vm.Machine.pending_smc in
           m.Vm.Machine.pending_smc <- [];
-          let flushed = Emit.flush_ranges rt ts ranges in
+          let flushed = smc_flush rt ts ranges in
           log_flow rt "smc flush: %d fragments" (List.length flushed);
           (match
              List.find_opt

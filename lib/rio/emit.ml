@@ -58,9 +58,14 @@ let instr_len ~pc ~is_exit (i : Instr.t) =
     | _ -> 5 (* jmp rel32 *)
   else Instr.length ~pc i
 
+(* The runtime's own code writes (emission, link patches, warm-boot
+   loads) are not application writes: they bypass the write-watch,
+   which would otherwise stop the interpreter with an SMC trap whose
+   flush finds nothing, and invalidate exactly the decodes they
+   overwrite. *)
 let write_bytes (rt : runtime) ~addr (b : Bytes.t) =
-  Vm.Memory.blit_bytes (Vm.Machine.mem rt.machine) ~src:b ~src_pos:0 ~dst:addr
-    ~len:(Bytes.length b);
+  Vm.Memory.blit_bytes_raw (Vm.Machine.mem rt.machine) ~src:b ~src_pos:0
+    ~dst:addr ~len:(Bytes.length b);
   Vm.Machine.invalidate_icache rt.machine ~addr ~len:(Bytes.length b)
 
 (* Re-encode a single branch at [pc] with a new [target]; length must
@@ -220,7 +225,7 @@ let move_fragment (rt : runtime) (f : fragment) ~(dst : int) : unit =
     let delta = dst - old_entry in
     let mem = Vm.Machine.mem rt.machine in
     let image = Vm.Memory.read_bytes mem ~addr:old_entry ~len in
-    Vm.Memory.blit_bytes mem ~src:image ~src_pos:0 ~dst ~len;
+    Vm.Memory.blit_bytes_raw mem ~src:image ~src_pos:0 ~dst ~len;
     Vm.Machine.invalidate_icache rt.machine ~addr:old_entry ~len;
     Vm.Machine.invalidate_icache rt.machine ~addr:dst ~len;
     (* preempted threads resume at a cache pc inside the old image *)
@@ -837,23 +842,32 @@ let replace_fragment (rt : runtime) (ts : thread_state) (old_frag : fragment)
 (* Self-modifying-code flushes                                        *)
 (* ------------------------------------------------------------------ *)
 
+(** Does any of the byte ranges [ranges] overlap any of [src]? *)
+let ranges_overlap ranges src =
+  List.exists
+    (fun (lo, hi) -> List.exists (fun (a, b) -> a < hi && lo < b) src)
+    ranges
+
 (** Delete every fragment built from application code overlapping any
     of [ranges].  Returns the deleted fragments (so the dispatcher can
-    refuse to resume inside one). *)
+    refuse to resume inside one).  Ranges starting at or above
+    [tls_base] (TLS, the cache itself) cannot overlap any fragment's
+    [src_ranges], so they are dropped before the index walk, and a
+    flush with nothing left walks nothing. *)
 let flush_ranges (rt : runtime) (ts : thread_state) (ranges : (int * int) list) :
     fragment list =
-  let overlaps (f : fragment) =
-    List.exists
-      (fun (lo, hi) ->
-        List.exists (fun (a, b) -> a < hi && lo < b) f.src_ranges)
-      ranges
-  in
-  let victims = ref [] in
-  let collect _ f = if (not f.deleted) && overlaps f then victims := f :: !victims in
-  Fragindex.iter_bbs ts.index collect;
-  Fragindex.iter_traces ts.index collect;
-  List.iter (fun f -> delete_fragment rt ts f) !victims;
-  !victims
+  match List.filter (fun (lo, _) -> lo < tls_base) ranges with
+  | [] -> []
+  | ranges ->
+      let victims = ref [] in
+      let collect _ f =
+        if (not f.deleted) && ranges_overlap ranges f.src_ranges then
+          victims := f :: !victims
+      in
+      Fragindex.iter_bbs ts.index collect;
+      Fragindex.iter_traces ts.index collect;
+      List.iter (fun f -> delete_fragment rt ts f) !victims;
+      !victims
 
 (* ------------------------------------------------------------------ *)
 (* Capacity management: flush the world                               *)

@@ -48,6 +48,7 @@ let start_tracegen (rt : runtime) (ts : thread_state) head =
       {
         tg_head = head;
         tg_tags = [];
+        tg_src = [];
         tg_il = Instrlist.create ();
         tg_insns = 0;
         tg_pending = P_start;
@@ -172,6 +173,7 @@ let stitch_block (rt : runtime) (ts : thread_state) (tg : tracegen) tag : unit =
   tg.tg_insns <- tg.tg_insns + Instrlist.length il;
   Instrlist.append_all ~dst:tg.tg_il il;
   tg.tg_tags <- tag :: tg.tg_tags;
+  tg.tg_src <- frag.src_ranges @ tg.tg_src;
   tg.tg_pending <- pending
 
 (* Resolve the pending CTI knowing execution continued at [next]. *)
@@ -356,15 +358,7 @@ let finalize_trace (rt : runtime) (ts : thread_state) (tg : tracegen) :
   charge_opt rt
     (Instrlist.length il * rt.opts.Options.costs.Options.trace_build_per_insn);
   Mangle.mangle_il ~tid:ts.ts_tid il;
-  let src_ranges =
-    List.concat_map
-      (fun tag ->
-        match FI.find_bb ts.index tag with
-        | Some f -> f.src_ranges
-        | None -> [])
-      tg.tg_tags
-  in
-  match Emit.emit_fragment rt ts ~kind:Trace ~tag:head ~src_ranges il with
+  match Emit.emit_fragment rt ts ~kind:Trace ~tag:head ~src_ranges:tg.tg_src il with
   | exception Emit.No_room _ ->
       (* the trace region cannot host it even after evicting: drop the
          trace rather than force a full flush — only bb emission is a

@@ -211,6 +211,10 @@ type pending_cti =
 type tracegen = {
   tg_head : int;
   mutable tg_tags : int list;            (* constituent block tags, reversed *)
+  mutable tg_src : (int * int) list;
+      (* their source ranges, reversed, captured at stitch time: under
+         FIFO pressure a constituent bb may be evicted before the trace
+         is emitted, and the trace must still be flushable by SMC *)
   mutable tg_il : Instrlist.t;           (* stitched client-view IL so far *)
   mutable tg_insns : int;
   mutable tg_pending : pending_cti;
@@ -377,7 +381,9 @@ let charge_opt (rt : runtime) n =
     rt.stats.Stats.sideline_cycles <- rt.stats.Stats.sideline_cycles + n
   else charge rt n
 
+(* With the log off the arguments are consumed unformatted: no string
+   is built on the hot paths that log every dispatch and switch. *)
 let log_flow (rt : runtime) fmt =
-  Printf.ksprintf
-    (fun s -> if rt.log_flow then rt.flow_log <- s :: rt.flow_log)
-    fmt
+  if rt.log_flow then
+    Printf.ksprintf (fun s -> rt.flow_log <- s :: rt.flow_log) fmt
+  else Printf.ikfprintf ignore () fmt

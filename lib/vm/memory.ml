@@ -171,8 +171,11 @@ let blit_bytes m ~src ~src_pos ~dst ~len =
   done
 
 (** Bulk copy without write tracking: neither marks pages touched nor
-    records dirty ranges.  For loaders that restore known-good image
-    bytes and must not perturb the watch/touch state (warm reuse). *)
+    records dirty ranges.  For writers that are not the application:
+    loaders restoring known-good image bytes without perturbing the
+    watch/touch state (warm reuse), and the runtime's code emission,
+    link patching and compaction moves, which invalidate the decodes
+    they overwrite themselves and must not raise SMC traps. *)
 let blit_bytes_raw m ~src ~src_pos ~dst ~len =
   if dst < 0 || dst + len > m.size then
     raise (Fault { addr = dst; size = len; write = true });

@@ -44,8 +44,12 @@ val blit_bytes : t -> src:Bytes.t -> src_pos:int -> dst:int -> len:int -> unit
 val blit_string : t -> src:string -> dst:int -> unit
 
 val blit_bytes_raw : t -> src:Bytes.t -> src_pos:int -> dst:int -> len:int -> unit
-(** Bulk copy without write tracking (no touch marks, no dirty ranges);
-    for loaders restoring known-good image bytes on a reused machine. *)
+(** Bulk copy without write tracking (no touch marks, no dirty ranges).
+    For writes that are not the application's: loaders restoring
+    known-good image bytes on a reused machine, and the runtime's code
+    emission, link patching and compaction moves into the code cache
+    (which invalidate their own decodes, and must not raise SMC traps
+    on the cache pages a thread has executed). *)
 
 val zero_touched : t -> below:int -> (int * int) list
 (** Zero every page below the (page-aligned) bound that has been

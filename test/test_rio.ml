@@ -238,12 +238,13 @@ let test_flags_inc_partial () =
 open Asm.Dsl
 
 let run_with ?(opts = Rio.Options.default) ?(client = Rio.Types.null_client)
-    ?(input = []) prog =
+    ?(input = []) ?(flow_log = false) prog =
   let image = Asm.Assemble.assemble prog in
   let m = Vm.Machine.create () in
   Vm.Machine.set_input m input;
   ignore (Asm.Image.load m image);
   let rt = Rio.create ~opts ~client m in
+  if flow_log then Rio.enable_flow_log rt;
   let o = Rio.run rt in
   (Vm.Machine.output m, o, rt)
 
@@ -753,11 +754,20 @@ let test_signal_under_rio () =
    hot loop: iterations before the patch add 11, after it add 22.  The
    runtime must flush the stale basic blocks and traces (the loop is
    hot enough to have a trace by patch time) and keep the output
-   identical to native execution. *)
-let smc_prog =
+   identical to native execution.  The patch lands in iteration [at];
+   [pad] extra two-way branches in the loop body (which leave [edi]
+   alone) give it [pad] more blocks. *)
+let smc_loop ?(at = 150) ~pad () =
+  let padding =
+    List.concat_map
+      (fun k ->
+        let over = Printf.sprintf "pad%d" k in
+        [ cmp ecx (i (k * 7 mod 200)); j z over; inc esi; label over ])
+      (List.init pad Fun.id)
+  in
   program ~name:"smc"
     ~text:
-      [
+      ([
         label "main";
         mov ecx (i 0);
         mov edi (i 0);
@@ -765,8 +775,11 @@ let smc_prog =
         label "patchme";
         mov eax (i 11);          (* imm bytes live at patchme+1 *)
         add edi eax;
+       ]
+      @ padding
+      @ [
         inc ecx;
-        cmp ecx (i 150);
+        cmp ecx (i at);
         j nz "skip";
         (* patch: rewrite the imm32 of the mov above to 22 *)
         li ebx "patchme";
@@ -776,8 +789,10 @@ let smc_prog =
         j l "loop";
         out edi;
         hlt;
-      ]
+      ])
     ()
+
+let smc_prog = smc_loop ~pad:0 ()
 
 let test_smc_native () =
   (* the simulated hardware itself must handle the patch (decoded-
@@ -797,6 +812,95 @@ let test_smc_with_clients () =
   let out, o, _ = run_with ~client:(Clients.Compose.all_four ()) smc_prog in
   checkb "completed" true (o.Rio.reason = Rio.All_exited);
   check_ilist "rio smc result under all-four" (native_out smc_prog) out
+
+let smc_flushes rt =
+  List.filter_map
+    (fun e -> Scanf.sscanf_opt e "smc flush: %d fragments%!" Fun.id)
+    (Rio.flow_log rt)
+
+(* -O3 in a bounded FIFO cache with compaction; at 8192 bytes this is
+   the benchmark's pressure configuration *)
+let pressure_opts ~capacity =
+  { Rio.Options.default with
+    Rio.Options.opt_level = 3;
+    cache_capacity = Some capacity;
+    flush_policy = Rio.Options.Flush_fifo;
+    cache_compaction = true }
+
+(* short blocks lower the FIFO capacity floor to a few hundred bytes *)
+let tiny_cache ~capacity =
+  { (pressure_opts ~capacity) with Rio.Options.max_bb_insns = 8 }
+
+(* Genuine self-modification while the cache is under pressure: -O3
+   traces, a FIFO cache far smaller than the loop's code, compaction
+   on.  The patch must still be caught and flushed.  Regression: a
+   trace re-optimization that found no room evicted the trace it was
+   replacing, and the dispatcher then entered the reclaimed body
+   (an "unknown trap" fault). *)
+let test_smc_under_pressure () =
+  let prog = smc_loop ~pad:24 () in
+  let out, o, rt =
+    run_with ~opts:(tiny_cache ~capacity:512) ~flow_log:true prog
+  in
+  let st = Rio.stats rt in
+  checkb "completed" true (o.Rio.reason = Rio.All_exited);
+  check_ilist "rio smc result under pressure" (native_out prog) out;
+  checkb "the cache was under pressure" true
+    (st.Rio.Stats.evictions >= 1 && st.Rio.Stats.compactions >= 1);
+  checkb "stale fragments were flushed" true
+    (st.Rio.Stats.fragments_deleted >= 1);
+  checkb "the patch raised an smc flush" true (smc_flushes rt <> [])
+
+(* Regression: a trace took its source ranges from its constituent
+   blocks' fragments at emission time, so a block evicted while the
+   trace was being generated left the trace without that range — and
+   the patch never flushed the stale trace. *)
+let test_smc_trace_outlives_blocks () =
+  let prog = smc_loop ~pad:24 () in
+  let out, o, rt =
+    run_with ~opts:(tiny_cache ~capacity:1024) ~flow_log:true prog
+  in
+  checkb "completed" true (o.Rio.reason = Rio.All_exited);
+  check_ilist "rio smc result" (native_out prog) out;
+  checkb "the patch flushed a live fragment" true
+    (List.exists (fun n -> n >= 1) (smc_flushes rt))
+
+(* Regression: a patch landing while the loop's trace was being
+   generated flushed the patched block, but the trace had already
+   stitched the block's old instructions and was emitted stale.  Every
+   patch iteration, under an unbounded and a pressured cache. *)
+let test_smc_during_trace_generation () =
+  List.iter
+    (fun (name, opts, pad) ->
+      for at = 1 to 199 do
+        let prog = smc_loop ~at ~pad () in
+        let out, o, _ = run_with ~opts prog in
+        checkb (Printf.sprintf "%s, patch at %d: completed" name at) true
+          (o.Rio.reason = Rio.All_exited);
+        check_ilist (Printf.sprintf "%s, patch at %d" name at)
+          (native_out prog) out
+      done)
+    [ ("defaults", Rio.Options.default, 0);
+      ("-O3", { Rio.Options.default with Rio.Options.opt_level = 3 }, 0);
+      ("-O3 in 512 bytes", tiny_cache ~capacity:512, 8) ]
+
+(* The runtime's own cache writes (emission, link patches, compaction
+   moves) are not self-modification: gcc under cache pressure at -O3
+   raises no SMC trap at all. *)
+let test_no_phantom_smc () =
+  let w = Option.get (Workloads.Suite.by_name "gcc") in
+  let out, o, rt =
+    run_with ~opts:(pressure_opts ~capacity:8192)
+      ~input:w.Workloads.Workload.input ~flow_log:true
+      w.Workloads.Workload.program
+  in
+  let native = Workloads.Workload.run_native w in
+  checkb "completed" true (o.Rio.reason = Rio.All_exited);
+  check_ilist "gcc under pressure matches native" native.Workloads.Workload.output
+    out;
+  checkb "the cache was under pressure" true
+    ((Rio.stats rt).Rio.Stats.compactions >= 1);
+  checki "no smc flush" 0 (List.length (smc_flushes rt))
 
 (* ------------------------------------------------------------------ *)
 (* API edge cases                                                     *)
@@ -1088,6 +1192,10 @@ let () =
           Alcotest.test_case "native smc" `Quick test_smc_native;
           Alcotest.test_case "smc under rio" `Quick test_smc_under_rio;
           Alcotest.test_case "smc with clients" `Quick test_smc_with_clients;
+          Alcotest.test_case "smc under cache pressure" `Quick test_smc_under_pressure;
+          Alcotest.test_case "smc trace outlives its blocks" `Quick test_smc_trace_outlives_blocks;
+          Alcotest.test_case "smc during trace generation" `Quick test_smc_during_trace_generation;
+          Alcotest.test_case "no phantom smc" `Quick test_no_phantom_smc;
         ] );
       ( "threads+signals",
         [

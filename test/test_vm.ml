@@ -258,6 +258,34 @@ let test_fault_oob () =
   | Vm.Interp.Fault _ -> ()
   | s -> Alcotest.failf "expected fault, got %s" (Vm.Interp.stop_to_string s)
 
+(* Write-watching: every store the application makes into a watched
+   page is recorded dirty, so self-modification traps; a raw blit (the
+   runtime's own code writes, image restores) is not. *)
+let test_write_watch () =
+  let page = 1 lsl Vm.Memory.page_bits in
+  let fresh () =
+    let mem = Vm.Memory.create (16 * page) in
+    Vm.Memory.watch_code mem ~addr:(4 * page) ~len:16;
+    mem
+  in
+  let dirty_after name write =
+    let mem = fresh () in
+    write mem (4 * page + 8);
+    checkb name true (Vm.Memory.has_dirty mem)
+  in
+  let mem = fresh () in
+  Vm.Memory.blit_bytes_raw mem ~src:(Bytes.make 8 '\x90') ~src_pos:0
+    ~dst:(4 * page) ~len:8;
+  checkb "blit_bytes_raw leaves no dirty range" false (Vm.Memory.has_dirty mem);
+  Vm.Memory.write_u8 mem (6 * page) 1;
+  checkb "store to an unwatched page is not dirty" false
+    (Vm.Memory.has_dirty mem);
+  dirty_after "write_u8 is dirty" (fun mem a -> Vm.Memory.write_u8 mem a 1);
+  dirty_after "write_u32 is dirty" (fun mem a -> Vm.Memory.write_u32 mem a 1);
+  dirty_after "blit_bytes is dirty" (fun mem a ->
+      Vm.Memory.blit_bytes mem ~src:(Bytes.make 4 '\x90') ~src_pos:0 ~dst:a
+        ~len:4)
+
 let test_div_by_zero () =
   let _, _, outcome =
     run_native
@@ -470,6 +498,7 @@ let () =
           Alcotest.test_case "input port" `Quick test_in_port;
           Alcotest.test_case "oob fault" `Quick test_fault_oob;
           Alcotest.test_case "div by zero" `Quick test_div_by_zero;
+          Alcotest.test_case "write watch" `Quick test_write_watch;
         ] );
       ( "cost model",
         [

@@ -561,32 +561,12 @@ let faultsweep () =
     (List.length wl) (List.length seeds);
   pr "%-9s %5s %8s %8s %7s %7s %7s %7s %7s %5s %6s\n" "bench" "runs" "injected"
     "detected" "reemit" "flfrag" "flworld" "emul" "hookfl" "quar" "output";
-  let tot = Rio.Stats.create () in
-  let add (s : Rio.Stats.t) =
-    tot.Rio.Stats.faults_injected <-
-      tot.Rio.Stats.faults_injected + s.Rio.Stats.faults_injected;
-    tot.Rio.Stats.faults_detected <-
-      tot.Rio.Stats.faults_detected + s.Rio.Stats.faults_detected;
-    tot.Rio.Stats.recover_reemit <-
-      tot.Rio.Stats.recover_reemit + s.Rio.Stats.recover_reemit;
-    tot.Rio.Stats.recover_flush_frag <-
-      tot.Rio.Stats.recover_flush_frag + s.Rio.Stats.recover_flush_frag;
-    tot.Rio.Stats.recover_flush_world <-
-      tot.Rio.Stats.recover_flush_world + s.Rio.Stats.recover_flush_world;
-    tot.Rio.Stats.recover_emulate <-
-      tot.Rio.Stats.recover_emulate + s.Rio.Stats.recover_emulate;
-    tot.Rio.Stats.hook_failures <-
-      tot.Rio.Stats.hook_failures + s.Rio.Stats.hook_failures;
-    tot.Rio.Stats.clients_quarantined <-
-      tot.Rio.Stats.clients_quarantined + s.Rio.Stats.clients_quarantined;
-    tot.Rio.Stats.spurious_signals_dropped <-
-      tot.Rio.Stats.spurious_signals_dropped + s.Rio.Stats.spurious_signals_dropped
-  in
+  let tot = ref (Rio.Stats.create ()) in
   let mismatches = ref 0 in
   List.iter
     (fun w ->
       let native = Workload.run_native w in
-      let row = Rio.Stats.create () in
+      let row = ref (Rio.Stats.create ()) in
       let row_ok = ref 0 in
       List.iter
         (fun seed ->
@@ -607,25 +587,10 @@ let faultsweep () =
               (if r.Workload.output = native.Workload.output then "matches"
                else "DIFFERS")
           end;
-          let s = Rio.stats rt in
-          add s;
-          row.Rio.Stats.faults_injected <-
-            row.Rio.Stats.faults_injected + s.Rio.Stats.faults_injected;
-          row.Rio.Stats.faults_detected <-
-            row.Rio.Stats.faults_detected + s.Rio.Stats.faults_detected;
-          row.Rio.Stats.recover_reemit <-
-            row.Rio.Stats.recover_reemit + s.Rio.Stats.recover_reemit;
-          row.Rio.Stats.recover_flush_frag <-
-            row.Rio.Stats.recover_flush_frag + s.Rio.Stats.recover_flush_frag;
-          row.Rio.Stats.recover_flush_world <-
-            row.Rio.Stats.recover_flush_world + s.Rio.Stats.recover_flush_world;
-          row.Rio.Stats.recover_emulate <-
-            row.Rio.Stats.recover_emulate + s.Rio.Stats.recover_emulate;
-          row.Rio.Stats.hook_failures <-
-            row.Rio.Stats.hook_failures + s.Rio.Stats.hook_failures;
-          row.Rio.Stats.clients_quarantined <-
-            row.Rio.Stats.clients_quarantined + s.Rio.Stats.clients_quarantined)
+          row := Rio.Stats.merge !row (Rio.stats rt))
         seeds;
+      let row = !row in
+      tot := Rio.Stats.merge !tot row;
       pr "%-9s %d/%d %8d %8d %7d %7d %7d %7d %7d %5d %6s\n%!" w.Workload.name
         !row_ok (List.length seeds) row.Rio.Stats.faults_injected
         row.Rio.Stats.faults_detected row.Rio.Stats.recover_reemit
@@ -634,6 +599,7 @@ let faultsweep () =
         row.Rio.Stats.clients_quarantined
         (if !row_ok = List.length seeds then "ok" else "FAIL"))
     wl;
+  let tot = !tot in
   pr "\nrecovery-rung histogram (all runs):\n";
   pr "  rung 0 re-emit fragment   %6d\n" tot.Rio.Stats.recover_reemit;
   pr "  rung 1 flush fragment     %6d\n" tot.Rio.Stats.recover_flush_frag;

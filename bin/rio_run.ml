@@ -148,15 +148,8 @@ let run list workload_name file clients mode family engine faults fault_period
             let co = Rio.Api.client_output rt in
             if co <> "" then Printf.printf "client output:\n%s" co;
             if stats then begin
-              Format.printf "%a@." Rio.Stats.pp (Rio.stats rt);
               Rio.Emit.refresh_cache_gauges rt;
-              Format.printf "%a@." Rio.Stats.pp_cache (Rio.stats rt);
-              if Rio.Options.effective_passes opts <> [] then
-                Format.printf "%a@." Rio.Stats.pp_opt (Rio.stats rt);
-              if opts.Rio.Options.opt_level >= 3 then
-                Format.printf "%a@." Rio.Stats.pp_spec (Rio.stats rt);
-              if faults <> None || audit <> None then
-                Format.printf "%a@." Rio.Stats.pp_faults (Rio.stats rt)
+              Format.printf "%a@." (Rio.Stats.pp_report opts) (Rio.stats rt)
             end;
             if dump_cache then print_string (Rio.Api.dump_cache rt);
             if flow_log then begin

@@ -433,14 +433,7 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
   end;
   if show_stats then begin
     Format.printf "aggregate runtime stats (merged across instances):@.";
-    Format.printf "%a@." Rio.Stats.pp snap.Rio.Pool.snap_stats;
-    Format.printf "%a@." Rio.Stats.pp_cache snap.Rio.Pool.snap_stats;
-    if Rio.Options.effective_passes opts <> [] then
-      Format.printf "%a@." Rio.Stats.pp_opt snap.Rio.Pool.snap_stats;
-    if opts.Rio.Options.opt_level >= 3 then
-      Format.printf "%a@." Rio.Stats.pp_spec snap.Rio.Pool.snap_stats;
-    if faults <> None then
-      Format.printf "%a@." Rio.Stats.pp_faults snap.Rio.Pool.snap_stats
+    Format.printf "%a@." (Rio.Stats.pp_report opts) snap.Rio.Pool.snap_stats
   end;
   let accepted = List.length requests - !rejected in
   let lost = accepted - List.length results in

@@ -68,4 +68,6 @@ let () =
     (Rio.stop_reason_to_string outcome.Rio.reason)
     outcome.Rio.cycles outcome.Rio.insns;
   Printf.printf "basic-block executions observed by the client: %d\n" !executions;
-  Format.printf "\nruntime statistics:@.%a@." Rio.Stats.pp (Rio.stats rt)
+  Format.printf "\nruntime statistics:@.%a@."
+    (Rio.Stats.pp_report (Rio.options rt))
+    (Rio.stats rt)

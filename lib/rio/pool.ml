@@ -1250,16 +1250,19 @@ let warm_instances pool : (int * string * Engine.t) list =
     out
 
 (** Counter snapshot plus runtime stats merged across every live warm
-    instance.  The merged stats are coherent only when the pool is
-    quiescent (after {!drain}); instances dropped after failed requests
-    are not represented. *)
+    instance, its free-list gauges refreshed first.  Coherent only when
+    the pool is quiescent (after {!drain}); instances dropped after
+    failed requests are not represented. *)
 let stats pool : snapshot =
   Mutex.lock pool.mu;
   let snap_stats =
     Array.fold_left
       (fun acc w ->
-        Hashtbl.fold (fun _ rt acc -> Stats.merge acc (Engine.stats rt)) w.w_warm
-          acc)
+        Hashtbl.fold
+          (fun _ rt acc ->
+            Emit.refresh_cache_gauges rt;
+            Stats.merge acc (Engine.stats rt))
+          w.w_warm acc)
       (* a merge with a zero record copies pool_stats, so the snapshot
          never aliases the live mutable record *)
       (Stats.merge (Stats.create ()) pool.pool_stats)

@@ -296,6 +296,24 @@ let pool_case () =
   Alcotest.(check bool) "merged stats saw blocks" true
     (snap2.Rio.Pool.snap_stats.Rio.Stats.blocks_built > 0)
 
+(* The free-list gauges are point-in-time readings of each cache, so
+   the pool snapshot must read them off the drained instances rather
+   than report whatever was last written into their stats. *)
+let gauges_case () =
+  let pool =
+    Rio.Pool.create
+      ~cfg:{ Rio.Options.default_pool with domains = 1 }
+      ~boots:(pool_boots ~opts:pressure_opts) ()
+  in
+  List.iter (submit_ok pool) (pool_requests 4);
+  ignore (Rio.Pool.drain pool);
+  let s = (Rio.Pool.stats pool).Rio.Pool.snap_stats in
+  Rio.Pool.shutdown pool;
+  Alcotest.(check bool) "bounded FIFO caches report free bytes" true
+    (s.Rio.Stats.freelist_free_bytes > 0);
+  Alcotest.(check bool) "and their largest hole" true
+    (s.Rio.Stats.freelist_largest_hole > 0)
+
 (* The completion hook fires once per batch of pending results, not
    once per completion.  Completion is observed through the counters
    ({!Rio.Pool.stats}), which leave the pending results untouched. *)
@@ -729,6 +747,8 @@ let () =
             pool_faults_case;
           Alcotest.test_case "completion hook fires once per batch" `Quick
             notify_case;
+          Alcotest.test_case "snapshot refreshes free-list gauges" `Quick
+            gauges_case;
         ] );
       ( "supervision",
         [

@@ -23,27 +23,16 @@ let gen_samples =
       (oneof
          [ int_range (-5) 3; int_range 0 200; int_range 1_000 5_000_000 ]))
 
+(* Every counter is drawn, through the registry, so the merge laws
+   cover all of them — summed counters and max-combined gauges alike. *)
 let gen_stats : S.t QCheck.Gen.t =
   let open QCheck.Gen in
   let* samples = gen_samples in
-  let* counters = array_size (return 8) (int_range 0 10_000) in
-  let* gauges = array_size (return 3) (int_range 0 1_000) in
+  let* values = list_repeat (List.length S.rows) (int_range 0 10_000) in
   return
     (let s = S.create () in
      List.iter (S.hist_add s.S.serve_lat) samples;
-     (* a representative spread of summed counters... *)
-     s.S.blocks_built <- counters.(0);
-     s.S.traces_built <- counters.(1);
-     s.S.runtime_cycles <- counters.(2);
-     s.S.requests_shed <- counters.(3);
-     s.S.requests_batched <- counters.(4);
-     s.S.scale_ups <- counters.(5);
-     s.S.scale_downs <- counters.(6);
-     s.S.prewarm_boots <- counters.(7);
-     (* ...and every max-combined gauge *)
-     s.S.freelist_holes <- gauges.(0);
-     s.S.freelist_free_bytes <- gauges.(1);
-     s.S.freelist_largest_hole <- gauges.(2);
+     List.iter2 (fun (r : S.row) v -> r.set s v) S.rows values;
      s)
 
 let stats_arb =
@@ -74,6 +63,19 @@ let prop_merge_assoc =
 let prop_merge_identity =
   QCheck.Test.make ~count:300 ~name:"merge (create ()) a = a" stats_arb
     (fun a -> eq (S.merge (S.create ()) a) a)
+
+(* The laws above hold for max as well as for sum; this pins which one
+   each counter gets. *)
+let prop_merge_pointwise =
+  QCheck.Test.make ~count:300 ~name:"merge sums counters, maxes gauges"
+    QCheck.(pair stats_arb stats_arb)
+    (fun (a, b) ->
+      let m = S.merge a b in
+      List.for_all
+        (fun (r : S.row) ->
+          let gauge = String.starts_with ~prefix:"freelist_" r.name in
+          r.get m = (if gauge then max else ( + )) (r.get a) (r.get b))
+        S.rows)
 
 (* Histogram totals are conserved: no sample is dropped or double
    counted by a merge. *)
@@ -149,6 +151,149 @@ let test_hist_edges () =
     (S.hist_percentile h 100);
   Alcotest.(check int) "count tracks adds" 4 (S.hist_count h)
 
+(* ------------------------------------------------------------------ *)
+(* The registry: complete, and the report it derives                  *)
+(* ------------------------------------------------------------------ *)
+
+let names = List.map (fun (r : S.row) -> r.name) S.rows
+
+let test_table_complete () =
+  Alcotest.(check int) "one row per int field (all but serve_lat)"
+    (Obj.size (Obj.repr (S.create ())) - 1)
+    (List.length S.rows);
+  Alcotest.(check int) "row names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun (r : S.row) ->
+      let s = S.create () in
+      r.set s 7;
+      Alcotest.(check int) (r.name ^ " reads back") 7 (r.get s);
+      List.iter
+        (fun (o : S.row) ->
+          if o.name <> r.name then
+            Alcotest.(check int)
+              (Printf.sprintf "%s untouched by %s" o.name r.name)
+              0 (o.get s))
+        S.rows)
+    S.rows;
+  Alcotest.(check (list string)) "exactly the free-list gauges merge by max"
+    [ "freelist_holes"; "freelist_free_bytes"; "freelist_largest_hole" ]
+    (List.filter_map
+       (fun (r : S.row) -> if r.merge = S.Max then Some r.name else None)
+       S.rows)
+
+(* Every counter holds a distinct value (its rank among the sorted
+   field names), so a label printed against the wrong counter shows. *)
+let golden_stats () =
+  let s = S.create () in
+  List.iteri
+    (fun i name ->
+      (List.find (fun (r : S.row) -> r.name = name) S.rows).set s (i + 1))
+    (List.sort compare names);
+  s
+
+let report o = Format.asprintf "%a@." (S.pp_report o) (golden_stats ())
+
+let all_groups =
+  {
+    Rio.Options.default with
+    opt_level = 3;
+    faults = Some Rio.Options.default_faults;
+  }
+
+(* The expected text is the output of the per-group printers this
+   report replaced; it must stay byte-identical. *)
+let test_report_all_groups () =
+  Alcotest.(check string) "core, cache, opt, spec and faults"
+    {|blocks built:        3
+traces built:        72
+fragments deleted:   24
+fragments replaced:  28
+context switches:    11
+ibl lookups:         34
+ibl misses:          35
+direct links:        13
+unlinks:             75
+clean calls:         8
+bb cache bytes:      5
+trace cache bytes:   6
+head promotions:     71
+signals delivered:   63
+runtime cycles:      59
+sideline cycles:     62
+cache flushes:       7
+bb entries:          14
+trace entries:       15
+evictions:           17
+evicted bytes:       16
+traces dropped:      73
+full-flush fallbacks: 32
+free-list holes:     30
+free-list free bytes: 29
+largest free hole:   31
+traces optimized:    48
+insns removed:       42
+copies propagated:   39
+consts propagated:   38
+strength reduced:    47
+loads removed:       43
+loads rewritten:     44
+stores removed:      46
+dead writes removed: 40
+checks simplified:   37
+flag saves elided:   41
+traces reoptimized:  74
+speculative traces:  68
+indirect guards:     67
+const-load guards:   66
+exit biases:         65
+guard violations:    69
+despeculations:      64
+replaces skipped:    45
+faults injected:     21 (corrupt 18, link 22, hook 20, signal 23)
+faults detected:     19
+recoveries:          218 (re-emit 56, flush-frag 54, flush-world 55, emulate 53)
+blocks emulated:     4
+audits run:          2
+audit fragments:     1
+hook failures:       33
+clients quarantined: 9
+spurious sigs dropped: 70
+deadline preempts:   12
+|}
+    (report all_groups)
+
+let test_report_defaults () =
+  Alcotest.(check string) "core and cache only"
+    {|blocks built:        3
+traces built:        72
+fragments deleted:   24
+fragments replaced:  28
+context switches:    11
+ibl lookups:         34
+ibl misses:          35
+direct links:        13
+unlinks:             75
+clean calls:         8
+bb cache bytes:      5
+trace cache bytes:   6
+head promotions:     71
+signals delivered:   63
+runtime cycles:      59
+sideline cycles:     62
+cache flushes:       7
+bb entries:          14
+trace entries:       15
+evictions:           17
+evicted bytes:       16
+traces dropped:      73
+full-flush fallbacks: 32
+free-list holes:     30
+free-list free bytes: 29
+largest free hole:   31
+|}
+    (report Rio.Options.default)
+
 let () =
   Alcotest.run "stats"
     [
@@ -157,7 +302,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_merge_commut;
           QCheck_alcotest.to_alcotest prop_merge_assoc;
           QCheck_alcotest.to_alcotest prop_merge_identity;
+          QCheck_alcotest.to_alcotest prop_merge_pointwise;
           QCheck_alcotest.to_alcotest prop_merge_conserves_count;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "one row per counter" `Quick test_table_complete;
+          Alcotest.test_case "report, all groups" `Quick test_report_all_groups;
+          Alcotest.test_case "report, defaults" `Quick test_report_defaults;
         ] );
       ( "percentile",
         [

@@ -87,6 +87,7 @@ let create ?(opts = Options.default) ?(client = null_client) (m : Vm.Machine.t) 
     watchdog = None;
     recover_attempts = Hashtbl.create 16;
     emulate_only = Hashtbl.create 16;
+    emit_digest = 0;
   }
 
 let enable_flow_log (rt : t) = rt.log_flow <- true

@@ -93,6 +93,43 @@ let emit_modrm buf ~ext (op : Operand.t) =
   | Operand.Imm _ | Operand.Target _ -> raise Not_found
 
 (* ------------------------------------------------------------------ *)
+(* Fixed-form branches                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The long [jmp]/[jcc] forms have one fixed shape: opcode byte(s) and
+   a rel32 from the end of the instruction.  A code cache writes exit
+   branches and stub jumps straight from these writers, and re-targets
+   them by rewriting only the rel32; the [jmp_rel32]/[jcc_rel32]
+   templates below emit through them, so both agree by construction. *)
+
+let jmp_rel32_len = 5
+let jcc_rel32_len = 6
+
+(* [target - next_pc], wrapped to 32 bits exactly as [emit_u32] does *)
+let write_rel32 b ~off ~next_pc target =
+  Bytes.set_int32_le b off (Int32.of_int (target - next_pc))
+
+let write_jmp_rel32 b ~off ~pc target =
+  Bytes.set b off '\x81';
+  write_rel32 b ~off:(off + 1) ~next_pc:(pc + jmp_rel32_len) target
+
+let write_jcc_rel32 b ~off ~pc c target =
+  Bytes.set b off (Char.chr Encoding_spec.escape);
+  Bytes.set b (off + 1) (Char.chr (0x80 + Cond.number c));
+  write_rel32 b ~off:(off + 2) ~next_pc:(pc + jcc_rel32_len) target
+
+let long_branch_len (fetch : int -> int) pc =
+  match fetch pc with
+  | 0x81 -> jmp_rel32_len
+  | b when b = Encoding_spec.escape && fetch (pc + 1) land 0xF0 = 0x80 ->
+      jcc_rel32_len
+  | _ -> 0
+
+let is_short_branch (fetch : int -> int) pc =
+  let b = fetch pc in
+  b = 0x80 || (b >= 0x70 && b < 0x80)
+
+(* ------------------------------------------------------------------ *)
 (* Templates                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -388,11 +425,9 @@ let templates_of (i : Insn.t) : template list =
         tmpl "jcc_rel32" (fun ~pc ~prefix_len i ->
             match i.Insn.srcs with
             | [| Target t |] ->
-                let rel = rel_of ~pc ~prefix_len ~body_len:6 t in
-                run1 (fun b ->
-                    emit_u8 b Encoding_spec.escape;
-                    emit_u8 b (0x80 + Cond.number c);
-                    emit_u32 b rel)
+                let b = Bytes.create jcc_rel32_len in
+                write_jcc_rel32 b ~off:0 ~pc:(pc + prefix_len) c t;
+                Some b
             | _ -> None);
       ]
   | Jmp ->
@@ -410,10 +445,9 @@ let templates_of (i : Insn.t) : template list =
         tmpl "jmp_rel32" (fun ~pc ~prefix_len i ->
             match i.Insn.srcs with
             | [| Target t |] ->
-                let rel = rel_of ~pc ~prefix_len ~body_len:5 t in
-                run1 (fun b ->
-                    emit_u8 b 0x81;
-                    emit_u32 b rel)
+                let b = Bytes.create jmp_rel32_len in
+                write_jmp_rel32 b ~off:0 ~pc:(pc + prefix_len) t;
+                Some b
             | _ -> None);
       ]
   | JmpInd -> [ t_op_rm ~name:"jmp_rm" 0x82 ~ext:0 src0 ]

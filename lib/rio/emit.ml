@@ -12,9 +12,10 @@
 
     Exit CTIs initially target their stub; {!link} patches the CTI (or,
     for always-through-stub exits, the stub's final jump) to the target
-    fragment's entry, and {!unlink} restores it.  All patches re-encode
-    in place — lengths cannot change because exit branches are emitted
-    in their long forms.
+    fragment's entry, and {!unlink} restores it.  Exit branches and stub
+    jumps are always written in their fixed long forms
+    ({!Isa.Encode.write_jmp_rel32}), so every patch rewrites only a
+    rel32 in place.
 
     Cache space comes from one of two allocators (DESIGN.md §6.3): the
     historical bump allocator ([rt.cache_cursor]) when the cache is
@@ -50,14 +51,6 @@ let stub_note (i : Instr.t) : (Instrlist.t option * bool) =
   | Instr.Any_note (Stub_note (il, always)) -> (Some il, always)
   | _ -> (None, false)
 
-(* length of an instruction at [pc], exit CTIs forced long *)
-let instr_len ~pc ~is_exit (i : Instr.t) =
-  if is_exit then
-    match Instr.get_opcode i with
-    | Opcode.Jcc _ -> 6
-    | _ -> 5 (* jmp rel32 *)
-  else Instr.length ~pc i
-
 (* The runtime's own code writes (emission, link patches, warm-boot
    loads) are not application writes: they bypass the write-watch,
    which would otherwise stop the interpreter with an SMC trap whose
@@ -68,21 +61,29 @@ let write_bytes (rt : runtime) ~addr (b : Bytes.t) =
     ~dst:addr ~len:(Bytes.length b);
   Vm.Machine.invalidate_icache rt.machine ~addr ~len:(Bytes.length b)
 
-(* Re-encode a single branch at [pc] with a new [target]; length must
-   not change (exit branches are long-form). *)
+(** The one definition of a patchable exit site: the length of the
+    long-form [jmp]/[jcc] at [pc], or [None].  Everything that re-targets
+    a site ({!patch_branch}: link, unlink, moves, image loads, fault
+    injection) and everything that picks one (the fault injector) uses
+    it. *)
+let patch_site_len (rt : runtime) ~pc : int option =
+  match Encode.long_branch_len (Vm.Memory.fetch (Vm.Machine.mem rt.machine)) pc with
+  | 0 -> None
+  | len -> Some len
+
+(* Re-target the long-form branch at [pc]: only its rel32 changes. *)
 let patch_branch (rt : runtime) ~pc ~target =
   let mem = Vm.Machine.mem rt.machine in
-  let fetch = Vm.Memory.fetch mem in
-  let insn, len = Decode.full_exn fetch pc in
-  let insn' =
-    match insn.Insn.opcode with
-    | Opcode.Jmp -> Insn.mk_jmp target
-    | Opcode.Jcc c -> Insn.mk_jcc c target
-    | _ -> rio_error "patch_branch: not a direct branch at 0x%x" pc
-  in
-  let b = Encode.encode_exn ~long:true ~pc insn' in
-  if Bytes.length b <> len then rio_error "patch_branch: length drift at 0x%x" pc;
-  write_bytes rt ~addr:pc b
+  match patch_site_len rt ~pc with
+  | None ->
+      if Encode.is_short_branch (Vm.Memory.fetch mem) pc then
+        rio_error "patch_branch: length drift at 0x%x" pc
+      else rio_error "patch_branch: not a direct branch at 0x%x" pc
+  | Some len ->
+      let rel = Bytes.create 4 in
+      Encode.write_rel32 rel ~off:0 ~next_pc:(pc + len) target;
+      Vm.Memory.blit_bytes_raw mem ~src:rel ~src_pos:0 ~dst:(pc + len - 4) ~len:4;
+      Vm.Machine.invalidate_icache rt.machine ~addr:pc ~len
 
 (* ------------------------------------------------------------------ *)
 (* Linking                                                            *)
@@ -114,10 +115,11 @@ let unlink (rt : runtime) (e : exit_) : unit =
            patch_branch rt ~pc:e.stub_jmp_pc ~target:(token_of_exit e)
          else patch_branch rt ~pc:e.branch_pc ~target:e.stub_pc
        with
-      | (Rio_error _ | Decode.Decode_error _)
+      | Rio_error _
         when (match e.e_owner with Some f -> f.deleted | None -> false) ->
           (* sabotaged branch bytes on a fragment being torn down: the
-             site no longer decodes, and will never execute again *)
+             site is no longer a long branch, and will never execute
+             again *)
           ());
       refresh_owner rt e;
       rt.stats.Stats.unlinks <- rt.stats.Stats.unlinks + 1
@@ -204,8 +206,8 @@ let owner_ts (rt : runtime) (f : fragment) ~(fallback : thread_state) =
 
     - the body and stub bytes are copied (the ranges may overlap — the
       whole image is read out first);
-    - every pc-relative site ([RT_exit_branch] / [RT_stub_jmp]) is
-      re-encoded at its new address against its current logical target
+    - every pc-relative site ([RT_exit_branch] / [RT_stub_jmp]) has its
+      rel32 rewritten at its new address against its current logical target
       (linked peer's entry, own stub, or trap token — the link state in
       the exit records, which a move does not change);
     - absolute-memory operands ([RT_tls_abs] / [RT_runtime_abs]) encode
@@ -442,229 +444,206 @@ let refresh_cache_gauges (rt : runtime) : unit =
 (* Emission                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type planned_exit = {
-  px_instr : Instr.t;
-  px_kind : exit_kind;
-  px_target : int;
-  px_cond : bool;
-  px_stub_il : Instrlist.t option;
-  px_always : bool;
-  px_secondary : bool;   (* lives inside another exit's stub *)
-  mutable px_branch_pc : int;
-  mutable px_stub_pc : int;
-  mutable px_stub_jmp_pc : int;
-}
+(* Runtime-absolute memory operands of an instruction already at Full
+   level (mangle- or client-inserted code, and re-decoded bodies): a
+   TLS slot (spills, flags saves, the client tls_field) or a runtime
+   heap cell (client globals, profiling counters).  App-origin
+   instructions below L3 can only reference application space, so they
+   are not decoded just to scan them. *)
+let scan_abs ~off (i : Instr.t) (acc : reloc list) : reloc list =
+  match Instr.level i with
+  | Level.L3 | Level.L4 ->
+      let insn = Instr.get_insn i in
+      let op acc (o : Operand.t) =
+        match o with
+        | Operand.Mem { base = None; index = None; disp } when disp >= tls_base ->
+            let r_target =
+              match tls_slot_of_addr disp with
+              | Some (tid, slot) -> RT_tls_abs (tid, slot)
+              | None -> RT_runtime_abs disp
+            in
+            { r_off = off; r_target } :: acc
+        | _ -> acc
+      in
+      Array.fold_left op (Array.fold_left op acc insn.Insn.srcs) insn.Insn.dsts
+  | _ -> acc
+
+let has_target (insn : Insn.t) =
+  Array.exists (function Operand.Target _ -> true | _ -> false) insn.Insn.srcs
 
 (** Emit a client-view (already mangled) IL as a fragment for [tag].
 
     Exit CTIs may appear both in the body and inside custom stubs
     (one level deep) — the latter is how a client builds a "code
     sequence at the bottom of the trace" reached only on an exit path
-    (paper §4.3).  Registers the fragment; does not link. *)
+    (paper §4.3).  Registers the fragment; does not link.
+
+    Two walks visit the instructions in image order (the body, then
+    each exit's stub in exit order).  The first plans the exits and
+    lays the image out at entry-relative offsets; every length is
+    pc-independent, since exit CTIs and stub jumps take their fixed
+    rel32 forms.  Once the cache space is allocated, the second writes
+    each instruction into one buffer of the final size: raw bits are
+    blitted (§3.1: copied, not re-encoded), exit CTIs and stub jumps
+    come from the fixed-form writers, and an instruction without valid
+    raw bits (Level 4, or a CTI) reuses the bytes the first walk
+    encoded for its length.  Only a non-exit direct CTI is encoded again
+    at its final pc. *)
 let emit_fragment (rt : runtime) (ts : thread_state) ~(kind : fragment_kind)
     ~(tag : int) ?(src_ranges = []) (il : Instrlist.t) : fragment =
-  let plan_of ~secondary (i : Instr.t) (k, target, is_cond) =
-    let stub_il, always = stub_note i in
-    if secondary then
-      Option.iter
-        (fun sil ->
-          Instrlist.iter sil (fun si ->
-              if exit_info si <> None then
-                rio_error "emit: exits nested deeper than one stub level"))
-        stub_il;
-    {
-      px_instr = i;
-      px_kind = k;
-      px_target = target;
-      px_cond = is_cond;
-      px_stub_il = stub_il;
-      px_always = always;
-      px_secondary = secondary;
-      px_branch_pc = 0;
-      px_stub_pc = 0;
-      px_stub_jmp_pc = 0;
-    }
-  in
-  (* plan body exits, then exits living inside their stubs *)
-  let body_planned = ref [] in
-  Instrlist.iter il (fun i ->
-      match exit_info i with
-      | None -> ()
-      | Some info -> body_planned := plan_of ~secondary:false i info :: !body_planned);
-  let body_planned = List.rev !body_planned in
-  let sec_planned =
-    List.concat_map
-      (fun p ->
-        match p.px_stub_il with
-        | None -> []
-        | Some sil ->
-            let acc = ref [] in
-            Instrlist.iter sil (fun si ->
-                match exit_info si with
-                | None -> ()
-                | Some info -> acc := plan_of ~secondary:true si info :: !acc);
-            List.rev !acc)
-      body_planned
-  in
-  let planned = body_planned @ sec_planned in
-  (* a fragment may legitimately have no exits if it ends in hlt *)
-  let find_planned i = List.find_opt (fun p -> p.px_instr == i) planned in
-  (* pass 1: layout.  Lengths of non-CTI instructions don't depend on
-     pc and exit CTIs use fixed long forms, so layout is pc-independent. *)
-  let seq_size (s : Instrlist.t) =
-    Instrlist.fold s ~init:0 (fun sz si ->
-        let is_exit = find_planned si <> None in
-        sz + instr_len ~pc:sz ~is_exit si)
-  in
-  let body_size =
-    Instrlist.fold il ~init:0 (fun sz i ->
-        let is_exit = find_planned i <> None in
-        sz + instr_len ~pc:sz ~is_exit i)
-  in
-  let stub_size p =
-    (match p.px_stub_il with None -> 0 | Some sil -> seq_size sil) + 5
-  in
-  let stub_sizes = List.map stub_size planned in
-  let total = body_size + List.fold_left ( + ) 0 stub_sizes in
-  let entry = alloc rt ts ~kind total in
-  let body_end = entry + body_size in
-  let _ =
-    List.fold_left2
-      (fun addr p sz ->
-        p.px_stub_pc <- addr;
-        p.px_stub_jmp_pc <- addr + sz - 5;
-        addr + sz)
-      body_end planned stub_sizes
-  in
-  (* pass 2: encode *)
-  let buf = Buffer.create total in
-  let pc = ref entry in
-  (* Absolute-memory relocations: any instruction already at Full level
-     (mangle- or client-inserted code, and re-decoded bodies) may
-     address a runtime-absolute cell — a TLS slot (spills, flags saves,
-     the client tls_field) or a runtime heap cell (client globals,
-     profiling counters).  App-origin instructions below L3 can only
-     reference application space, so they are not decoded just to
-     scan them. *)
-  let abs_relocs = ref [] in
-  let scan_abs (i : Instr.t) =
-    match Instr.level i with
-    | Level.L3 | Level.L4 ->
-        let insn = Instr.get_insn i in
-        let op (o : Operand.t) =
-          match o with
-          | Operand.Mem { base = None; index = None; disp } when disp >= tls_base
-            ->
-              let r_target =
-                match tls_slot_of_addr disp with
-                | Some (tid, slot) -> RT_tls_abs (tid, slot)
-                | None -> RT_runtime_abs disp
-              in
-              abs_relocs := { r_off = !pc - entry; r_target } :: !abs_relocs
-          | _ -> ()
-        in
-        Array.iter op insn.Insn.srcs;
-        Array.iter op insn.Insn.dsts
-    | _ -> ()
-  in
-  let encode_one (i : Instr.t) =
-    match find_planned i with
-    | Some p ->
-        p.px_branch_pc <- !pc;
-        (* initial target: the exit's own stub *)
-        let insn = Instr.get_insn i in
-        let insn' =
-          match insn.Insn.opcode with
-          | Opcode.Jmp -> Insn.mk_jmp p.px_stub_pc
-          | Opcode.Jcc c -> Insn.mk_jcc c p.px_stub_pc
-          | _ -> assert false
-        in
-        let b = Encode.encode_exn ~long:true ~pc:!pc insn' in
-        Buffer.add_bytes buf b;
-        pc := !pc + Bytes.length b
-    | None ->
-        scan_abs i;
-        let b = Instr.encode ~pc:!pc i in
-        Buffer.add_bytes buf b;
-        pc := !pc + Bytes.length b
-  in
-  Instrlist.iter il encode_one;
-  if !pc <> body_end then rio_error "emit: body layout drift (tag 0x%x)" tag;
-  (* allocate exit ids and encode stubs (in planning order, which is
-     also layout order) *)
-  let exits =
-    List.map
-      (fun p ->
-        let id = rt.next_exit_id in
-        rt.next_exit_id <- rt.next_exit_id + 1;
+  (* walk 1: plan and lay out *)
+  let off = ref 0 in
+  let planned = ref [] (* (exit CTI, its exit), reversed *) in
+  let encoded = ref [] (* the encoder's output, reversed *) in
+  let abs_relocs = ref [] (* reversed *) in
+  let lay ~nested (i : Instr.t) =
+    match exit_info i with
+    | Some (e_kind, target_tag, is_cond) ->
+        if nested then rio_error "emit: exits nested deeper than one stub level";
+        let stub_il, always = stub_note i in
         let e =
           {
-            exit_id = id;
-            e_kind = p.px_kind;
-            target_tag = p.px_target;
-            branch_pc = 0 (* patched below once the stub is encoded *);
-            branch_is_cond = p.px_cond;
-            stub_pc = p.px_stub_pc;
-            stub_jmp_pc = p.px_stub_jmp_pc;
+            exit_id = 0 (* assigned once the space is allocated *);
+            e_kind;
+            target_tag;
+            branch_pc = !off;
+            branch_is_cond = is_cond;
+            stub_pc = 0;
+            stub_jmp_pc = 0;
             linked = None;
-            always_through_stub = p.px_always;
-            stub_il = p.px_stub_il;
+            always_through_stub = always;
+            stub_il;
             e_owner = None;
           }
         in
-        register_exit rt e;
-        (p, e))
-      planned
+        planned := (i, e) :: !planned;
+        off := !off + if is_cond then Encode.jcc_rel32_len else Encode.jmp_rel32_len
+    | None ->
+        abs_relocs := scan_abs ~off:!off i !abs_relocs;
+        let len =
+          match i.Instr.payload with
+          | Instr.Bundle { raw; _ } | Instr.Raw { raw; _ } | Instr.RawOp { raw; _ } ->
+              Bytes.length raw
+          | Instr.Full { raw = Some raw; raw_valid = true; insn; _ }
+            when not (Insn.is_cti insn) ->
+              Bytes.length raw
+          | Instr.Full { insn; _ } ->
+              let b = Encode.encode_exn ~pc:!off insn in
+              encoded := b :: !encoded;
+              Bytes.length b
+        in
+        off := !off + len
   in
-  List.iter
-    (fun (p, e) ->
-      if !pc <> p.px_stub_pc then rio_error "emit: stub layout drift (tag 0x%x)" tag;
-      (match p.px_stub_il with
-       | None -> ()
-       | Some sil -> Instrlist.iter sil encode_one);
-      let jb =
-        Encode.encode_exn ~long:true ~pc:p.px_stub_jmp_pc
-          (Insn.mk_jmp (token_of_exit e))
-      in
-      Buffer.add_bytes buf jb;
-      pc := !pc + Bytes.length jb)
-    exits;
-  (* branch_pc was recorded into the plan during encoding *)
-  let exits =
-    List.map
-      (fun (p, e) ->
-        e.branch_pc <- p.px_branch_pc;
-        e)
+  let lay_stubs ~nested exits =
+    List.iter
+      (fun (_, e) ->
+        e.stub_pc <- !off;
+        Option.iter (fun sil -> Instrlist.iter sil (lay ~nested)) e.stub_il;
+        e.stub_jmp_pc <- !off;
+        off := !off + Encode.jmp_rel32_len)
       exits
   in
-  write_bytes rt ~addr:entry (Buffer.to_bytes buf);
+  Instrlist.iter il (lay ~nested:false);
+  let body_size = !off in
+  (* stubs in exit order: the body's exits, then the exits found inside
+     their stubs (a fragment may legitimately have none: it ends in hlt) *)
+  let body_exits = List.rev !planned in
+  planned := [];
+  lay_stubs ~nested:false body_exits;
+  let stub_exits = List.rev !planned in
+  lay_stubs ~nested:true stub_exits;
+  let planned = body_exits @ stub_exits in
+  let total = !off in
+  let entry = alloc rt ts ~kind total in
+  let exits =
+    Array.of_list
+      (List.map
+         (fun (_, e) ->
+           e.exit_id <- rt.next_exit_id;
+           rt.next_exit_id <- rt.next_exit_id + 1;
+           e.branch_pc <- entry + e.branch_pc;
+           e.stub_pc <- entry + e.stub_pc;
+           e.stub_jmp_pc <- entry + e.stub_jmp_pc;
+           register_exit rt e;
+           e)
+         planned)
+  in
+  (* walk 2: write the image *)
+  let buf = Bytes.create total in
+  let pos = ref 0 in
+  let pending = ref planned in
+  let encoded = ref (List.rev !encoded) in
+  let put (i : Instr.t) =
+    match !pending with
+    | (x, e) :: rest when x == i ->
+        (* an exit CTI, initially targeting its own stub *)
+        pending := rest;
+        (match Instr.get_opcode i with
+         | Opcode.Jcc c ->
+             Encode.write_jcc_rel32 buf ~off:!pos ~pc:e.branch_pc c e.stub_pc;
+             pos := !pos + Encode.jcc_rel32_len
+         | _ ->
+             Encode.write_jmp_rel32 buf ~off:!pos ~pc:e.branch_pc e.stub_pc;
+             pos := !pos + Encode.jmp_rel32_len)
+    | _ ->
+        let raw =
+          match i.Instr.payload with
+          | Instr.Bundle { raw; _ } | Instr.Raw { raw; _ } | Instr.RawOp { raw; _ } -> raw
+          | Instr.Full { raw = Some raw; raw_valid = true; insn; _ }
+            when not (Insn.is_cti insn) ->
+              raw
+          | Instr.Full { insn; _ } -> (
+              match !encoded with
+              | b :: rest ->
+                  encoded := rest;
+                  if has_target insn then begin
+                    let b' = Encode.encode_exn ~pc:(entry + !pos) insn in
+                    if Bytes.length b' <> Bytes.length b then
+                      rio_error "emit: layout drift (tag 0x%x)" tag;
+                    b'
+                  end
+                  else b
+              | [] -> assert false)
+        in
+        Bytes.blit raw 0 buf !pos (Bytes.length raw);
+        pos := !pos + Bytes.length raw
+  in
+  Instrlist.iter il put;
+  Array.iter
+    (fun e ->
+      Option.iter (fun sil -> Instrlist.iter sil put) e.stub_il;
+      Encode.write_jmp_rel32 buf ~off:(e.stub_jmp_pc - entry) ~pc:e.stub_jmp_pc
+        (token_of_exit e);
+      pos := !pos + Encode.jmp_rel32_len)
+    exits;
+  write_bytes rt ~addr:entry buf;
   (* the typed relocation table: every absolute target embedded in the
      fragment's bytes, as entry-relative sites.  Exit CTIs and stub
      jumps are pc-relative encodings of absolute targets, so a move
-     re-encodes them; the absolute-memory operands collected above are
+     rewrites their rel32s; the absolute-memory operands are
      position-independent under a move but gate persistence. *)
+  let n = Array.length exits in
   let relocs =
-    Array.of_list
-      (List.concat
-         (List.mapi
-            (fun ord e ->
-              [
-                { r_off = e.branch_pc - entry; r_target = RT_exit_branch ord };
-                { r_off = e.stub_jmp_pc - entry; r_target = RT_stub_jmp ord };
-              ])
-            exits)
-      @ List.rev !abs_relocs)
+    Array.make ((2 * n) + List.length !abs_relocs)
+      { r_off = 0; r_target = RT_runtime_abs 0 }
   in
+  Array.iteri
+    (fun ord e ->
+      relocs.(2 * ord) <- { r_off = e.branch_pc - entry; r_target = RT_exit_branch ord };
+      relocs.((2 * ord) + 1) <-
+        { r_off = e.stub_jmp_pc - entry; r_target = RT_stub_jmp ord })
+    exits;
+  List.iteri (fun k r -> relocs.(Array.length relocs - 1 - k) <- r) !abs_relocs;
   let frag =
     {
       tag;
       kind;
       f_tid = ts.ts_tid;
       entry;
-      body_end;
+      body_end = entry + body_size;
       total_end = entry + total;
       relocs;
-      exits = Array.of_list exits;
+      exits;
       incoming = [];
       deleted = false;
       exec_count = 0;
@@ -675,8 +654,8 @@ let emit_fragment (rt : runtime) (ts : thread_state) ~(kind : fragment_kind)
       src_ranges;
     }
   in
-  List.iter (fun e -> e.e_owner <- Some frag) exits;
-  Audit.refresh rt frag;
+  Array.iter (fun e -> e.e_owner <- Some frag) exits;
+  Audit.stamp rt frag (Audit.checksum_bytes buf);
   (match kind with
    | Bb ->
        Fragindex.set_bb ts.index tag frag;

@@ -61,17 +61,12 @@ let inject_corrupt (rt : runtime) : bool =
       true
 
 (* Clients can replace an exit's stub with a custom IL (compare
-   chains, profiling code); for those the recorded patch site no longer
-   holds a direct branch and {!Emit.patch_branch} would refuse it. *)
+   chains, profiling code); for those the recorded patch site may no
+   longer hold a long-form branch, and {!Emit.patch_branch} would
+   refuse it.  Both sides use {!Emit.patch_site_len}. *)
 let exit_patchable (rt : runtime) (e : exit_) : bool =
   let pc = if e.always_through_stub then e.stub_jmp_pc else e.branch_pc in
-  let fetch = Vm.Memory.fetch (Vm.Machine.mem rt.machine) in
-  match Isa.Decode.full fetch pc with
-  | Ok (insn, _) -> (
-      match insn.Isa.Insn.opcode with
-      | Isa.Opcode.Jmp | Isa.Opcode.Jcc _ -> true
-      | _ -> false)
-  | Error _ -> false
+  Emit.patch_site_len rt ~pc <> None
 
 let inject_link_flip (rt : runtime) : bool =
   let linked_exits =

@@ -260,6 +260,62 @@ let prop_eflags_mask_shape =
       let r = Eflags.read_mask m and w = Eflags.write_mask m in
       r land lnot Eflags.all_mask = 0 && w land lnot Eflags.all_mask = 0)
 
+let prop_fixed_branch_writers =
+  (* the fixed-form writers a code cache emits exit branches and stub
+     jumps with produce exactly the encoder's long form, for jmp and
+     every jcc condition, at any pc and target — including
+     displacements past the rel32 range, which both wrap to 32 bits *)
+  let gen =
+    QCheck2.Gen.(
+      let disp =
+        oneof
+          [
+            int_range (-300) 300;
+            int_range (-(1 lsl 31)) ((1 lsl 31) - 1);
+            map (fun k -> (1 lsl 31) + k) (int_range (-4) 3);
+            map (fun k -> -(1 lsl 31) + k) (int_range (-4) 3);
+            int_range (-(1 lsl 34)) (1 lsl 34);
+          ]
+      in
+      triple (opt (oneofl Cond.all)) (int_range 0 0xFFFF_FFFF) disp)
+  in
+  QCheck2.Test.make ~name:"fixed branch writers = encode ~long:true" ~count:3000
+    ~print:(fun (c, pc, d) ->
+      Printf.sprintf "%s pc=0x%x disp=%d"
+        (match c with None -> "jmp" | Some c -> "j" ^ Cond.name c) pc d)
+    gen
+    (fun (c, pc, disp) ->
+      let len, insn, write =
+        match c with
+        | None ->
+            let target = pc + Encode.jmp_rel32_len + disp in
+            (Encode.jmp_rel32_len, Insn.mk_jmp target,
+             fun b -> Encode.write_jmp_rel32 b ~off:1 ~pc target)
+        | Some c ->
+            let target = pc + Encode.jcc_rel32_len + disp in
+            (Encode.jcc_rel32_len, Insn.mk_jcc c target,
+             fun b -> Encode.write_jcc_rel32 b ~off:1 ~pc c target)
+      in
+      (* written at an offset into a larger buffer: nothing outside the
+         branch's own bytes may change *)
+      let b = Bytes.make (len + 2) '\xAA' in
+      write b;
+      let expected = Encode.encode_exn ~long:true ~pc insn in
+      if not (Bytes.equal (Bytes.sub b 1 len) expected) then
+        QCheck2.Test.fail_reportf "writer %s, encoder %s"
+          (Disasm.hex_bytes (Bytes.sub b 1 len)) (Disasm.hex_bytes expected);
+      if Bytes.get b 0 <> '\xAA' || Bytes.get b (len + 1) <> '\xAA' then
+        QCheck2.Test.fail_report "writer touched bytes outside the branch";
+      let fetch a = Char.code (Bytes.get b (a - pc + 1)) in
+      if Encode.long_branch_len fetch pc <> len then
+        QCheck2.Test.fail_report "long_branch_len does not recognise the form";
+      (* in range, the bytes decode back to the same branch *)
+      if Encoding_spec.to_i32 disp = disp then
+        match Decode.full fetch pc with
+        | Ok (i', l') -> l' = len && Insn.equal i' insn
+        | Error e -> QCheck2.Test.fail_reportf "decode: %s" (Decode.error_to_string e)
+      else true)
+
 (* ------------------------------------------------------------------ *)
 
 let qtests =
@@ -273,6 +329,7 @@ let qtests =
       prop_decoder_total;
       prop_decoded_garbage_reencodes;
       prop_eflags_mask_shape;
+      prop_fixed_branch_writers;
     ]
 
 let () =

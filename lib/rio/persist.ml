@@ -32,13 +32,13 @@
 
     Fragment bytes are blitted at whatever address the loading
     runtime's allocator picks, then fixed up by replaying the
-    relocation table: exit CTIs are re-encoded against their own stubs
-    and stub jumps against {e fresh} trap tokens (exit ids are
-    allocated anew), so whatever link state was frozen into the saved
-    bytes is erased — fragments come back in unlinked form and the
-    dispatcher re-links them lazily with its usual policy.  TLS-slot
-    operands are validated against the loading thread's tid.  Dropped
-    as rebuildable-or-runtime-local: direct links, IBL table entries,
+    relocation table: exit CTIs are patched to their own stubs and stub
+    jumps to {e fresh} trap tokens (exit ids are allocated anew), so
+    whatever link state was frozen into the saved bytes is erased —
+    fragments come back in unlinked form and the dispatcher re-links
+    them lazily with its usual policy.  TLS-slot operands are
+    validated against the loading thread's tid.  Dropped as
+    rebuildable-or-runtime-local: direct links, IBL table entries,
     execution counters, guard burst windows (bursts are a phase
     signal of one process's run; lifetime violation counts {e do}
     survive, re-bound to the fresh exit ids, so a loaded -O3 trace
@@ -601,7 +601,7 @@ let materialize (rt : runtime) (ts : thread_state) (pf : parsed_fragment) : bool
               })
             pf.pf_guards;
         (* relocation replay: the saved bytes froze some link state and
-           the saver's trap tokens — re-encode every pc-relative site
+           the saver's trap tokens — re-patch every pc-relative site
            for this placement, unlinked, with this runtime's tokens *)
         Array.iter
           (fun r ->

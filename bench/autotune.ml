@@ -76,8 +76,8 @@ let knob (name, values) =
     mode searches the lot.  Deliberately excluded: the cost model
     (that would tune the simulator, not the system), fault injection,
     deadlines/retries/quarantine (supervision policy, not throughput),
-    [max_cycles], and the pool scheduling knobs (domains, affinity,
-    deque bounds) — the objective is simulated cycles per request,
+    [max_cycles], and the pool sizing knobs (domains, in-flight and
+    admission bounds) — the objective is simulated cycles per request,
     which scheduling cannot change, only smear with noise; pool sizing
     stays a deployment choice carried by the bundle's pool block. *)
 let knob_space ~quick : knob list =

@@ -1,8 +1,8 @@
-(** Serving sweep: the socket front-end, admission control, batching,
-    pre-warming, and autoscaling evaluation (DESIGN.md §6.10), written
-    to BENCH_serve.json.
+(** Serving sweep: the socket front-end, admission control, batching
+    and pre-warming evaluation (DESIGN.md §6.10), written to
+    BENCH_serve.json.
 
-    Four sections, each with hard gates:
+    Three sections, each with hard gates:
 
     {ol
     {- {b Closed loop}: a pre-warmed pool serves an interleaved
@@ -27,12 +27,7 @@
        domain) behind a deliberately tiny accept queue, hit with a
        burst over a Unix socket.  Gates: at least one typed shed, at
        least one success, every successful response byte-identical to
-       native, no failed responses.}
-    {- {b Scaling burst}: a pool floored at one live domain absorbs a
-       burst.  Gates: the autoscaler both wakes parked workers
-       (scale-ups ≥ 1) and parks them again as the queue drains
-       (scale-downs ≥ 1), with zero divergence and zero cold boots —
-       pre-warming covers parked workers too.}} *)
+       native, no failed responses.}} *)
 
 open Workloads
 
@@ -172,7 +167,6 @@ let run ~quick ~out_path () =
           Rio.Options.default_pool with
           domains = d;
           prewarm = true;
-          batch_window = 8;
         }
       ~boots ()
   in
@@ -328,34 +322,6 @@ let run ~quick ~out_path () =
     ssnap.Rio.Pool.snap_shed sstats.Rio.Server.sv_accepted
     sstats.Rio.Server.sv_responses;
 
-  (* ---------------- 4. scaling burst ---------------- *)
-  let bd = 4 in
-  let bn = if quick then 32 else 48 in
-  let bpool =
-    Rio.Pool.create
-      ~cfg:
-        {
-          Rio.Options.default_pool with
-          domains = bd;
-          prewarm = true;
-          min_domains = Some 1;
-          scale_up_depth = 2;
-          scale_down_depth = 1;
-          scale_hysteresis = 2;
-          max_inflight = 128;
-        }
-      ~boots ()
-  in
-  List.iter (Sweep.submit_exn bpool) (make_requests ~seed_base:40_000 bn);
-  check_pass "scaling burst" (Rio.Pool.drain bpool);
-  let bsnap = Rio.Pool.stats bpool in
-  Rio.Pool.shutdown bpool;
-  pr
-    "scaling burst: %d requests, floor 1 of %d domains -> %d scale-ups, %d \
-     scale-downs, %d live at rest, cold boots %d\n%!"
-    bn bd bsnap.Rio.Pool.snap_scale_ups bsnap.Rio.Pool.snap_scale_downs
-    bsnap.Rio.Pool.snap_live_domains bsnap.Rio.Pool.snap_cold_boots;
-
   (* ---------------- JSON + gates ---------------- *)
   let open Rio.Json in
   Sweep.write_json ~path:out_path
@@ -404,15 +370,6 @@ let run ~quick ~out_path () =
                ("output_mismatches", Int !smoke_mismatch);
                ("connections", Int sstats.Rio.Server.sv_accepted);
                ("responses", Int sstats.Rio.Server.sv_responses) ] );
-         ( "scaling",
-           Obj
-             [ ("domains", Int bd);
-               ("floor", Int 1);
-               ("requests", Int bn);
-               ("scale_ups", Int bsnap.Rio.Pool.snap_scale_ups);
-               ("scale_downs", Int bsnap.Rio.Pool.snap_scale_downs);
-               ("live_at_rest", Int bsnap.Rio.Pool.snap_live_domains);
-               ("cold_boots", Int bsnap.Rio.Pool.snap_cold_boots) ] );
        ]);
 
   let fail = ref false in
@@ -438,14 +395,5 @@ let run ~quick ~out_path () =
   gate (smoke_ok > 0) "socket burst produced no success";
   gate (smoke_failed = 0)
     (Printf.sprintf "socket burst produced %d failed responses" smoke_failed);
-  gate
-    (bsnap.Rio.Pool.snap_scale_ups >= 1)
-    "autoscaler never woke a parked worker";
-  gate
-    (bsnap.Rio.Pool.snap_scale_downs >= 1)
-    "autoscaler never parked a worker after the burst";
-  gate
-    (bsnap.Rio.Pool.snap_cold_boots = 0)
-    "scaling burst took a cold boot despite pre-warming";
   if !fail then exit 1;
   pr "\nall serving gates passed\n%!"

@@ -85,7 +85,7 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
   in
   let cfg = base.Rio.Bundle.b_pool in
   let nd = cfg.Rio.Options.domains in
-  (match Rio.Options.validate_pool cfg with
+  (match Rio.Options.pool_ranges cfg with
    | Ok () -> ()
    | Error msg ->
        Printf.eprintf "rio_serve: invalid pool configuration: %s\n" msg;

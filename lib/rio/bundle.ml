@@ -12,7 +12,7 @@
 
     Deserialization is *validating*: unknown keys, values outside
     their row's range (a path-qualified {!Bad_value}), cross-field
-    violations (via {!Options.validate} / {!Options.validate_pool},
+    violations (via {!Options.validate} / {!Options.pool_ranges},
     also applied to every override-projected configuration), malformed
     JSON, and stale [bundle_version]s are all rejected with a typed
     {!error}, never an exception.  {!digest} hashes the canonical printed form of
@@ -264,7 +264,7 @@ let validate (b : t) : (unit, error) result =
     | Error m -> Error (Invalid_bundle m)
   in
   let* () =
-    match Options.validate_pool b.b_pool with
+    match Options.pool_ranges b.b_pool with
     | Ok () -> Ok ()
     | Error m -> Error (Invalid_bundle m)
   in

@@ -119,8 +119,6 @@ let default_faults =
 type pool_opts = {
   domains : int;           (** worker domains (>= 1) *)
   max_inflight : int;      (** submitted-but-incomplete cap (>= 1) *)
-  queue_capacity : int;    (** initial per-worker deque capacity (>= 1) *)
-  affinity : bool;         (** shard by key hash instead of round-robin *)
   retries : int;
       (** retry-ladder depth: failed requests are retried up to this
           many times (warm → cold → migrate-cold), 0 disables retries *)
@@ -137,48 +135,22 @@ type pool_opts = {
       (** admission bound: total requests admitted but not yet finished
           before {!Pool.try_submit} sheds with [Overloaded] (>= 1).
           [max_inflight] still bounds the blocking {!Pool.submit} path *)
-  batch_window : int;
-      (** dequeue-time batching: how deep into its own deque a worker
-          scans for a request matching the key it served last (keeping
-          the warm instance hot); 0 disables reordering *)
   prewarm : bool;
       (** build every (worker, workload) instance at pool boot, before
           any request is accepted, so steady-state traffic sees zero
           cold boots *)
-  min_domains : int option;
-      (** enable the queue-depth autoscaler: workers beyond this floor
-          park when load drops and wake as depth grows, between
-          [min_domains] and [domains].  [None] keeps every domain hot
-          (no scaling) *)
-  scale_up_depth : int;
-      (** queued requests per live worker that must be sustained for
-          [scale_hysteresis] decisions before a parked worker wakes *)
-  scale_down_depth : int;
-      (** queued requests per live worker below which a sustained run
-          of decisions parks the youngest live worker; must be below
-          [scale_up_depth] *)
-  scale_hysteresis : int;
-      (** consecutive same-direction decisions required before the
-          autoscaler acts (>= 1); damps flapping on bursty arrivals *)
 }
 
 let default_pool =
   {
     domains = 2;
     max_inflight = 64;
-    queue_capacity = 16;
-    affinity = false;
     retries = 3;
     quarantine_threshold = 3;
     deadline_cycles = None;
     deadline_secs = None;
     accept_queue = 128;
-    batch_window = 8;
     prewarm = false;
-    min_domains = None;
-    scale_up_depth = 4;
-    scale_down_depth = 1;
-    scale_hysteresis = 3;
   }
 
 (** What to do when a bounded code cache fills up (DESIGN.md §6.3). *)
@@ -301,7 +273,7 @@ let default =
 
 (** Every leaf of {!t}, {!costs}, {!fault_opts} and {!pool_opts} is one
     typed row of a table.  The bundle codec ({!Bundle}), the
-    single-field range checks of {!validate} / {!validate_pool}, the
+    single-field range checks of {!validate} / {!pool_ranges}, the
     flags of both CLIs ({!Cli}) and the autotuner's get/set/print all
     derive from the rows, so a new knob is one record field, one
     default and one row.  Rows are in canonical bundle field order:
@@ -516,12 +488,6 @@ let pool_table =
           ~flag:([ "max-inflight" ], "N")
           (fun p -> p.max_inflight) (fun p v -> { p with max_inflight = v })
           "Bound on submitted-but-incomplete requests (backpressure).";
-        knob "queue_capacity" Int ~range:(at_least 1)
-          (fun p -> p.queue_capacity) (fun p v -> { p with queue_capacity = v })
-          "initial per-worker deque capacity";
-        knob "affinity" Bool ~flag:([ "affinity" ], "")
-          (fun p -> p.affinity) (fun p v -> { p with affinity = v })
-          "Shard by workload-key hash instead of round-robin.";
         knob "retries" Int ~range:(at_least 0) ~flag:([ "retries" ], "N")
           (fun p -> p.retries) (fun p v -> { p with retries = v })
           "Retry-ladder depth per request: warm retry, cold retry, cold \
@@ -547,30 +513,10 @@ let pool_table =
           "Admission bound for the server: once N requests are admitted but \
            unfinished, further requests are shed with a typed reject instead \
            of queueing without bound.";
-        knob "batch_window" Int ~range:(at_least 0)
-          ~flag:([ "batch-window" ], "N")
-          (fun p -> p.batch_window) (fun p v -> { p with batch_window = v })
-          "Dequeue-time batching window: a worker looks this deep into its \
-           queue for a request matching the key it just served (0 \
-           disables).";
         knob "prewarm" Bool ~flag:([ "prewarm" ], "")
           (fun p -> p.prewarm) (fun p v -> { p with prewarm = v })
           "Build every (domain, workload) instance at pool boot, before \
            accepting traffic, so no request ever cold-boots.";
-        knob "min_domains" (Opt Int) ~range:(some (at_least 1))
-          ~flag:([ "min-domains" ], "N")
-          (fun p -> p.min_domains) (fun p v -> { p with min_domains = v })
-          "Enable the queue-depth autoscaler: park idle worker domains down \
-           to N and wake them as queue depth grows.";
-        knob "scale_up_depth" Int
-          (fun p -> p.scale_up_depth) (fun p v -> { p with scale_up_depth = v })
-          "queued requests per live worker that wake a parked worker";
-        knob "scale_down_depth" Int ~range:(at_least 0)
-          (fun p -> p.scale_down_depth) (fun p v -> { p with scale_down_depth = v })
-          "queued requests per live worker below which a worker parks";
-        knob "scale_hysteresis" Int ~range:(at_least 1)
-          (fun p -> p.scale_hysteresis) (fun p v -> { p with scale_hysteresis = v })
-          "consecutive same-direction decisions before the autoscaler acts";
       ];
   }
 
@@ -675,6 +621,12 @@ let check_ranges (tbl : 'r table) : 'r -> (unit, string) result =
     | Some msg -> Error msg
 
 let engine_ranges = check_ranges engine_table
+
+(** Validate pool sizing and supervision parameters; {!Pool.create},
+    {!Bundle.validate} and the [rio_serve] CLI all reject bad values
+    through here so the message is identical at every entry point.
+    Every pool knob is independent, so the single-field ranges of
+    {!pool_table} are the whole check. *)
 let pool_ranges = check_ranges pool_table
 
 (* ------------------------------------------------------------------ *)
@@ -769,31 +721,8 @@ let validate (t : t) : (unit, string) result =
 let validate_exn (t : t) : unit =
   match validate t with Ok () -> () | Error msg -> raise (Invalid_options msg)
 
-(** Validate pool sizing and supervision parameters; {!Pool.create} and
-    the [rio_serve] CLI both reject bad values through here so the
-    message is identical at every entry point.  Single-field ranges
-    come from {!pool_table}. *)
-let validate_pool (p : pool_opts) : (unit, string) result =
-  match pool_ranges p with
-  | Error _ as e -> e
-  | Ok () -> (
-      if p.scale_up_depth <= p.scale_down_depth then
-        Error
-          (Printf.sprintf
-             "pool scale-up-depth (%d) must exceed scale-down-depth (%d): \
-              overlapping thresholds make the autoscaler flap"
-             p.scale_up_depth p.scale_down_depth)
-      else
-        match p.min_domains with
-        | Some m when m > p.domains ->
-            Error
-              (Printf.sprintf
-                 "pool min-domains must be between 1 and domains=%d (got %d)"
-                 p.domains m)
-        | _ -> Ok ())
-
 let validate_pool_exn (p : pool_opts) : unit =
-  match validate_pool p with
+  match pool_ranges p with
   | Ok () -> ()
   | Error msg -> raise (Invalid_options msg)
 

@@ -6,8 +6,8 @@
     survive into the next, so steady-state requests skip almost all
     block building.  Instances never migrate between domains.
 
-    Requests are sharded to a home worker (round-robin by default,
-    key-hash affinity optionally) and pushed onto that worker's deque.
+    Requests are sharded round-robin to a home worker and pushed onto
+    that worker's deque.
     An idle worker first drains its own deque in arrival order, then
     steals from the {e back} of a victim's deque — the request farthest
     from the victim's service horizon — so stealing disturbs the
@@ -254,11 +254,8 @@ type snapshot = {
   snap_profile_publishes : int;  (** successful requests that published to the store *)
   snap_prewarms : int;           (** instances seeded from the shared store *)
   (* --- serving front-end (DESIGN.md §6.10) --- *)
-  snap_live_domains : int;       (** workers currently serving (not parked) *)
   snap_shed : int;               (** {!try_submit} rejections for overload *)
   snap_batch_hits : int;         (** same-key dequeue picks by the batcher *)
-  snap_scale_ups : int;          (** autoscaler wake events *)
-  snap_scale_downs : int;        (** autoscaler park events *)
   snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)
 }
 
@@ -353,13 +350,6 @@ type t = {
   mutable probes : int;
   quar : (string, quar) Hashtbl.t;
   store : store;                  (* fleet-wide profile knowledge *)
-  (* --- serving front-end (DESIGN.md §6.10); all under pool.mu --- *)
-  mutable live : int;             (* workers < live serve; the rest park *)
-  key_home : (string, int) Hashtbl.t;
-      (* key -> worker that last claimed it; affinity routing follows
-         the warm instance instead of a static hash *)
-  mutable up_streak : int;        (* autoscaler hysteresis runs *)
-  mutable down_streak : int;
   mutable pool_stats : Stats.t;   (* serving counters + latency histogram *)
   mutable results : result list;  (* reversed completion order *)
   mutable notify : unit -> unit;  (* completion hook: results went
@@ -386,65 +376,6 @@ let quar_state pool key : quar =
 let note_progress pool =
   if pool.completed = pool.submitted then Condition.broadcast pool.done_cv;
   if pool.reloading && pool.active = 0 then Condition.broadcast pool.done_cv
-
-(* Requests enqueued but not yet claimed; call with the pool mutex
-   held. *)
-let queued_jobs pool =
-  Array.fold_left (fun n w -> n + Deque.length w.w_deque) 0 pool.workers
-
-(* The queue-depth autoscaler (DESIGN.md §6.10): one decision per
-   submit/completion, acting only after [scale_hysteresis] consecutive
-   same-direction decisions.  Scale-up wakes the next parked worker;
-   scale-down parks the youngest live worker and rehomes anything left
-   on its deque.  Workers mid-request are untouched — parking only
-   stops future claims.  Call with the pool mutex held. *)
-let maybe_scale pool =
-  match pool.cfg.Options.min_domains with
-  | None -> ()
-  | Some floor ->
-      let cfg = pool.cfg in
-      let depth = queued_jobs pool / pool.live in
-      if depth >= cfg.Options.scale_up_depth
-         && pool.live < Array.length pool.workers
-      then begin
-        pool.down_streak <- 0;
-        pool.up_streak <- pool.up_streak + 1;
-        if pool.up_streak >= cfg.Options.scale_hysteresis then begin
-          pool.up_streak <- 0;
-          pool.live <- pool.live + 1;
-          pool.pool_stats.Stats.scale_ups <-
-            pool.pool_stats.Stats.scale_ups + 1;
-          Condition.broadcast pool.work_cv
-        end
-      end
-      else if depth <= cfg.Options.scale_down_depth && pool.live > floor
-      then begin
-        pool.up_streak <- 0;
-        pool.down_streak <- pool.down_streak + 1;
-        if pool.down_streak >= cfg.Options.scale_hysteresis then begin
-          pool.down_streak <- 0;
-          pool.live <- pool.live - 1;
-          pool.pool_stats.Stats.scale_downs <-
-            pool.pool_stats.Stats.scale_downs + 1;
-          (* rehome anything queued on the newly parked worker *)
-          let parked = pool.workers.(pool.live) in
-          let k = ref 0 in
-          let rec move () =
-            match Deque.pop_front parked.w_deque with
-            | None -> ()
-            | Some j ->
-                Deque.push_back pool.workers.(!k mod pool.live).w_deque j;
-                incr k;
-                move ()
-          in
-          move ();
-          if !k > 0 then Condition.broadcast pool.work_cv
-        end
-      end
-      else begin
-        pool.up_streak <- 0;
-        pool.down_streak <- 0
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Shared profile store: publish and prewarm                          *)
@@ -743,7 +674,6 @@ let record_final pool (w : worker) (j : job) (res : result) : unit =
     end
   end;
   Stats.hist_add pool.pool_stats.Stats.serve_lat res.res_cycles;
-  maybe_scale pool;
   Condition.signal pool.space_cv;
   note_progress pool
 
@@ -776,11 +706,11 @@ let rec serve_with_retries pool (w : worker) (j : job) ~home ~stolen : unit =
     pool.retries <- pool.retries + 1;
     j.j_attempt <- j.j_attempt + 1;
     let rung = j.j_attempt in
-    if rung >= 3 && pool.live > 1 then begin
-      (* rung 3: migrate — cold-boot on another (live) domain *)
+    if rung >= 3 && domains pool > 1 then begin
+      (* rung 3: migrate — cold-boot on another domain *)
       j.j_force_cold <- true;
       Hashtbl.remove w.w_warm j.jr.req_key;
-      let target = pool.workers.((w.w_id + 1) mod pool.live) in
+      let target = pool.workers.((w.w_id + 1) mod domains pool) in
       Deque.push_front target.w_deque j;
       pool.requeues <- pool.requeues + 1;
       w.w_current <- None;
@@ -798,17 +728,21 @@ let rec serve_with_retries pool (w : worker) (j : job) ~home ~stolen : unit =
     end
   end
 
+(* How many requests from a deque's end the batcher scans for the
+   worker's last key. *)
+let batch_window = 8
+
 (* Dequeue from the worker's own deque, letting the batcher reorder:
    within [batch_window] of the front, a request for the key this
    worker served last jumps the line, so the instance that is hot right
    now stays hot.  Reordering is bounded by the window, so no request
    starves.  Call with the pool mutex held. *)
 let claim_own pool (w : worker) : job option =
-  let window = pool.cfg.Options.batch_window in
   match w.w_last_key with
-  | Some key when window > 0 && Deque.length w.w_deque > 1 -> (
+  | Some key when Deque.length w.w_deque > 1 -> (
       match
-        Deque.find_front w.w_deque ~window (fun j -> j.jr.req_key = key)
+        Deque.find_front w.w_deque ~window:batch_window (fun j ->
+            j.jr.req_key = key)
       with
       | Some i when i > 0 ->
           pool.pool_stats.Stats.requests_batched <-
@@ -819,21 +753,19 @@ let claim_own pool (w : worker) : job option =
 
 (* Steal from a victim's back, preferring — within the batch window —
    a request for the thief's own hot key: stolen work then lands on an
-   already-warm instance instead of forcing a boot.  Parked workers'
-   deques are valid victims (supervisor requeues can strand jobs
-   there).  Call with the pool mutex held. *)
+   already-warm instance instead of forcing a boot.  Call with the pool
+   mutex held. *)
 let claim_steal pool (w : worker) : (job * int) option =
   let n = Array.length pool.workers in
-  let window = pool.cfg.Options.batch_window in
   let preferred =
     match w.w_last_key with
-    | Some key when window > 0 ->
+    | Some key ->
         let rec scan k =
           if k >= n - 1 then None
           else
             let victim = pool.workers.((w.w_id + 1 + k) mod n) in
             match
-              Deque.find_back victim.w_deque ~window (fun j ->
+              Deque.find_back victim.w_deque ~window:batch_window (fun j ->
                   j.jr.req_key = key)
             with
             | Some i ->
@@ -863,9 +795,7 @@ let claim_steal pool (w : worker) : (job * int) option =
 let rec worker_loop pool (w : worker) : unit =
   Mutex.lock pool.mu;
   let job =
-    (* parked workers (id >= live) claim nothing until the autoscaler
-       wakes them; they still finish the request they already hold *)
-    if pool.reloading || w.w_id >= pool.live then None
+    if pool.reloading then None
     else
       match claim_own pool w with
       | Some j -> Some (j, w.w_id, false)
@@ -877,7 +807,6 @@ let rec worker_loop pool (w : worker) : unit =
       if stolen then pool.steals <- pool.steals + 1;
       w.w_current <- Some j;
       w.w_last_key <- Some j.jr.req_key;
-      Hashtbl.replace pool.key_home j.jr.req_key w.w_id;
       pool.active <- pool.active + 1;
       Mutex.unlock pool.mu;
       serve_with_retries pool w j ~home ~stolen;
@@ -943,7 +872,7 @@ let create ?(cfg = Options.default_pool) ?chaos
     Array.init cfg.Options.domains (fun i ->
         {
           w_id = i;
-          w_deque = Deque.create ~capacity:cfg.Options.queue_capacity ();
+          w_deque = Deque.create ~capacity:16 ();
           w_busy_cycles = 0;
           w_current = None;
           w_last_key = None;
@@ -980,13 +909,6 @@ let create ?(cfg = Options.default_pool) ?chaos
       quarantine_closes = 0;
       probes = 0;
       quar = Hashtbl.create 8;
-      live =
-        (match cfg.Options.min_domains with
-        | None -> cfg.Options.domains
-        | Some m -> m);
-      key_home = Hashtbl.create 8;
-      up_streak = 0;
-      down_streak = 0;
       pool_stats = Stats.create ();
       store =
         {
@@ -1051,10 +973,8 @@ let admission_check pool (r : request) : (quar, reject) Stdlib.result =
     else Ok q
   end
 
-(* Enqueue an admitted request on its home worker; call with the pool
-   mutex held.  Routing prefers the worker that last served the key —
-   its instance is the hottest — falling back to key-hash affinity or
-   round-robin over the live workers. *)
+(* Enqueue an admitted request on its home worker, chosen round-robin;
+   call with the pool mutex held. *)
 let enqueue pool (r : request) (q : quar) : unit =
   (* half-open circuit breaker: exactly one probe request is let
      through an open breaker; its outcome closes or re-arms it *)
@@ -1062,22 +982,11 @@ let enqueue pool (r : request) (q : quar) : unit =
     q.q_probe <- true;
     pool.probes <- pool.probes + 1
   end;
-  let home =
-    match Hashtbl.find_opt pool.key_home r.req_key with
-    | Some h when pool.cfg.Options.affinity && h < pool.live -> h
-    | _ ->
-        if pool.cfg.Options.affinity then
-          Hashtbl.hash r.req_key mod pool.live
-        else begin
-          let h = pool.next_home mod pool.live in
-          pool.next_home <- (h + 1) mod pool.live;
-          h
-        end
-  in
+  let home = pool.next_home in
+  pool.next_home <- (home + 1) mod domains pool;
   Deque.push_back pool.workers.(home).w_deque
     { jr = r; j_attempt = 0; j_force_cold = false };
   pool.submitted <- pool.submitted + 1;
-  maybe_scale pool;
   Condition.broadcast pool.work_cv
 
 let submit pool (r : request) : (unit, reject) Stdlib.result =
@@ -1215,8 +1124,6 @@ let reset_counters pool : unit =
   pool.probes <- 0;
   pool.results <- [];
   pool.pool_stats <- Stats.create ();
-  pool.up_streak <- 0;
-  pool.down_streak <- 0;
   Array.iter (fun w -> w.w_busy_cycles <- 0) pool.workers;
   (* zero the store's counters but keep its knowledge: profiles are
      what the next measurement pass is usually trying to exploit *)
@@ -1297,11 +1204,8 @@ let stats pool : snapshot =
       snap_cache_refused = pool.store.st_cache_refused;
       snap_profile_publishes = pool.store.st_publishes;
       snap_prewarms = pool.store.st_prewarms;
-      snap_live_domains = pool.live;
       snap_shed = pool.pool_stats.Stats.requests_shed;
       snap_batch_hits = pool.pool_stats.Stats.requests_batched;
-      snap_scale_ups = pool.pool_stats.Stats.scale_ups;
-      snap_scale_downs = pool.pool_stats.Stats.scale_downs;
       snap_prewarm_boots = pool.pool_stats.Stats.prewarm_boots;
     }
   in

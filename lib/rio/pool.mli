@@ -96,11 +96,8 @@ type snapshot = {
   snap_profile_publishes : int;  (** successful requests that published learned
                                      profiles to the shared store *)
   snap_prewarms : int;           (** instances seeded from the shared store *)
-  snap_live_domains : int;       (** workers currently serving (not parked) *)
   snap_shed : int;               (** {!try_submit} rejections for overload *)
   snap_batch_hits : int;         (** same-key dequeue picks by the batcher *)
-  snap_scale_ups : int;          (** autoscaler wake events *)
-  snap_scale_downs : int;        (** autoscaler park events *)
   snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)
 }
 
@@ -115,8 +112,8 @@ val create :
 (** Spawn the worker domains and the supervisor domain.  [cfg]
     (default {!Options.default_pool}) is validated with
     {!Options.validate_pool_exn}; it sets the domain count, in-flight
-    cap, deque capacity, sharding policy, retry-ladder depth,
-    quarantine threshold, and per-request deadlines.  [chaos] arms
+    cap, retry-ladder depth, quarantine threshold, per-request
+    deadlines, admission bound and pre-warming.  [chaos] arms
     pool-scope fault injection: each worker gets a private
     deterministic stream derived from [ch_seed] and its worker id.
     @raise Options.Invalid_options on a rejected [cfg]. *)
@@ -130,9 +127,9 @@ val submit : t -> request -> (unit, reject) Stdlib.result
     open with a probe already in flight, or after {!shutdown}.  When
     the breaker is open and no probe is in flight, the request is
     admitted {e as} the probe: its success closes the breaker, its
-    failure re-arms it.  With [affinity] enabled, routing prefers the
-    worker that last served the key (the warm instance's home),
-    falling back to a key hash. *)
+    failure re-arms it.  Home workers are assigned round-robin: the
+    [i]th admitted request of a fresh pool is homed on worker
+    [i mod domains]. *)
 
 val try_submit : t -> request -> (unit, reject) Stdlib.result
 (** {!submit} without blocking: where [submit] would wait for in-flight

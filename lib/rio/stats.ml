@@ -162,8 +162,6 @@ type t = {
   mutable requests_batched : int;
       (** same-key requests coalesced onto the worker already holding
           the warm instance (dequeue-time batch picks) *)
-  mutable scale_ups : int;           (** worker domains woken by the autoscaler *)
-  mutable scale_downs : int;         (** worker domains parked by the autoscaler *)
   mutable prewarm_boots : int;       (** instances built eagerly at pool boot *)
 }
 
@@ -242,8 +240,6 @@ let create () =
     serve_lat = hist_create ();
     requests_shed = 0;
     requests_batched = 0;
-    scale_ups = 0;
-    scale_downs = 0;
     prewarm_boots = 0;
   }
 
@@ -426,10 +422,6 @@ let rows : row list =
       (fun s -> s.requests_shed) (fun s v -> s.requests_shed <- v);
     row "requests_batched" Unprinted
       (fun s -> s.requests_batched) (fun s v -> s.requests_batched <- v);
-    row "scale_ups" Unprinted
-      (fun s -> s.scale_ups) (fun s v -> s.scale_ups <- v);
-    row "scale_downs" Unprinted
-      (fun s -> s.scale_downs) (fun s v -> s.scale_downs <- v);
     row "prewarm_boots" Unprinted
       (fun s -> s.prewarm_boots) (fun s v -> s.prewarm_boots <- v);
   ]

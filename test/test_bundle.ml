@@ -62,31 +62,19 @@ let gen_pool : O.pool_opts QCheck.Gen.t =
   let open QCheck.Gen in
   let* domains = int_range 1 4 in
   let* max_inflight = int_range 1 128 in
-  let* affinity = bool in
   let* retries = int_range 1 4 in
   let* quarantine_threshold = int_range 1 5 in
   let* accept_queue = int_range 1 256 in
-  let* batch_window = int_range 0 16 in
   let* prewarm = bool in
-  let* min_domains = opt (int_range 1 domains) in
-  let* scale_down_depth = int_range 0 3 in
-  let* scale_up_depth = int_range (scale_down_depth + 1) 8 in
-  let* scale_hysteresis = int_range 1 5 in
   return
     {
       O.default_pool with
       domains;
       max_inflight;
-      affinity;
       retries;
       quarantine_threshold;
       accept_queue;
-      batch_window;
       prewarm;
-      min_domains;
-      scale_up_depth;
-      scale_down_depth;
-      scale_hysteresis;
     }
 
 let override_names = [ "art"; "gcc"; "gzip"; "parser" ]  (* sorted *)
@@ -238,16 +226,24 @@ let test_rejections () =
     {|{"bundle_version": 1, "pool": {"turbo": true}}|};
   check_reject "zero accept queue" "bad:pool.accept_queue"
     {|{"bundle_version": 1, "pool": {"accept_queue": 0}}|};
-  check_reject "negative batch window" "bad:pool.batch_window"
-    {|{"bundle_version": 1, "pool": {"batch_window": -1}}|};
   check_reject "non-bool prewarm" "bad:pool.prewarm"
     {|{"bundle_version": 1, "pool": {"prewarm": 3}}|};
-  check_reject "min-domains above domains" "invalid"
-    {|{"bundle_version": 1, "pool": {"domains": 2, "min_domains": 4}}|};
-  check_reject "overlapping scale thresholds" "invalid"
-    {|{"bundle_version": 1, "pool": {"scale_up_depth": 1, "scale_down_depth": 1}}|};
-  check_reject "zero scale hysteresis" "bad:pool.scale_hysteresis"
-    {|{"bundle_version": 1, "pool": {"scale_hysteresis": 0}}|};
+  (* retired pool knobs: a bundle that still sets one is refused by
+     name rather than silently ignored *)
+  List.iter
+    (fun (key, value) ->
+      check_reject ("retired pool key " ^ key) ("unknown:pool." ^ key)
+        (Printf.sprintf {|{"bundle_version": 1, "pool": {"%s": %s}}|} key
+           value))
+    [
+      ("queue_capacity", "16");
+      ("affinity", "false");
+      ("batch_window", "8");
+      ("min_domains", "null");
+      ("scale_up_depth", "4");
+      ("scale_down_depth", "1");
+      ("scale_hysteresis", "3");
+    ];
   check_reject "duplicate key" "parse"
     {|{"bundle_version": 1, "bundle_version": 1}|};
   check_reject "trailing garbage" "parse" {|{"bundle_version": 1} x|};
@@ -335,7 +331,7 @@ let test_committed_bundle () =
   match B.of_string text with
   | Error e -> Alcotest.failf "bundle.json rejected: %s" (B.error_to_string e)
   | Ok b ->
-      Alcotest.(check string) "digest" "ea494a40" (Printf.sprintf "%08x" (B.digest b));
+      Alcotest.(check string) "digest" "e3c90437" (Printf.sprintf "%08x" (B.digest b));
       Alcotest.(check string) "re-prints byte for byte" text (B.to_string b);
       List.iter
         (fun (w, lvl) ->

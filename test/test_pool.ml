@@ -666,6 +666,161 @@ let hook_raise_never_hangs =
           results)
 
 (* ------------------------------------------------------------------ *)
+(* qcheck: random interleavings of the pool's public operations        *)
+(* ------------------------------------------------------------------ *)
+
+type op =
+  | Submit of int * int      (* key index, seed *)
+  | Try_submit of int * int
+  | Drain
+  | Reload of bool           (* ~rebuild *)
+
+let show_op = function
+  | Submit (k, s) -> Printf.sprintf "submit %s/%d" (List.nth serving_names k) s
+  | Try_submit (k, s) ->
+      Printf.sprintf "try_submit %s/%d" (List.nth serving_names k) s
+  | Drain -> "drain"
+  | Reload b -> Printf.sprintf "reload ~rebuild:%b" b
+
+(* [None] is a fault-free pool; [Some seed] arms crash-only chaos, so
+   worker domains die mid-request wherever the seed's stream says. *)
+let gen_interleaving =
+  let open QCheck.Gen in
+  let key = int_range 0 (List.length serving_names - 1) in
+  let seed = int_range 0 7 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun k s -> Submit (k, s)) key seed);
+        (3, map2 (fun k s -> Try_submit (k, s)) key seed);
+        (1, return Drain);
+        (1, map (fun b -> Reload b) bool);
+      ]
+  in
+  pair (opt (int_range 1 1000)) (list_size (int_range 3 8) op)
+
+let arb_interleaving =
+  QCheck.make gen_interleaving ~print:(fun (chaos, ops) ->
+      Printf.sprintf "chaos %s: %s"
+        (match chaos with None -> "off" | Some s -> string_of_int s)
+        (String.concat "; " (List.map show_op ops)))
+
+(* What the pool guarantees under any interleaving: every admitted
+   request yields exactly one result; every result matches native; the
+   multiset of outputs equals serving the admitted requests one after
+   another on a single warm server; and, without chaos, the i-th
+   admitted request is homed on worker [i mod domains] — round-robin is
+   the only routing policy. *)
+let interleavings_agree =
+  let native_memo = Hashtbl.create 32 in
+  let native name seed =
+    match Hashtbl.find_opt native_memo (name, seed) with
+    | Some out -> out
+    | None ->
+        let s = List.assoc name sites in
+        let out =
+          (Workload.run_native
+             (Workload.with_input s.workload (input_for s seed)))
+            .Workload.output
+        in
+        Hashtbl.replace native_memo (name, seed) out;
+        out
+  in
+  QCheck.Test.make ~count:40 ~name:"interleaved ops agree with sequential service"
+    arb_interleaving (fun (chaos, ops) ->
+      let domains = 2 in
+      let pool =
+        Rio.Pool.create
+          ~cfg:{ Rio.Options.default_pool with domains; accept_queue = 3 }
+          ?chaos:
+            (Option.map
+               (fun ch_seed ->
+                 {
+                   Rio.Faultinject.ch_seed;
+                   ch_period = 2;
+                   ch_crash = true;
+                   ch_stall = false;
+                   ch_poison = false;
+                   ch_hook_storm = false;
+                 })
+               chaos)
+          ~boots:(pool_boots ~opts:default_opts) ()
+      in
+      (* admitted requests, newest first; req_id is the op index *)
+      let admitted = ref [] in
+      let results = ref [] in
+      List.iteri
+        (fun i op ->
+          let request k seed =
+            let name = List.nth serving_names k in
+            {
+              Rio.Pool.req_id = i;
+              req_key = name;
+              req_seed = seed;
+              req_input = input_for (List.assoc name sites) seed;
+              req_expect = Some (native name seed);
+            }
+          in
+          match op with
+          | Submit (k, seed) ->
+              let r = request k seed in
+              submit_ok pool r;
+              admitted := r :: !admitted
+          | Try_submit (k, seed) -> (
+              let r = request k seed in
+              match Rio.Pool.try_submit pool r with
+              | Ok () -> admitted := r :: !admitted
+              | Error (Rio.Pool.Overloaded _) -> ()
+              | Error e ->
+                  Alcotest.failf "try_submit rejected: %s"
+                    (Rio.Pool.reject_to_string e))
+          | Drain -> results := Rio.Pool.drain pool @ !results
+          | Reload rebuild -> Rio.Pool.drain_and_reload ~rebuild pool)
+        ops;
+      results := Rio.Pool.drain pool @ !results;
+      Rio.Pool.shutdown pool;
+      let admitted = List.rev !admitted and results = !results in
+      let rank = Hashtbl.create 16 in
+      List.iteri (fun i (r : Rio.Pool.request) -> Hashtbl.replace rank r.req_id i)
+        admitted;
+      let sequential =
+        let serve = warm_server ~opts:default_opts () in
+        List.map
+          (fun (r : Rio.Pool.request) ->
+            let _, rt = serve (r.req_key, r.req_seed) in
+            (r.req_key, r.req_seed, Vm.Machine.output (Rio.Engine.machine rt)))
+          admitted
+      in
+      let pooled =
+        List.map
+          (fun (r : Rio.Pool.result) -> (r.res_key, r.res_seed, r.res_output))
+          results
+      in
+      (List.sort compare (List.map (fun (r : Rio.Pool.result) -> r.res_id) results)
+       = List.sort compare (Hashtbl.fold (fun id _ l -> id :: l) rank [])
+      || QCheck.Test.fail_reportf "%d admitted, %d results"
+           (List.length admitted) (List.length results))
+      (* req_expect is native, so res_ok means the output matched it *)
+      && List.for_all
+           (fun (r : Rio.Pool.result) ->
+             r.res_ok
+             || QCheck.Test.fail_reportf "request %d (%s/%d) not ok: %s"
+                  r.res_id r.res_key r.res_seed
+                  (Rio.Engine.stop_reason_to_string r.res_reason))
+           results
+      && (List.sort compare pooled = List.sort compare sequential
+         || QCheck.Test.fail_report "outputs differ from sequential service")
+      && (chaos <> None
+         || List.for_all
+              (fun (r : Rio.Pool.result) ->
+                let i = Hashtbl.find rank r.res_id in
+                r.res_home = i mod domains
+                || QCheck.Test.fail_reportf
+                     "request %d, admitted %dth, homed on worker %d" r.res_id
+                     i r.res_home)
+              results))
+
+(* ------------------------------------------------------------------ *)
 (* Bundle overrides reach the booted instances                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -766,5 +921,6 @@ let () =
           Alcotest.test_case "drain_and_reload keeps serving" `Slow
             reload_case;
           QCheck_alcotest.to_alcotest hook_raise_never_hangs;
+          QCheck_alcotest.to_alcotest interleavings_agree;
         ] );
     ]

@@ -206,27 +206,27 @@ let all_groups =
 let test_report_all_groups () =
   Alcotest.(check string) "core, cache, opt, spec and faults"
     {|blocks built:        3
-traces built:        72
+traces built:        70
 fragments deleted:   24
 fragments replaced:  28
 context switches:    11
 ibl lookups:         34
 ibl misses:          35
 direct links:        13
-unlinks:             75
+unlinks:             73
 clean calls:         8
 bb cache bytes:      5
 trace cache bytes:   6
-head promotions:     71
-signals delivered:   63
+head promotions:     69
+signals delivered:   61
 runtime cycles:      59
-sideline cycles:     62
+sideline cycles:     60
 cache flushes:       7
 bb entries:          14
 trace entries:       15
 evictions:           17
 evicted bytes:       16
-traces dropped:      73
+traces dropped:      71
 full-flush fallbacks: 32
 free-list holes:     30
 free-list free bytes: 29
@@ -242,13 +242,13 @@ stores removed:      46
 dead writes removed: 40
 checks simplified:   37
 flag saves elided:   41
-traces reoptimized:  74
-speculative traces:  68
-indirect guards:     67
-const-load guards:   66
-exit biases:         65
-guard violations:    69
-despeculations:      64
+traces reoptimized:  72
+speculative traces:  66
+indirect guards:     65
+const-load guards:   64
+exit biases:         63
+guard violations:    67
+despeculations:      62
 replaces skipped:    45
 faults injected:     21 (corrupt 18, link 22, hook 20, signal 23)
 faults detected:     19
@@ -258,7 +258,7 @@ audits run:          2
 audit fragments:     1
 hook failures:       33
 clients quarantined: 9
-spurious sigs dropped: 70
+spurious sigs dropped: 68
 deadline preempts:   12
 |}
     (report all_groups)
@@ -266,27 +266,27 @@ deadline preempts:   12
 let test_report_defaults () =
   Alcotest.(check string) "core and cache only"
     {|blocks built:        3
-traces built:        72
+traces built:        70
 fragments deleted:   24
 fragments replaced:  28
 context switches:    11
 ibl lookups:         34
 ibl misses:          35
 direct links:        13
-unlinks:             75
+unlinks:             73
 clean calls:         8
 bb cache bytes:      5
 trace cache bytes:   6
-head promotions:     71
-signals delivered:   63
+head promotions:     69
+signals delivered:   61
 runtime cycles:      59
-sideline cycles:     62
+sideline cycles:     60
 cache flushes:       7
 bb entries:          14
 trace entries:       15
 evictions:           17
 evicted bytes:       16
-traces dropped:      73
+traces dropped:      71
 full-flush fallbacks: 32
 free-list holes:     30
 free-list free bytes: 29

@@ -210,6 +210,49 @@ let prop_disasm_parse_roundtrip =
             | _ -> QCheck2.Test.fail_reportf "unexpected item shape for %S" text)
       end)
 
+(* The disassembly of every suite program, pinned: [parse (disasm i)]
+   reads this text back, so a change to the decoder or the printer
+   that moves it moves these digests.  (program, MD5 of its lines) *)
+let golden_disasm =
+  [
+    ("gzip", "47277b1be382ef29ab639dc31cb410d7");
+    ("vpr", "d56c7785d236cc597d975d18d5913d4c");
+    ("parser", "2c8fc00ae3d13d982c991d0c17fd0a23");
+    ("gcc", "d1d98be5650c5ab10ebb7344468a251d");
+    ("mcf", "14b4c94764c19770c0963ae1a3063e77");
+    ("crafty", "f4b867112c79caaf3884ab4cb10465cc");
+    ("eon", "d87a5cfa7305724795902b038ae1d60b");
+    ("perlbmk", "90d587ba09a767a3c6cac54a1491e340");
+    ("gap", "f6cb8209c18fd682d18ec53edf0158c9");
+    ("vortex", "cbb9f9de628472043c19f553723b28a1");
+    ("bzip2", "861e9af0ce8c7dd12d0ef9d26507ac59");
+    ("twolf", "7f1bb6d0c4d24859bfb56b0f64923165");
+    ("wupwise", "c727d24c86351da376ecbc93d1e479aa");
+    ("swim", "34d4470867df711bac42a18f9e1f4012");
+    ("mgrid", "258555bd53fbe933384b97391477e4da");
+    ("applu", "bbbf733e0955ace85ffd08792e099e85");
+    ("mesa", "1e0b67b44be9e166577f7e50e58e9de6");
+    ("art", "72ddc25decb0a4a570fe976bde454de4");
+    ("equake", "fdef8f4b22b12758ee45708b5698013c");
+    ("ammp", "1bc23c90a9716a70cd3479f8b6c7725b");
+  ]
+
+let test_disasm_digests () =
+  let bad = ref [] in
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let image = Asm.Assemble.assemble w.program in
+      let base = image.Asm.Image.text_base in
+      let fetch a = Char.code (Bytes.get image.text (a - base)) in
+      let lines = Isa.Disasm.region fetch ~pc:base ~len:(Bytes.length image.text) in
+      let d = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+      if List.assoc_opt w.name golden_disasm <> Some d then
+        bad := Printf.sprintf "(%S, %S);" w.name d :: !bad)
+    Workloads.Suite.all;
+  if !bad <> [] then
+    Alcotest.failf "disassembly digests moved; actual:\n%s"
+      (String.concat "\n" (List.rev !bad))
+
 let () =
   Alcotest.run "asm-parse"
     [
@@ -223,4 +266,5 @@ let () =
           Alcotest.test_case "errors" `Quick test_errors;
           QCheck_alcotest.to_alcotest prop_disasm_parse_roundtrip;
         ] );
+      ("disasm", [ Alcotest.test_case "20 programs" `Quick test_disasm_digests ]);
     ]

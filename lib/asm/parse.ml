@@ -199,95 +199,45 @@ let resolve env = function O_plain o -> o | O_labelled f -> f env
 let cond_of_suffix (s : string) : Cond.t option =
   List.find_opt (fun c -> Cond.name c = s) Cond.all
 
-let freg_arg line env (o : raw_operand) : Reg.F.t =
-  match resolve env o with
-  | Operand.Freg f -> f
-  | _ -> perr line "expected an FP register"
+(* Every mnemonic but the direct CTIs (parsed as branches, below) and
+   the runtime-reserved ccall names its opcode; [li] is a pseudo-op
+   that loads a label address or an immediate with [mov]. *)
+let opcode_of_mnemonic : (string, Opcode.t) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Encoding_spec.form) ->
+      match r.opcode with
+      | Jmp | Jcc _ | Call | Ccall -> ()
+      | op -> Hashtbl.replace t (Opcode.name op) op)
+    Encoding_spec.forms;
+  Hashtbl.replace t "li" Opcode.Mov;
+  t
+
+(* explicit operand [k] of [op] is an FP register in every form *)
+let fp_only op k =
+  Array.for_all
+    (fun (r : Encoding_spec.form) ->
+      match r.fields.(k) with Reg_fp | Rm_fp -> true | _ -> false)
+    (Encoding_spec.forms_of op)
 
 let parse_instr line (mnemonic : string) (ops : raw_operand list) :
     (Ast.env -> Insn.t) =
-  let n_ops = List.length ops in
-  let op k env = resolve env (List.nth ops k) in
-  let need n =
-    if n_ops <> n then perr line "%s expects %d operand(s), got %d" mnemonic n n_ops
+  let op =
+    match Hashtbl.find_opt opcode_of_mnemonic mnemonic with
+    | Some op -> op
+    | None -> perr line "unknown mnemonic %S" mnemonic
   in
-  let unary mk =
-    need 1;
-    fun env -> mk (op 0 env)
+  let n = Insn.arity op and n_ops = List.length ops in
+  if n_ops <> n then perr line "%s expects %d operand(s), got %d" mnemonic n n_ops;
+  let arg k env =
+    if k >= n then Insn.no_operand
+    else
+      match resolve env (List.nth ops k) with
+      | Operand.Freg _ as x -> x
+      | _ when fp_only op k -> perr line "expected an FP register"
+      | x -> x
   in
-  let binary mk =
-    need 2;
-    fun env -> mk (op 0 env) (op 1 env)
-  in
-  let fp_binary mk =
-    need 2;
-    fun env -> mk (freg_arg line env (List.nth ops 0)) (op 1 env)
-  in
-  let fp_unary mk =
-    need 1;
-    fun env -> mk (freg_arg line env (List.nth ops 0))
-  in
-  match mnemonic with
-  | "mov" -> binary Insn.mk_mov
-  | "li" ->
-      (* pseudo: load a label/imm into a register *)
-      binary (fun d s -> Insn.mk_mov d s)
-  | "movzx8" -> binary Insn.mk_movzx8
-  | "movzx16" -> binary Insn.mk_movzx16
-  | "lea" -> binary Insn.mk_lea
-  | "push" -> unary Insn.mk_push
-  | "pop" -> unary Insn.mk_pop
-  | "xchg" -> binary Insn.mk_xchg
-  | "pushf" -> need 0; fun _ -> Insn.mk_pushf ()
-  | "popf" -> need 0; fun _ -> Insn.mk_popf ()
-  | "add" -> binary Insn.mk_add
-  | "adc" -> binary Insn.mk_adc
-  | "sub" -> binary Insn.mk_sub
-  | "sbb" -> binary Insn.mk_sbb
-  | "and" -> binary Insn.mk_and
-  | "or" -> binary Insn.mk_or
-  | "xor" -> binary Insn.mk_xor
-  | "imul" -> binary Insn.mk_imul
-  | "inc" -> unary Insn.mk_inc
-  | "dec" -> unary Insn.mk_dec
-  | "neg" -> unary Insn.mk_neg
-  | "not" -> unary Insn.mk_not
-  | "cmp" -> binary Insn.mk_cmp
-  | "test" -> binary Insn.mk_test
-  | "idiv" -> unary Insn.mk_idiv
-  | "shl" -> binary Insn.mk_shl
-  | "shr" -> binary Insn.mk_shr
-  | "sar" -> binary Insn.mk_sar
-  | "ret" -> need 0; fun _ -> Insn.mk_ret ()
-  | "nop" -> need 0; fun _ -> Insn.mk_nop ()
-  | "hlt" -> need 0; fun _ -> Insn.mk_hlt ()
-  | "out" -> unary Insn.mk_out
-  | "in" -> unary Insn.mk_in
-  | "jmp*" -> unary Insn.mk_jmp_ind
-  | "call*" -> unary Insn.mk_call_ind
-  | "fld" -> fp_binary Insn.mk_fld
-  | "fst" ->
-      need 2;
-      fun env -> Insn.mk_fst (op 0 env) (freg_arg line env (List.nth ops 1))
-  | "fmov" ->
-      need 2;
-      fun env ->
-        Insn.mk_fmov
-          (freg_arg line env (List.nth ops 0))
-          (freg_arg line env (List.nth ops 1))
-  | "fadd" -> fp_binary Insn.mk_fadd
-  | "fsub" -> fp_binary Insn.mk_fsub
-  | "fmul" -> fp_binary Insn.mk_fmul
-  | "fdiv" -> fp_binary Insn.mk_fdiv
-  | "fabs" -> fp_unary Insn.mk_fabs
-  | "fneg" -> fp_unary Insn.mk_fneg
-  | "fsqrt" -> fp_unary Insn.mk_fsqrt
-  | "fcmp" -> fp_binary Insn.mk_fcmp
-  | "cvtsi" -> fp_binary Insn.mk_cvtsi
-  | "cvtfi" ->
-      need 2;
-      fun env -> Insn.mk_cvtfi (op 0 env) (freg_arg line env (List.nth ops 1))
-  | _ -> perr line "unknown mnemonic %S" mnemonic
+  fun env -> Insn.of_explicit op (arg 0 env) (arg 1 env)
 
 (* branch mnemonics take a bare label or a numeric absolute address *)
 let parse_branch line (mnemonic : string) (ops : string list) :

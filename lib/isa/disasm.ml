@@ -2,44 +2,19 @@
     and raw byte ranges.  Used by examples, debugging output, and the
     Figure-2 reproduction. *)
 
-(** Render one instruction.  Implicit operands are suppressed, direct
-    targets are printed as absolute hex addresses (matching how they
-    are stored in the operand). *)
+(** Render one instruction: its explicit operands ({!Insn.explicit}),
+    dst first (AT&T would be src first, but dst-first reads better
+    alongside the paper's figures, which also print "operands ->
+    destination").  Direct targets are printed as absolute hex
+    addresses, matching how they are stored in the operand. *)
 let insn_to_string (i : Insn.t) : string =
   let b = Buffer.create 32 in
   if i.prefixes land Insn.prefix_lock <> 0 then Buffer.add_string b "lock ";
   Buffer.add_string b (Opcode.name i.opcode);
-  let operand o = Fmt.str "%a" Operand.pp o in
-  let explicit =
-    (* reconstruct the explicit operand list, dst first (AT&T would be
-       src first, but dst-first reads better alongside the paper's
-       figures, which also print "operands -> destination") *)
-    match i.opcode with
-    | Mov | Movzx8 | Movzx16 | Lea | Cvtsi | Cvtfi | Fld ->
-        [ operand i.dsts.(0); operand i.srcs.(0) ]
-    | Fst -> [ operand i.dsts.(0); operand i.srcs.(0) ]
-    | Fmov -> [ operand i.dsts.(0); operand i.srcs.(0) ]
-    | Add | Adc | Sub | Sbb | And | Or | Xor | Imul
-    | Fadd | Fsub | Fmul | Fdiv ->
-        [ operand i.dsts.(0); operand i.srcs.(0) ]
-    | Shl | Shr | Sar -> [ operand i.dsts.(0); operand i.srcs.(0) ]
-    | Cmp | Test | Fcmp -> [ operand i.srcs.(0); operand i.srcs.(1) ]
-    | Inc | Dec | Neg | Not | Fabs | Fneg | Fsqrt -> [ operand i.dsts.(0) ]
-    | Idiv -> [ operand i.srcs.(0) ]
-    | Push -> [ operand i.srcs.(0) ]
-    | Pop | In -> [ operand i.dsts.(0) ]
-    | Out -> [ operand i.srcs.(0) ]
-    | Xchg -> [ operand i.dsts.(0); operand i.dsts.(1) ]
-    | Jmp | Jcc _ | Call -> [ operand i.srcs.(0) ]
-    | JmpInd | CallInd -> [ operand i.srcs.(0) ]
-    | Ccall -> [ operand i.srcs.(0) ]
-    | Ret | Nop | Hlt | Pushf | Popf -> []
-  in
-  (match explicit with
-   | [] -> ()
-   | ops ->
-       Buffer.add_char b ' ';
-       Buffer.add_string b (String.concat ", " ops));
+  for k = 0 to Insn.arity i.opcode - 1 do
+    Buffer.add_string b (if k = 0 then " " else ", ");
+    Buffer.add_string b (Fmt.str "%a" Operand.pp (Insn.explicit i k))
+  done;
   Buffer.contents b
 
 let pp_insn ppf i = Fmt.string ppf (insn_to_string i)

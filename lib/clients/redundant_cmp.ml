@@ -11,7 +11,8 @@
     - no instruction writes any eflags (the duplicate's only effect is
       recomputing what is already there), and
     - none of its source registers or memory operands may have changed
-      (same conservative aliasing discipline as {!Rlr}), and
+      ({!Rio.Flags_analysis.may_write_mem}, the alias rule redundant
+      load removal uses), and
     - no clean call intervenes (the host may do anything).
 
     Exit CTIs {e are} permitted in between — they only read flags — which
@@ -40,33 +41,20 @@ let same_comparison (a : Rio.Instr.t) (b : Rio.Instr.t) =
 (* does [i] possibly invalidate the comparison's inputs? *)
 let clobbers_inputs (cmp_srcs : Operand.t list) (i : Rio.Instr.t) =
   let insn = Rio.Instr.get_insn i in
-  let regs_needed =
-    List.concat_map Operand.regs_used cmp_srcs
-    |> List.sort_uniq Reg.compare
-  in
-  let mems_needed = List.filter_map (function Operand.Mem m -> Some m | _ -> None) cmp_srcs in
+  (* the dsts include implicit ones: a push or pop names esp *)
   let writes_reg r =
     Array.exists
       (function Operand.Reg r' -> Reg.equal r r' | _ -> false)
       insn.Insn.dsts
-    || (Opcode.implicit_stack_read insn.Insn.opcode
-        || Opcode.implicit_stack_write insn.Insn.opcode)
-       && Reg.equal r Reg.Esp
   in
-  let may_write_mem (m : Operand.mem) =
-    Array.exists
-      (function
-        | Operand.Mem m' -> Rlr.may_alias m' 8 m 4
-        | _ -> false)
-      insn.Insn.dsts
-    || Opcode.implicit_stack_write insn.Insn.opcode
-       (* pushes write stack memory: conservatively clobber esp-based
-          and unknown-base facts *)
-       && List.exists (fun r -> Reg.equal r Reg.Esp) (Operand.mem_regs m)
+  let clobbers (o : Operand.t) =
+    List.exists writes_reg (Operand.regs_used o)
+    ||
+    match o with
+    | Operand.Mem m -> Rio.Flags_analysis.may_write_mem insn m 4
+    | _ -> false
   in
-  insn.Insn.opcode = Opcode.Ccall
-  || List.exists writes_reg regs_needed
-  || List.exists may_write_mem mems_needed
+  insn.Insn.opcode = Opcode.Ccall || List.exists clobbers cmp_srcs
 
 let optimize_il (t : t) (il : Rio.Instrlist.t) =
   Rio.Instrlist.split_bundles il;

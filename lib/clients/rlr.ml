@@ -6,212 +6,48 @@
     [gcc -O3], and especially across basic-block boundaries, which a
     trace's linear view exposes.
 
-    The analysis is a single forward scan maintaining facts
+    The analysis is the core load pass, {!Rio.Opt.remove_redundant_loads},
+    with constant facts off: a single forward scan maintaining facts
     "register r currently holds the value of memory operand M":
 
     - [mov r, M] with a live fact [r' = M] → rewrite to [mov r, r']
       (or delete when [r = r']); likewise [fld f, M] → [fmov f, f'].
-    - any store invalidates facts whose address may alias the target
-      (same-base/index operands are disjoint when displacement ranges
-      cannot overlap; everything else conservatively aliases);
+    - any memory write kills the facts it may alias: same-base/index
+      operands are disjoint when displacement ranges cannot overlap;
+      everything else conservatively aliases — including the word a
+      push or call writes at [esp-4], which a slot off another base may
+      be;
     - overwriting a register kills facts holding it or using it in an
-      address; esp writes (push/pop/call) kill esp-based facts;
+      address — esp included, which push/pop/call/ret write implicitly,
+      so every esp-based fact dies with them;
     - clean calls kill everything (the host may mutate state).
 
     Loads and moves touch no eflags, so rewrites are always flag-safe. *)
 
-open Isa
 open Rio.Types
 
-type fact =
-  | Gpr_holds of Reg.t * Operand.mem * int   (* reg = [mem], width bytes *)
-  | Fpr_holds of Reg.F.t * Operand.mem * int
-
-type state = { mutable facts : fact list; mutable removed : int; mutable rewritten : int }
-
-(* conservative alias test between a written mem (width wa) and a fact mem *)
-let may_alias (a : Operand.mem) wa (b : Operand.mem) wb =
-  let same_index =
-    Option.equal (fun (r1, s1) (r2, s2) -> Reg.equal r1 r2 && s1 = s2) a.index b.index
-  in
-  let same_base = Option.equal Reg.equal a.base b.base in
-  if same_base && same_index then
-    (* identical address expressions modulo displacement *)
-    not (a.disp + wa <= b.disp || b.disp + wb <= a.disp)
-  else true (* different bases may point anywhere *)
-
-let fact_mem = function Gpr_holds (_, m, w) -> (m, w) | Fpr_holds (_, m, w) -> (m, w)
-
-let kill_aliasing st (m : Operand.mem) w =
-  st.facts <-
-    List.filter
-      (fun f ->
-        let fm, fw = fact_mem f in
-        not (may_alias m w fm fw))
-      st.facts
-
-let kill_reg st (r : Reg.t) =
-  st.facts <-
-    List.filter
-      (fun f ->
-        match f with
-        | Gpr_holds (h, m, _) ->
-            (not (Reg.equal h r))
-            && not (List.exists (Reg.equal r) (Operand.mem_regs m))
-        | Fpr_holds (_, m, _) -> not (List.exists (Reg.equal r) (Operand.mem_regs m)))
-      st.facts
-
-let kill_freg st (f : Reg.F.t) =
-  st.facts <-
-    List.filter
-      (function Fpr_holds (h, _, _) -> not (Reg.F.equal h f) | Gpr_holds _ -> true)
-      st.facts
-
-let kill_all st = st.facts <- []
-
-let find_gpr st (m : Operand.mem) w =
-  List.find_map
-    (function
-      | Gpr_holds (r, fm, fw) when fw = w && Operand.equal_mem fm m -> Some r
-      | _ -> None)
-    st.facts
-
-let find_fpr st (m : Operand.mem) =
-  List.find_map
-    (function
-      | Fpr_holds (f, fm, 8) when Operand.equal_mem fm m -> Some f
-      | _ -> None)
-    st.facts
-
-let add_fact st f = st.facts <- f :: st.facts
-
-(* Apply the generic state updates for one (possibly rewritten) instr. *)
-let update_state st (i : Rio.Instr.t) =
-  let insn = Rio.Instr.get_insn i in
-  (* memory writes *)
-  Array.iter
-    (fun d ->
-      match d with
-      | Operand.Mem m ->
-          let w = if Opcode.is_fp insn.Insn.opcode then 8 else 4 in
-          kill_aliasing st m w
-      | _ -> ())
-    insn.Insn.dsts;
-  (* implicit stack writes *)
-  if Opcode.implicit_stack_write insn.Insn.opcode then begin
-    (* the pushed slot may alias any esp-based fact; esp also changes *)
-    st.facts <-
-      List.filter
-        (fun f ->
-          let m, _ = fact_mem f in
-          not (List.exists (Reg.equal Reg.Esp) (Operand.mem_regs m)))
-        st.facts
-  end;
-  if Opcode.implicit_stack_read insn.Insn.opcode then
-    (* esp changes: esp-based facts shift meaning *)
-    st.facts <-
-      List.filter
-        (fun f ->
-          let m, _ = fact_mem f in
-          not (List.exists (Reg.equal Reg.Esp) (Operand.mem_regs m)))
-        st.facts;
-  (* register overwrites *)
-  Array.iter
-    (fun d ->
-      match d with
-      | Operand.Reg r -> kill_reg st r
-      | Operand.Freg f -> kill_freg st f
-      | _ -> ())
-    insn.Insn.dsts;
-  if insn.Insn.opcode = Opcode.Ccall then kill_all st
-
-let optimize_il (il : Rio.Instrlist.t) (st : state) =
+(** Decode the trace to Level 3, so no undecoded bundle hides a load,
+    and run the load pass over it. *)
+let optimize_il (c : Rio.Opt.counters) (il : Rio.Instrlist.t) =
   Rio.Instrlist.decode_to il Rio.Level.L3;
-  let rec go = function
-    | None -> ()
-    | Some (i : Rio.Instr.t) ->
-        let nxt = i.Rio.Instr.next in
-        let insn = Rio.Instr.get_insn i in
-        (match (insn.Insn.opcode, insn.Insn.dsts, insn.Insn.srcs) with
-         (* pure 32-bit load *)
-         | Opcode.Mov, [| Operand.Reg r |], [| Operand.Mem m |] -> (
-             match find_gpr st m 4 with
-             | Some r' ->
-                 if Reg.equal r r' then begin
-                   Rio.Instrlist.remove il i;
-                   st.removed <- st.removed + 1
-                 end
-                 else begin
-                   Rio.Instr.set_insn i (Insn.mk_mov (Operand.Reg r) (Operand.Reg r'));
-                   st.rewritten <- st.rewritten + 1;
-                   kill_reg st r;
-                   if not (List.exists (Reg.equal r) (Operand.mem_regs m)) then
-                     add_fact st (Gpr_holds (r, m, 4))
-                 end
-             | None ->
-                 kill_reg st r;
-                 (* a load whose address uses the destination register
-                    cannot be remembered: the address changes with r *)
-                 if not (List.exists (Reg.equal r) (Operand.mem_regs m)) then
-                   add_fact st (Gpr_holds (r, m, 4)))
-         (* 32-bit store: register now mirrors the slot *)
-         | Opcode.Mov, [| Operand.Mem m |], [| Operand.Reg r |] ->
-             kill_aliasing st m 4;
-             add_fact st (Gpr_holds (r, m, 4))
-         (* FP load *)
-         | Opcode.Fld, [| Operand.Freg f |], [| Operand.Mem m |] -> (
-             match find_fpr st m with
-             | Some f' ->
-                 if Reg.F.equal f f' then begin
-                   Rio.Instrlist.remove il i;
-                   st.removed <- st.removed + 1
-                 end
-                 else begin
-                   Rio.Instr.set_insn i (Insn.mk_fmov f f');
-                   st.rewritten <- st.rewritten + 1;
-                   kill_freg st f;
-                   add_fact st (Fpr_holds (f, m, 8))
-                 end
-             | None ->
-                 kill_freg st f;
-                 add_fact st (Fpr_holds (f, m, 8)))
-         (* FP store *)
-         | Opcode.Fst, [| Operand.Mem m |], [| Operand.Freg f |] ->
-             kill_aliasing st m 8;
-             add_fact st (Fpr_holds (f, m, 8))
-         | _ -> update_state st i);
-        go nxt
-  in
-  st.facts <- [];
-  go (Rio.Instrlist.first il)
-
-(* ------------------------------------------------------------------ *)
+  Rio.Opt.remove_redundant_loads ~consts:false c il
 
 (** Build a fresh client record.  All counters live in the closure, so
     instances on different worker domains never share state.  Only the
     trace hook is registered: like most client optimizations, RLR
     restricts itself to hot code (§3.3). *)
 let make () : client =
-  let total_removed = ref 0 in
-  let total_rewritten = ref 0 in
-  let st = { facts = []; removed = 0; rewritten = 0 } in
+  let c = Rio.Opt.fresh_counters () in
   {
     null_client with
     name = "rlr";
     init =
       (fun _ ->
-        total_removed := 0;
-        total_rewritten := 0);
-    trace_hook =
-      Some
-        (fun _ctx ~tag:_ il ->
-          st.removed <- 0;
-          st.rewritten <- 0;
-          optimize_il il st;
-          total_removed := !total_removed + st.removed;
-          total_rewritten := !total_rewritten + st.rewritten);
+        c.loads_removed <- 0;
+        c.loads_rewritten <- 0);
+    trace_hook = Some (fun _ctx ~tag:_ il -> optimize_il c il);
     exit_hook =
       (fun rt ->
         Rio.Api.printf rt "rlr: removed %d loads, rewrote %d to register moves\n"
-          !total_removed !total_rewritten);
+          c.loads_removed c.loads_rewritten);
   }

@@ -190,27 +190,14 @@ let one_byte, two_byte =
     forms;
   (one, two)
 
-(* A dense opcode index for the per-opcode form arrays: a match, so
-   the lookup is a jump table. *)
-let opcode_index : Opcode.t -> int = function
-  | Mov -> 0 | Movzx8 -> 1 | Movzx16 -> 2 | Lea -> 3 | Push -> 4 | Pop -> 5
-  | Xchg -> 6 | Pushf -> 7 | Popf -> 8 | Add -> 9 | Adc -> 10 | Sub -> 11
-  | Sbb -> 12 | Inc -> 13 | Dec -> 14 | Neg -> 15 | Cmp -> 16 | Imul -> 17
-  | Idiv -> 18 | And -> 19 | Or -> 20 | Xor -> 21 | Not -> 22 | Test -> 23
-  | Shl -> 24 | Shr -> 25 | Sar -> 26 | Jmp -> 27 | JmpInd -> 28 | Call -> 29
-  | CallInd -> 30 | Ret -> 31 | Fld -> 32 | Fst -> 33 | Fmov -> 34 | Fadd -> 35
-  | Fsub -> 36 | Fmul -> 37 | Fdiv -> 38 | Fabs -> 39 | Fneg -> 40 | Fsqrt -> 41
-  | Fcmp -> 42 | Cvtsi -> 43 | Cvtfi -> 44 | Nop -> 45 | Hlt -> 46 | Out -> 47
-  | In -> 48 | Ccall -> 49 | Jcc c -> 50 + Cond.number c
-
 let by_opcode =
-  let a = Array.make 66 [||] in
+  let a = Array.make Opcode.count [||] in
   List.iter
     (fun r ->
-      let k = opcode_index r.opcode in
+      let k = Opcode.index r.opcode in
       a.(k) <- Array.append a.(k) [| r |])
     forms;
   a
 
 (** The forms of an opcode, most compact first. *)
-let forms_of op = by_opcode.(opcode_index op)
+let forms_of op = by_opcode.(Opcode.index op)

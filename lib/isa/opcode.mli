@@ -1,7 +1,9 @@
-(** SynISA opcodes and their static metadata: eflags effects and
-    control-flow classification.  [Ccall] is reserved for the runtime
-    (clean calls emitted into code caches); application code never
-    contains it. *)
+(** SynISA opcodes and their static metadata: one effects row per
+    opcode holding its name, eflags effects, control-flow kind,
+    implicit stack traffic, effect class, memory-operand width and base
+    cycles on both processor families.  [Ccall] is reserved for the
+    runtime (clean calls emitted into code caches); application code
+    never contains it. *)
 
 type t =
   | Mov
@@ -56,8 +58,20 @@ type t =
   | In
   | Ccall
 
-val name : t -> string
 val equal : t -> t -> bool
+
+val count : int
+(** The number of opcodes, each [Jcc] condition counted: 66. *)
+
+val index : t -> int
+(** A dense index, [0] to [count - 1], for per-opcode arrays. *)
+
+(** {2 The effects row}
+
+    Each accessor is one jump table and one array read, and allocates
+    nothing. *)
+
+val name : t -> string
 val pp : Format.formatter -> t -> unit
 
 val eflags : t -> Eflags.mask
@@ -75,6 +89,17 @@ type cti_kind =
   | Cti_halt
 
 val cti_kind : t -> cti_kind
+
+val mem_width : t -> int
+(** Bytes a memory operand moves: 8 for the FP opcodes, 4 otherwise. *)
+
+val p4_cycles : t -> int
+val p3_cycles : t -> int
+(** Base execution cycles on the Pentium 4 and the Pentium 3, excluding
+    memory-operand and branch-resolution extras. *)
+
+(** {2 Derived predicates} *)
+
 val is_cti : t -> bool
 
 val is_indirect_cti : t -> bool
@@ -82,6 +107,20 @@ val is_indirect_cti : t -> bool
     out of a code cache ([jmp*], [call*], [ret]). *)
 
 val is_call : t -> bool
+
 val implicit_stack_read : t -> bool
 val implicit_stack_write : t -> bool
-val is_fp : t -> bool
+(** Memory read or written at [%esp] beyond the Mem operands ([pop],
+    [ret]; [push], [call]), moving [%esp]. *)
+
+val touches_stack : t -> bool
+(** Either of the two: the opcode moves [%esp]. *)
+
+val side_effect_free : t -> bool
+(** The only effects are the declared register, memory-operand and flag
+    writes: no stack traffic, control transfer, fault, I/O or runtime
+    call.  Dead-write elimination may delete these. *)
+
+val is_barrier : t -> bool
+(** Effects no liveness transfer summarises: control transfers, port
+    I/O and runtime calls ([ccall], [hlt]). *)

@@ -134,16 +134,11 @@ let operand_uses (o : Operand.t) =
   | Operand.Imm _ | Operand.Target _ -> (0, 0)
 
 (* Instructions whose effects the transfer function cannot summarise
-   precisely: treat as "everything live" barriers.  CTIs leave the
-   fragment; clean calls run arbitrary host code; in/out touch the
-   machine's ports; hlt ends the program (conservatively live, matching
-   {!dead_after}'s end-of-list rule). *)
-let is_barrier (i : Instr.t) =
-  Instr.is_cti i
-  ||
-  match Instr.get_opcode i with
-  | Opcode.Ccall | Opcode.In | Opcode.Out | Opcode.Hlt -> true
-  | _ -> false
+   precisely are "everything live" barriers ({!Opcode.is_barrier}).
+   CTIs leave the fragment; clean calls run arbitrary host code; in/out
+   touch the machine's ports; hlt ends the program (conservatively
+   live, matching {!dead_after}'s end-of-list rule). *)
+let is_barrier (i : Instr.t) = Opcode.is_barrier (Instr.get_opcode i)
 
 (* live-before from live-after for one instruction *)
 let transfer (i : Instr.t) (after : live) : live =
@@ -211,7 +206,26 @@ let may_alias (a : Operand.mem) wa (b : Operand.mem) wb =
     not (a.Operand.disp + wa <= b.Operand.disp || b.Operand.disp + wb <= a.Operand.disp)
   else true
 
-(* does executing [i] change any register an address expression uses? *)
+(* the word an implicit stack write (push, pushf, call) stores *)
+let pushed_slot = { Operand.base = Some Reg.Esp; index = None; disp = -4 }
+
+(** [may_write_mem insn m w] — may executing [insn] write memory that a
+    [w]-byte access at [m] overlaps?  Counts its Mem destinations, each
+    {!Opcode.mem_width} bytes wide, and an implicit stack write: the
+    word at [esp-4], which a slot addressed off any other base may
+    be. *)
+let may_write_mem (insn : Isa.Insn.t) (m : Operand.mem) (w : int) : bool =
+  let op = insn.Isa.Insn.opcode in
+  (Opcode.implicit_stack_write op && may_alias pushed_slot 4 m w)
+  || Array.exists
+       (fun (d : Operand.t) ->
+         match d with
+         | Operand.Mem dm -> may_alias dm (Opcode.mem_width op) m w
+         | _ -> false)
+       insn.Isa.Insn.dsts
+
+(* does executing [i] change any register an address expression uses?
+   (the dsts include implicit ones: a push or pop names esp) *)
 let writes_addr_reg (insn : Isa.Insn.t) (m : Operand.mem) =
   let addr_regs = Operand.mem_regs m in
   Array.exists
@@ -220,9 +234,6 @@ let writes_addr_reg (insn : Isa.Insn.t) (m : Operand.mem) =
       | Operand.Reg r -> List.exists (Reg.equal r) addr_regs
       | _ -> false)
     insn.Isa.Insn.dsts
-  || (Opcode.implicit_stack_read insn.Isa.Insn.opcode
-      || Opcode.implicit_stack_write insn.Isa.Insn.opcode)
-     && List.exists (Reg.equal Reg.Esp) addr_regs
 
 (** [store_dead_after ~mem ~width start] — true when the [width]-byte
     store to [mem] is provably dead at the program point before
@@ -241,43 +252,34 @@ let store_dead_after ~(mem : Operand.mem) ~(width : int) (start : Instr.t option
         else
           let insn = Instr.get_insn i in
           let op = insn.Isa.Insn.opcode in
-          if Opcode.implicit_stack_read op || Opcode.implicit_stack_write op
-          then false (* esp-relative access may alias anything esp-based *)
+          if Opcode.touches_stack op then
+            false (* esp-relative access may alias anything esp-based *)
           else if
             (* any aliasing memory read observes the store *)
             Array.exists
               (fun (s : Operand.t) ->
                 match s with
-                | Operand.Mem m ->
-                    let w = if Opcode.is_fp op then 8 else 4 in
-                    may_alias m w mem width
+                | Operand.Mem m -> may_alias m (Opcode.mem_width op) mem width
                 | _ -> false)
               insn.Isa.Insn.srcs
           then false
-          else
-            (* an exactly-covering store kills it; a partial aliasing
-               write is conservatively an observation *)
-            let verdict =
-              Array.fold_left
-                (fun acc (d : Operand.t) ->
-                  match (acc, d) with
-                  | (Some _ as v), _ -> v
-                  | None, Operand.Mem m ->
-                      let w = if Opcode.is_fp op then 8 else 4 in
-                      if
-                        Operand.equal_mem m mem && w >= width
-                        && not (writes_addr_reg insn mem)
-                      then Some true
-                      else if may_alias m w mem width then Some false
-                      else None
-                  | None, _ -> None)
-                None insn.Isa.Insn.dsts
-            in
-            match verdict with
-            | Some dead -> dead
-            | None ->
-                (* writing an address register changes what [mem] means
-                   downstream: stop, conservatively observed *)
-                if writes_addr_reg insn mem then false else go i.Instr.next
+          else if
+            (* an exactly-covering store kills it *)
+            Opcode.mem_width op >= width
+            && Array.exists
+                 (fun (d : Operand.t) ->
+                   match d with
+                   | Operand.Mem m -> Operand.equal_mem m mem
+                   | _ -> false)
+                 insn.Isa.Insn.dsts
+            && not (writes_addr_reg insn mem)
+          then true
+          else if
+            (* a partial aliasing write is conservatively an observation;
+               writing an address register changes what [mem] means
+               downstream *)
+            may_write_mem insn mem width || writes_addr_reg insn mem
+          then false
+          else go i.Instr.next
   in
   go start

@@ -235,28 +235,30 @@ let strength_reduce ~(family : Vm.Cost.family) (c : counters)
 (* ------------------------------------------------------------------ *)
 
 (* Forward facts "register r (or FP register f) currently holds the
-   value of memory operand M" plus "M currently holds constant k" —
-   the same analysis the bundled RLR client runs (paper §4.1), here as
-   a core pass so [-O2] gets it without a client.  Loads and moves
-   touch no eflags, so every rewrite is flag-safe. *)
+   value of memory operand M", plus, with [~consts], "M currently holds
+   constant k": redundant load removal (paper §4.1).  [-O2] runs it
+   with constant facts on; the bundled RLR client is this pass with
+   them off.  Every memory write, explicit or implicit, kills the facts
+   {!FA.may_write_mem} says it may overwrite.  Loads and moves touch no
+   eflags, so every rewrite is flag-safe. *)
 type rl_fact =
   | Gpr_holds of Reg.t * Operand.mem * int
   | Fpr_holds of Reg.F.t * Operand.mem * int
   | Mem_const of Operand.mem * int * int  (* mem, value, width *)
 
-let remove_redundant_loads (c : counters) (il : Instrlist.t) : unit =
+let remove_redundant_loads ~consts (c : counters) (il : Instrlist.t) : unit =
   let facts = ref [] in
   let fact_mem = function
     | Gpr_holds (_, m, w) -> (m, w)
     | Fpr_holds (_, m, w) -> (m, w)
     | Mem_const (m, _, w) -> (m, w)
   in
-  let kill_aliasing (m : Operand.mem) w =
+  let kill_written (insn : Insn.t) =
     facts :=
       List.filter
         (fun f ->
           let fm, fw = fact_mem f in
-          not (FA.may_alias m w fm fw))
+          not (FA.may_write_mem insn fm fw))
         !facts
   in
   let kill_reg (r : Reg.t) =
@@ -276,14 +278,6 @@ let remove_redundant_loads (c : counters) (il : Instrlist.t) : unit =
         (function
           | Fpr_holds (h, _, _) -> not (Reg.F.equal h fr)
           | _ -> true)
-        !facts
-  in
-  let kill_esp_based () =
-    facts :=
-      List.filter
-        (fun f ->
-          let m, _ = fact_mem f in
-          not (List.exists (Reg.equal Reg.Esp) (Operand.mem_regs m)))
         !facts
   in
   let find_gpr (m : Operand.mem) w =
@@ -310,21 +304,10 @@ let remove_redundant_loads (c : counters) (il : Instrlist.t) : unit =
       !facts
   in
   let add_fact f = facts := f :: !facts in
-  (* generic state transfer for instructions with no special handling *)
-  let update_state (i : Instr.t) =
-    let insn = Instr.get_insn i in
-    Array.iter
-      (fun d ->
-        match d with
-        | Operand.Mem m ->
-            let w = if Opcode.is_fp insn.Insn.opcode then 8 else 4 in
-            kill_aliasing m w
-        | _ -> ())
-      insn.Insn.dsts;
-    if
-      Opcode.implicit_stack_write insn.Insn.opcode
-      || Opcode.implicit_stack_read insn.Insn.opcode
-    then kill_esp_based ();
+  (* generic state transfer for instructions with no special handling;
+     the dsts include implicit ones, so a push or pop kills esp *)
+  let update_state (insn : Insn.t) =
+    kill_written insn;
     Array.iter
       (fun d ->
         match d with
@@ -339,86 +322,59 @@ let remove_redundant_loads (c : counters) (il : Instrlist.t) : unit =
       else
         let insn = Instr.get_insn i in
         match (insn.Insn.opcode, insn.Insn.dsts, insn.Insn.srcs) with
-        (* pure 32-bit load *)
+        (* pure 32-bit load: delete it, or read the register (else the
+           constant) the slot is known to hold *)
         | Opcode.Mov, [| Operand.Reg r |], [| Operand.Mem m |] -> (
             match find_gpr m 4 with
-            | Some r' ->
-                if Reg.equal r r' then begin
-                  Instrlist.remove il i;
-                  c.loads_removed <- c.loads_removed + 1
-                end
-                else begin
-                  Instr.set_insn i
-                    (Insn.mk_mov (Operand.Reg r) (Operand.Reg r'));
-                  c.loads_rewritten <- c.loads_rewritten + 1;
-                  kill_reg r;
-                  if not (List.exists (Reg.equal r) (Operand.mem_regs m))
-                  then add_fact (Gpr_holds (r, m, 4))
-                end
-            | None -> (
-                match find_const m 4 with
-                | Some k ->
-                    Instr.set_insn i
-                      (Insn.mk_mov (Operand.Reg r) (Operand.Imm k));
-                    c.loads_rewritten <- c.loads_rewritten + 1;
-                    kill_reg r;
-                    if not (List.exists (Reg.equal r) (Operand.mem_regs m))
-                    then add_fact (Gpr_holds (r, m, 4))
-                | None ->
-                    kill_reg r;
-                    (* a load whose address uses its own destination
-                       cannot be remembered: the address changes with r *)
-                    if not (List.exists (Reg.equal r) (Operand.mem_regs m))
-                    then add_fact (Gpr_holds (r, m, 4))))
+            | Some r' when Reg.equal r r' ->
+                Instrlist.remove il i;
+                c.loads_removed <- c.loads_removed + 1
+            | held ->
+                let src =
+                  match held with
+                  | Some r' -> Some (Operand.Reg r')
+                  | None -> Option.map (fun k -> Operand.Imm k) (find_const m 4)
+                in
+                Option.iter
+                  (fun s ->
+                    Instr.set_insn i (Insn.mk_mov (Operand.Reg r) s);
+                    c.loads_rewritten <- c.loads_rewritten + 1)
+                  src;
+                kill_reg r;
+                (* a load whose address uses its own destination cannot
+                   be remembered: the address changes with r *)
+                if not (List.exists (Reg.equal r) (Operand.mem_regs m)) then
+                  add_fact (Gpr_holds (r, m, 4)))
         (* 32-bit store: the register (or constant) mirrors the slot *)
         | Opcode.Mov, [| Operand.Mem m |], [| Operand.Reg r |] ->
-            kill_aliasing m 4;
+            kill_written insn;
             add_fact (Gpr_holds (r, m, 4))
-        | Opcode.Mov, [| Operand.Mem m |], [| Operand.Imm k |] ->
-            kill_aliasing m 4;
+        | Opcode.Mov, [| Operand.Mem m |], [| Operand.Imm k |] when consts ->
+            kill_written insn;
             add_fact (Mem_const (m, k, 4))
         (* FP load *)
         | Opcode.Fld, [| Operand.Freg f |], [| Operand.Mem m |] -> (
             match find_fpr m with
-            | Some f' ->
-                if Reg.F.equal f f' then begin
-                  Instrlist.remove il i;
-                  c.loads_removed <- c.loads_removed + 1
-                end
-                else begin
-                  Instr.set_insn i (Insn.mk_fmov f f');
-                  c.loads_rewritten <- c.loads_rewritten + 1;
-                  kill_freg f;
-                  add_fact (Fpr_holds (f, m, 8))
-                end
-            | None ->
+            | Some f' when Reg.F.equal f f' ->
+                Instrlist.remove il i;
+                c.loads_removed <- c.loads_removed + 1
+            | held ->
+                Option.iter
+                  (fun f' ->
+                    Instr.set_insn i (Insn.mk_fmov f f');
+                    c.loads_rewritten <- c.loads_rewritten + 1)
+                  held;
                 kill_freg f;
                 add_fact (Fpr_holds (f, m, 8)))
         (* FP store *)
         | Opcode.Fst, [| Operand.Mem m |], [| Operand.Freg f |] ->
-            kill_aliasing m 8;
+            kill_written insn;
             add_fact (Fpr_holds (f, m, 8))
-        | _ -> update_state i)
+        | _ -> update_state insn)
 
 (* ------------------------------------------------------------------ *)
 (* Dead-store and dead-write elimination                              *)
 (* ------------------------------------------------------------------ *)
-
-(* Opcodes whose only effects are their declared register/flag writes:
-   removing one cannot change memory, I/O, control flow, or raise a
-   fault ([idiv] can fault on a zero divisor and stays).  Memory
-   destinations are checked separately. *)
-let side_effect_free (op : Opcode.t) : bool =
-  match op with
-  | Opcode.Mov | Opcode.Movzx8 | Opcode.Movzx16 | Opcode.Lea | Opcode.Add
-  | Opcode.Adc | Opcode.Sub | Opcode.Sbb | Opcode.Inc | Opcode.Dec
-  | Opcode.Neg | Opcode.Cmp | Opcode.Imul | Opcode.And | Opcode.Or
-  | Opcode.Xor | Opcode.Not | Opcode.Test | Opcode.Shl | Opcode.Shr
-  | Opcode.Sar | Opcode.Fld | Opcode.Fmov | Opcode.Fadd | Opcode.Fsub
-  | Opcode.Fmul | Opcode.Fdiv | Opcode.Fabs | Opcode.Fneg | Opcode.Fsqrt
-  | Opcode.Fcmp | Opcode.Cvtsi | Opcode.Cvtfi | Opcode.Nop ->
-      true
-  | _ -> false
 
 (* one backward-liveness round of dead register/flag-write removal *)
 let dead_writes_round (c : counters) (il : Instrlist.t) : bool =
@@ -439,7 +395,7 @@ let dead_writes_round (c : counters) (il : Instrlist.t) : bool =
         in
         let flag_writes = Eflags.write_mask (Insn.eflags insn) in
         if
-          side_effect_free op && dsts_dead
+          Opcode.side_effect_free op && dsts_dead
           && flag_writes land after.FA.live_flags = 0
           && (Array.length insn.Insn.dsts > 0
              || flag_writes <> 0 || op = Opcode.Nop)
@@ -625,7 +581,7 @@ let run_pass ~(family : Vm.Cost.family) (c : counters) (il : Instrlist.t) :
     Options.opt_pass -> unit = function
   | Options.Copy_prop -> copy_prop c il
   | Options.Strength -> strength_reduce ~family c il
-  | Options.Load_removal -> remove_redundant_loads c il
+  | Options.Load_removal -> remove_redundant_loads ~consts:true c il
   | Options.Dead_store -> eliminate_dead c il
   | Options.Exit_peephole -> simplify_exit_checks c il
   | Options.Flag_elide -> elide_flag_saves c il

@@ -43,36 +43,11 @@ let default_params = function
         mem_read = 2; mem_write = 2; emu_overhead = 480 }
 
 (** Base execution cycles for an opcode (excluding memory-operand and
-    branch-resolution extras). *)
+    branch-resolution extras), from its {!Opcode} row. *)
 let base_cycles (t : t) (op : Opcode.t) : int =
-  match op with
-  | Mov | Lea | Movzx8 | Movzx16 -> 1
-  | Add | Sub | And | Or | Xor | Cmp | Test | Adc | Sbb | Neg | Not -> 1
-  | Inc | Dec -> ( match t.family with Pentium4 -> 4 | Pentium3 -> 1)
-  | Shl | Shr | Sar -> ( match t.family with Pentium4 -> 2 | Pentium3 -> 1)
-  | Imul -> 4
-  | Idiv -> 24
-  | Push | Pop -> 2
-  | Xchg -> 2
-  | Pushf | Popf -> ( match t.family with Pentium4 -> 8 | Pentium3 -> 5)
-  | Jmp | Jcc _ -> 1
-  | JmpInd | CallInd -> 2
-  | Call -> 2
-  | Ret -> 2
-  | Fld | Fst -> 2
-  | Fmov | Fabs | Fneg -> 1
-  (* throughput costs: pipelined FP adds/multiplies issue every cycle
-     or two; only divide/sqrt serialize *)
-  | Fadd | Fsub -> 1
-  | Fmul -> 2
-  | Fdiv -> 20
-  | Fsqrt -> 25
-  | Fcmp -> 3
-  | Cvtsi | Cvtfi -> 4
-  | Nop -> 1
-  | Hlt -> 1
-  | Out | In -> 40
-  | Ccall -> 0 (* runtime charges clean-call cost explicitly *)
+  match t.family with
+  | Pentium4 -> Opcode.p4_cycles op
+  | Pentium3 -> Opcode.p3_cycles op
 
 (* ------------------------------------------------------------------ *)
 (* Branch predictors (deterministic hardware state)                   *)

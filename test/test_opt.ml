@@ -50,14 +50,19 @@ let encode_il (il : Rio.Instrlist.t) : Bytes.t =
        (Rio.Create.of_insn (Insn.mk_hlt ())));
   Buffer.to_bytes buf
 
-let run_code (code : Bytes.t) : final =
+(* [ebp] is where the ebp scratch region starts: [ebp_base], far from
+   the stack, or [ebp_at_stack_top], where its last slots are the ones
+   the first pushes overwrite. *)
+let ebp_at_stack_top = stack_top - (8 * Gen.safe_slots)
+
+let run_code ?(ebp = ebp_base) (code : Bytes.t) : final =
   let m = Vm.Machine.create ~mem_size:(1 lsl 20) () in
   let mem = Vm.Machine.mem m in
   Vm.Memory.blit_bytes mem ~src:code ~src_pos:0 ~dst:code_base
     ~len:(Bytes.length code);
   (* non-trivial scratch data so loads see varied values *)
   for k = 0 to Gen.safe_slots - 1 do
-    Vm.Memory.write_u32 mem (ebp_base + (8 * k)) ((k + 1) * 0x01010101);
+    Vm.Memory.write_u32 mem (ebp + (8 * k)) ((k + 1) * 0x01010101);
     Vm.Memory.write_u32 mem (esi_base + (8 * k)) ((k + 3) * 0x00f0f0f1)
   done;
   let t = Vm.Machine.add_thread m ~entry:code_base ~stack_top in
@@ -66,7 +71,7 @@ let run_code (code : Bytes.t) : final =
   Vm.Machine.set_reg t Reg.Ecx 3;
   Vm.Machine.set_reg t Reg.Edx (-5);
   Vm.Machine.set_reg t Reg.Edi 0x55AA;
-  Vm.Machine.set_reg t Reg.Ebp ebp_base;
+  Vm.Machine.set_reg t Reg.Ebp ebp;
   Vm.Machine.set_reg t Reg.Esi esi_base;
   Array.iteri
     (fun k f -> Vm.Machine.set_freg t f ((float_of_int k *. 1.5) -. 2.25))
@@ -84,7 +89,7 @@ let run_code (code : Bytes.t) : final =
         (Array.of_list Reg.F.all);
     f_flags = t.Vm.Machine.eflags;
     f_out = Vm.Machine.output m;
-    f_ebp_mem = Vm.Memory.read_bytes mem ~addr:ebp_base ~len:(8 * Gen.safe_slots);
+    f_ebp_mem = Vm.Memory.read_bytes mem ~addr:ebp ~len:(8 * Gen.safe_slots);
     f_esi_mem = Vm.Memory.read_bytes mem ~addr:esi_base ~len:(8 * Gen.safe_slots);
     f_stack_mem = Vm.Memory.read_bytes mem ~addr:(stack_top - 256) ~len:512;
   }
@@ -123,10 +128,11 @@ let optimize_at level (il : Rio.Instrlist.t) : Rio.Opt.counters =
     il;
   c
 
-let prop_differential level =
+let prop_differential ?(ebp = ebp_base) ?(where = "") ?(gen = Gen.safe_il)
+    level =
   QCheck2.Test.make ~count:300
-    ~name:(Printf.sprintf "-O%d preserves final machine state" level)
-    ~print:Gen.print_il Gen.safe_il
+    ~name:(Printf.sprintf "-O%d preserves final machine state%s" level where)
+    ~print:Gen.print_il gen
     (fun insns ->
       let base = il_of_insns insns in
       let opt = il_of_insns insns in
@@ -137,11 +143,36 @@ let prop_differential level =
         QCheck2.Test.fail_reportf "instruction count grew: %d -> %d" n_before
           n_after
       else
-        let s0 = run_code (encode_il base) in
-        let s1 = run_code (encode_il opt) in
+        let s0 = run_code ~ebp (encode_il base) in
+        let s1 = run_code ~ebp (encode_il opt) in
         match diff_final s0 s1 with
         | None -> true
         | Some d -> QCheck2.Test.fail_reportf "state diverged: %s" d)
+
+(* With the ebp region at the stack top, its last words are the ones
+   the first pushes overwrite.  Safe programs reach them rarely, so
+   this generator mixes in pushes and word loads and stores of the
+   region's last 16 bytes, each a push's worth apart. *)
+let near_stack_top_il : Insn.t list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let top =
+    map
+      (fun k ->
+        Operand.Mem
+          { Operand.base = Some Reg.Ebp; index = None;
+            disp = (8 * Gen.safe_slots) - (4 * k) })
+      (int_range 1 4)
+  in
+  let near =
+    oneof
+      [
+        (let* r = Gen.safe_wreg_op and* m = top in return (Insn.mk_mov r m));
+        (let* m = top and* r = Gen.safe_rreg_op in return (Insn.mk_mov m r));
+        (let* s = Gen.safe_src in return (Insn.mk_push s));
+        return (Insn.mk_pushf ());
+      ]
+  in
+  list_size (int_range 1 30) (frequency [ (2, Gen.safe_insn); (1, near) ])
 
 (* Idempotence: a second pipeline run over already-optimized IL must
    not change the program's behaviour either (re-optimization feeds
@@ -221,6 +252,66 @@ let test_exit_cti_conservative () =
   let c_p3 = Rio.Opt.fresh_counters () in
   Rio.Opt.strength_reduce ~family:Vm.Cost.Pentium3 c_p3 il_p3;
   check "inc kept on P3" 0 c_p3.Rio.Opt.strength
+
+(* A push writes [esp-4], and a slot addressed off another base may be
+   that very word: here [ebp] is a copy of [esp].  The reload after the
+   push must read what the push wrote, not the register stored before
+   it. *)
+let push_alias_insns =
+  let slot = { Operand.base = Some Reg.Ebp; index = None; disp = -4 } in
+  [
+    Insn.mk_mov (Operand.Reg Reg.Ebp) (Operand.Reg Reg.Esp);
+    Insn.mk_mov (Operand.Mem slot) (Operand.Reg Reg.Ecx);
+    Insn.mk_push (Operand.Reg Reg.Edx);
+    Insn.mk_mov (Operand.Reg Reg.Eax) (Operand.Mem slot);
+    Insn.mk_out (Operand.Reg Reg.Eax);
+  ]
+
+let test_push_kills_other_base_facts () =
+  let native = run_code (encode_il (il_of_insns push_alias_insns)) in
+  Alcotest.(check (list int)) "native reads the pushed edx" [ 0xFFFF_FFFB ]
+    native.f_out;
+  let same what (il : Rio.Instrlist.t) =
+    match diff_final native (run_code (encode_il il)) with
+    | None -> ()
+    | Some d -> Alcotest.failf "%s: %s" what d
+  in
+  List.iter
+    (fun consts ->
+      let il = il_of_insns push_alias_insns in
+      Rio.Opt.remove_redundant_loads ~consts (Rio.Opt.fresh_counters ()) il;
+      same (Printf.sprintf "load removal, consts %b" consts) il)
+    [ true; false ];
+  let il = il_of_insns push_alias_insns in
+  ignore (optimize_at 2 il);
+  same "-O2" il
+
+(* A pop moves esp (an implicit destination), so a fact that esp holds
+   a slot's value dies with it: the reload after the pop must not read
+   esp. *)
+let test_pop_kills_esp_holder () =
+  let slot = { Operand.base = Some Reg.Ebp; index = None; disp = 8 } in
+  let insns =
+    [
+      mov_imm Reg.Ecx (stack_top - 64);
+      Insn.mk_mov (Operand.Mem slot) (Operand.Reg Reg.Ecx);
+      Insn.mk_mov (Operand.Reg Reg.Esp) (Operand.Mem slot);
+      Insn.mk_pop (Operand.Reg Reg.Eax);
+      Insn.mk_mov (Operand.Reg Reg.Edx) (Operand.Mem slot);
+      Insn.mk_out (Operand.Reg Reg.Edx);
+    ]
+  in
+  let native = run_code (encode_il (il_of_insns insns)) in
+  Alcotest.(check (list int)) "native reads the slot" [ stack_top - 64 ]
+    native.f_out;
+  List.iter
+    (fun consts ->
+      let il = il_of_insns insns in
+      Rio.Opt.remove_redundant_loads ~consts (Rio.Opt.fresh_counters ()) il;
+      match diff_final native (run_code (encode_il il)) with
+      | None -> ()
+      | Some d -> Alcotest.failf "load removal, consts %b: %s" consts d)
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Directed units: structural peepholes can fire                      *)
@@ -515,7 +606,13 @@ let test_spec_lifecycle () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_differential 1; prop_differential 2; prop_reopt_stable ]
+    [
+      prop_differential 1;
+      prop_differential 2;
+      prop_differential ~ebp:ebp_at_stack_top ~gen:near_stack_top_il
+        ~where:", ebp slots at the stack top" 2;
+      prop_reopt_stable;
+    ]
 
 let qcheck_spec_tests =
   List.map QCheck_alcotest.to_alcotest [ prop_guard_deopt; prop_engine_spec ]
@@ -529,6 +626,10 @@ let () =
           Alcotest.test_case "bundle boundary" `Quick
             test_bundle_boundary_conservative;
           Alcotest.test_case "exit CTI" `Quick test_exit_cti_conservative;
+          Alcotest.test_case "push kills other-base facts" `Quick
+            test_push_kills_other_base_facts;
+          Alcotest.test_case "pop kills an esp holder" `Quick
+            test_pop_kills_esp_holder;
         ] );
       ( "peepholes",
         [

@@ -407,10 +407,10 @@ let test_emit_digests () =
    ~3.5k traces.  A regression in the per-fragment fixed cost of
    emission (a copy, a re-encode, a per-branch buffer) shows here as
    minor words per emitted fragment over the whole run.  The run
-   measures 1070 words per fragment; the budget is that plus 10%.
+   measures 952 words per fragment; the budget is that plus 10%.
    Emission through the template-matching encoder, with a fresh
    [Bytes] per branch and a [Buffer] copy of the image, measured 1464. *)
-let words_per_fragment_budget = 1177.
+let words_per_fragment_budget = 1047.
 
 let test_emit_allocation () =
   let w = Option.get (Workloads.Suite.by_name "gcc") in

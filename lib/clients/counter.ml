@@ -104,4 +104,6 @@ let make ?(dynamic = false) () : client * counts =
     },
     c )
 
-let client = Stdlib.fst (make ())
+module For_testing = struct
+  let make_emitted = make_emitted
+end

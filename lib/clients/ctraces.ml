@@ -259,5 +259,3 @@ let make ?(max_blocks = 12) () : client * t =
             t.heads_marked t.returns_elided);
     },
     t )
-
-let client = Stdlib.fst (make ())

@@ -54,5 +54,3 @@ let make () : client * t =
             top);
     },
     t )
-
-let client = Stdlib.fst (make ())

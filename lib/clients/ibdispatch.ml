@@ -205,5 +205,3 @@ let make ?(params = default_params) () : client =
           "ibdispatch: %d checks instrumented, %d rewrites, %d dispatch pairs\n"
           t.checks_instrumented t.total_rewrites t.pairs_inserted);
   }
-
-let client = make ()

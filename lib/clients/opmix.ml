@@ -89,4 +89,6 @@ let make () : client * t =
     },
     t )
 
-let client = Stdlib.fst (make ())
+module For_testing = struct
+  let dynamic_mix = dynamic_mix
+end

@@ -97,4 +97,6 @@ let make () : client * t =
     },
     t )
 
-let client = Stdlib.fst (make ())
+module For_testing = struct
+  let optimize_il = optimize_il
+end

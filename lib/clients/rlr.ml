@@ -51,3 +51,7 @@ let make () : client =
         Rio.Api.printf rt "rlr: removed %d loads, rewrote %d to register moves\n"
           c.loads_removed c.loads_rewritten);
   }
+
+module For_testing = struct
+  let optimize_il = optimize_il
+end

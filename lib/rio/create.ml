@@ -1,73 +1,35 @@
-(** Instruction-creation macros (paper §3.2): one constructor per
-    SynISA instruction, taking only the {e explicit} operands and
-    filling in implicit ones.  Each produces a Level-4 {!Instr.t},
-    ready to insert into an {!Instrlist.t}.
+(** Instruction-creation macros (paper §3.2): named constructors for
+    the instructions the runtime and its clients build, taking only the
+    {e explicit} operands and filling in implicit ones.  Each produces a
+    Level-4 {!Instr.t}, ready to insert into an {!Instrlist.t}.
 
-    The IA-32 abstraction can be bypassed with {!raw_insn}, mirroring
-    the paper's "specify an opcode and complete list of operands". *)
+    Any other instruction is built with {!raw_insn}, the paper's
+    "specify an opcode and complete list of operands". *)
 
 open Isa
 
 let of_insn = Instr.of_insn
 
 let mov d s = of_insn (Insn.mk_mov d s)
-let movzx8 d s = of_insn (Insn.mk_movzx8 d s)
-let movzx16 d s = of_insn (Insn.mk_movzx16 d s)
 let lea d s = of_insn (Insn.mk_lea d s)
 let push s = of_insn (Insn.mk_push s)
 let pop d = of_insn (Insn.mk_pop d)
-let xchg a b = of_insn (Insn.mk_xchg a b)
 let pushf () = of_insn (Insn.mk_pushf ())
 let popf () = of_insn (Insn.mk_popf ())
 let add d s = of_insn (Insn.mk_add d s)
 let adc d s = of_insn (Insn.mk_adc d s)
-let sub d s = of_insn (Insn.mk_sub d s)
-let sbb d s = of_insn (Insn.mk_sbb d s)
 let inc d = of_insn (Insn.mk_inc d)
 let dec d = of_insn (Insn.mk_dec d)
-let neg d = of_insn (Insn.mk_neg d)
-let not_ d = of_insn (Insn.mk_not d)
 let cmp a b = of_insn (Insn.mk_cmp a b)
-let test a b = of_insn (Insn.mk_test a b)
-let and_ d s = of_insn (Insn.mk_and d s)
-let or_ d s = of_insn (Insn.mk_or d s)
-let xor d s = of_insn (Insn.mk_xor d s)
-let imul d s = of_insn (Insn.mk_imul d s)
-let idiv s = of_insn (Insn.mk_idiv s)
-let shl d s = of_insn (Insn.mk_shl d s)
-let shr d s = of_insn (Insn.mk_shr d s)
-let sar d s = of_insn (Insn.mk_sar d s)
 let jmp target = of_insn (Insn.mk_jmp target)
-let jmp_ind s = of_insn (Insn.mk_jmp_ind s)
 let jcc c target = of_insn (Insn.mk_jcc c target)
-let call target = of_insn (Insn.mk_call target)
-let call_ind s = of_insn (Insn.mk_call_ind s)
-let ret () = of_insn (Insn.mk_ret ())
 let fld f m = of_insn (Insn.mk_fld f m)
 let fst_ m f = of_insn (Insn.mk_fst m f)
-let fmov d s = of_insn (Insn.mk_fmov d s)
 let fadd d s = of_insn (Insn.mk_fadd d s)
-let fsub d s = of_insn (Insn.mk_fsub d s)
 let fmul d s = of_insn (Insn.mk_fmul d s)
-let fdiv d s = of_insn (Insn.mk_fdiv d s)
-let fabs f = of_insn (Insn.mk_fabs f)
-let fneg f = of_insn (Insn.mk_fneg f)
-let fsqrt f = of_insn (Insn.mk_fsqrt f)
-let fcmp a b = of_insn (Insn.mk_fcmp a b)
-let cvtsi f s = of_insn (Insn.mk_cvtsi f s)
-let cvtfi d f = of_insn (Insn.mk_cvtfi d f)
 let nop () = of_insn (Insn.mk_nop ())
 let out s = of_insn (Insn.mk_out s)
-let in_ d = of_insn (Insn.mk_in d)
 
 (** Bypass the per-instruction abstraction. *)
 let raw_insn ?(prefixes = 0) opcode ~srcs ~dsts =
   of_insn (Insn.make ~prefixes opcode ~srcs ~dsts)
-
-(* Operand helpers, so clients don't need to reach into Isa *)
-let opnd_reg r = Operand.Reg r
-let opnd_imm n = Operand.Imm n
-let opnd_int8 n = Operand.Imm n   (* the paper's OPND_CREATE_INT8 *)
-let opnd_mem = Operand.mem
-let opnd_abs = Operand.mem_abs
-let opnd_base = Operand.mem_base

@@ -187,35 +187,10 @@ let replace_fragment (ctx : context) (tag : int) (il : Instrlist.t) : bool =
    reimplementing them in their hooks.  Each wrapper runs one pass over
    the IL and returns how many rewrites it applied. *)
 
-let opt_propagate_copies (il : Instrlist.t) : int =
-  let c = Opt.fresh_counters () in
-  Opt.copy_prop c il;
-  c.Opt.copies + c.Opt.consts
-
 let opt_strength_reduce (rt : runtime) (il : Instrlist.t) : int =
   let c = Opt.fresh_counters () in
   Opt.strength_reduce ~family:(proc_get_family rt) c il;
   c.Opt.strength
-
-let opt_remove_redundant_loads (il : Instrlist.t) : int =
-  let c = Opt.fresh_counters () in
-  Opt.remove_redundant_loads ~consts:true c il;
-  c.Opt.loads_removed + c.Opt.loads_rewritten
-
-let opt_eliminate_dead (il : Instrlist.t) : int =
-  let c = Opt.fresh_counters () in
-  Opt.eliminate_dead c il;
-  c.Opt.dead_removed + c.Opt.stores_removed
-
-let opt_simplify_exit_checks (il : Instrlist.t) : int =
-  let c = Opt.fresh_counters () in
-  Opt.simplify_exit_checks c il;
-  c.Opt.checks_simplified
-
-let opt_elide_flag_saves (il : Instrlist.t) : int =
-  let c = Opt.fresh_counters () in
-  Opt.elide_flag_saves c il;
-  c.Opt.flag_saves_elided
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)

@@ -76,19 +76,13 @@ val replace_fragment : context -> int -> Instrlist.t -> bool
 
 (** {2 Core optimizer passes (DESIGN.md §6.4)}
 
-    Clients and examples reach the in-core passes directly instead of
-    reimplementing them in their hooks.  Each wrapper runs one pass
-    over the IL in place and returns how many rewrites it applied. *)
+    Clients reach the in-core strength-reduction pass directly instead
+    of reimplementing it in their hooks.  It runs over the IL in place
+    and returns how many rewrites it applied. *)
 
-val opt_propagate_copies : Instrlist.t -> int
 val opt_strength_reduce : runtime -> Instrlist.t -> int
 (** Architecture-gated: a no-op (returns 0) unless the machine is a
     Pentium 4, where [inc]/[dec] are slower than [add]/[sub]. *)
-
-val opt_remove_redundant_loads : Instrlist.t -> int
-val opt_eliminate_dead : Instrlist.t -> int
-val opt_simplify_exit_checks : Instrlist.t -> int
-val opt_elide_flag_saves : Instrlist.t -> int
 
 (** {2 Introspection} *)
 

@@ -374,3 +374,7 @@ let program_of_file (path : string) : Ast.program =
   let source = really_input_string ic n in
   close_in ic;
   program ~name:(Filename.basename path) source
+
+module For_testing = struct
+  let program = program
+end

@@ -27,8 +27,11 @@
 
 exception Parse_error of { line : int; msg : string }
 
-val program : ?name:string -> string -> Ast.program
-(** Parse assembly source text.  @raise Parse_error with a line number
-    on malformed input. *)
-
 val program_of_file : string -> Ast.program
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val program : ?name:string -> string -> Ast.program
+  (** Parse assembly source text.  @raise Parse_error with a line number
+      on malformed input. *)
+end

@@ -71,4 +71,3 @@ let eval (c : t) (fl : Eflags.t) : bool =
   | NLE -> not (f ZF || f SF <> f OF)
 
 let equal (a : t) (b : t) = a = b
-let pp ppf c = Fmt.string ppf (name c)

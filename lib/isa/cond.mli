@@ -26,9 +26,6 @@ val all : t list
 val number : t -> int
 (** 4-bit encoding, matching IA-32. *)
 
-val of_number : int -> t
-(** @raise Invalid_argument outside 0–15. *)
-
 val invert : t -> t
 (** Logical negation of the predicate; involutive. *)
 
@@ -41,4 +38,3 @@ val eval : t -> Eflags.t -> bool
 (** Decide the condition against a concrete flags value. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

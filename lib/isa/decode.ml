@@ -222,3 +222,8 @@ let boundary_exn f pc =
 
 let opcode_eflags_exn f pc =
   match opcode_eflags f pc with Ok r -> r | Error e -> raise (Decode_error e)
+
+module For_testing = struct
+  let fetch_string = fetch_string
+  let boundary = boundary
+end

@@ -22,10 +22,6 @@ type fetch = int -> int
 (** Byte fetcher: [fetch addr] is the byte at [addr] (0–255). *)
 
 val fetch_bytes : Bytes.t -> fetch
-val fetch_string : string -> fetch
-
-val boundary : fetch -> int -> (int, error) result
-(** Length of the instruction at the address; the cheapest decode. *)
 
 val opcode_eflags : fetch -> int -> (Opcode.t * int, error) result
 (** Opcode (hence eflags mask) and length, without building operands. *)
@@ -37,3 +33,11 @@ val full : fetch -> int -> (Insn.t * int, error) result
 val boundary_exn : fetch -> int -> int
 val opcode_eflags_exn : fetch -> int -> Opcode.t * int
 val full_exn : fetch -> int -> Insn.t * int
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val fetch_string : string -> fetch
+
+  val boundary : fetch -> int -> (int, error) result
+  (** Length of the instruction at the address; the cheapest decode. *)
+end

@@ -17,8 +17,6 @@ let insn_to_string (i : Insn.t) : string =
   done;
   Buffer.contents b
 
-let pp_insn ppf i = Fmt.string ppf (insn_to_string i)
-
 let hex_bytes (bytes : Bytes.t) : string =
   String.concat " "
     (List.init (Bytes.length bytes) (fun i ->

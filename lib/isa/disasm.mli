@@ -3,7 +3,6 @@
     reproductions. *)
 
 val insn_to_string : Insn.t -> string
-val pp_insn : Format.formatter -> Insn.t -> unit
 
 val hex_bytes : Bytes.t -> string
 (** Space-separated lowercase hex. *)

@@ -47,15 +47,6 @@ let update (fl : t) (f : flag) (v : bool) = if v then set fl f else clear fl f
 
 let all_mask = List.fold_left (fun m f -> m lor bit f) 0 all_flags
 
-let pp ppf (fl : t) =
-  let s =
-    all_flags
-    |> List.filter (is_set fl)
-    |> List.map flag_name
-    |> String.concat ","
-  in
-  Fmt.pf ppf "{%s}" s
-
 (* ------------------------------------------------------------------ *)
 (* Read/write effect masks (the paper's EFLAGS_READ / EFLAGS_WRITE) *)
 (* ------------------------------------------------------------------ *)
@@ -96,3 +87,7 @@ let pp_mask ppf (m : mask) =
   | _ -> Fmt.pf ppf "%s%s%s" (if r <> [] then "R" ^ show r else "")
            (if r <> [] && w <> [] then " " else "")
            (if w <> [] then "W" ^ show w else "")
+
+module For_testing = struct
+  let write_set = write_set
+end

@@ -4,9 +4,7 @@
 
 type flag = CF | PF | AF | ZF | SF | OF
 
-val all_flags : flag list
 val bit : flag -> int
-val flag_name : flag -> string
 
 (** {2 Concrete flag-register values} *)
 
@@ -22,8 +20,6 @@ val update : t -> flag -> bool -> t
 val all_mask : int
 (** Bit mask covering all six flags. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Read/write effect masks} *)
 
 type mask = int
@@ -32,15 +28,11 @@ type mask = int
 val none : mask
 val read_all : mask
 val write_all : mask
-val read_of : flag -> mask
-val write_of : flag -> mask
 val reads : flag list -> mask
 val writes : flag list -> mask
 val union : mask -> mask -> mask
 val reads_flag : mask -> flag -> bool
 val writes_flag : mask -> flag -> bool
-val read_set : mask -> flag list
-val write_set : mask -> flag list
 
 val read_mask : mask -> int
 (** Flags read, as a flag-register bit mask. *)
@@ -49,3 +41,8 @@ val write_mask : mask -> int
 (** Flags written, as a flag-register bit mask. *)
 
 val pp_mask : Format.formatter -> mask -> unit
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val write_set : mask -> flag list
+end

@@ -21,15 +21,12 @@ let prefix_lock = 0x1
 
 let make ?(prefixes = 0) opcode ~srcs ~dsts = { opcode; prefixes; srcs; dsts }
 
-let opcode i = i.opcode
-let prefixes i = i.prefixes
 let num_srcs i = Array.length i.srcs
 let num_dsts i = Array.length i.dsts
 let src i n = i.srcs.(n)
 let dst i n = i.dsts.(n)
 let eflags i = Opcode.eflags i.opcode
 let is_cti i = Opcode.is_cti i.opcode
-let cti_kind i = Opcode.cti_kind i.opcode
 
 let equal (a : t) (b : t) =
   Opcode.equal a.opcode b.opcode
@@ -326,4 +323,3 @@ let validate (i : t) : (unit, shape_error) result =
         | [||], [| Imm _ |] -> ok
         | _ -> err "ccall: expected imm id")
 
-let is_valid i = Result.is_ok (validate i)

@@ -17,15 +17,12 @@ val prefix_lock : int
 
 val make : ?prefixes:int -> Opcode.t -> srcs:Operand.t array -> dsts:Operand.t array -> t
 
-val opcode : t -> Opcode.t
-val prefixes : t -> int
 val num_srcs : t -> int
 val num_dsts : t -> int
 val src : t -> int -> Operand.t
 val dst : t -> int -> Operand.t
 val eflags : t -> Eflags.mask
 val is_cti : t -> bool
-val cti_kind : t -> Opcode.cti_kind
 val equal : t -> t -> bool
 
 (** {2 Explicit operands}
@@ -112,4 +109,3 @@ val validate : t -> (unit, shape_error) result
 (** Check that the operands have a shape the encoder can materialize
     (no memory-to-memory forms, immediates in range, …). *)
 
-val is_valid : t -> bool

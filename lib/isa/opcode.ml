@@ -244,3 +244,9 @@ let side_effect_free o =
 let is_barrier o =
   let r = row o in
   r.cti <> Not_cti || r.effect = Port_io || r.effect = Runtime
+
+module For_testing = struct
+  let is_indirect_cti = is_indirect_cti
+  let is_call = is_call
+  let cti_kind = cti_kind
+end

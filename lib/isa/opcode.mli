@@ -88,8 +88,6 @@ type cti_kind =
   | Cti_return
   | Cti_halt
 
-val cti_kind : t -> cti_kind
-
 val mem_width : t -> int
 (** Bytes a memory operand moves: 8 for the FP opcodes, 4 otherwise. *)
 
@@ -101,12 +99,6 @@ val p3_cycles : t -> int
 (** {2 Derived predicates} *)
 
 val is_cti : t -> bool
-
-val is_indirect_cti : t -> bool
-(** Transfers resolved through the indirect-branch lookup when running
-    out of a code cache ([jmp*], [call*], [ret]). *)
-
-val is_call : t -> bool
 
 val implicit_stack_read : t -> bool
 val implicit_stack_write : t -> bool
@@ -124,3 +116,14 @@ val side_effect_free : t -> bool
 val is_barrier : t -> bool
 (** Effects no liveness transfer summarises: control transfers, port
     I/O and runtime calls ([ccall], [hlt]). *)
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val is_indirect_cti : t -> bool
+  (** Transfers resolved through the indirect-branch lookup when running
+      out of a code cache ([jmp*], [call*], [ret]). *)
+
+  val is_call : t -> bool
+
+  val cti_kind : t -> cti_kind
+end

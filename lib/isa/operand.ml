@@ -20,11 +20,6 @@ type t =
   | Mem of mem
   | Target of int                (** absolute code address of a direct CTI *)
 
-let reg r = Reg r
-let freg f = Freg f
-let imm i = Imm i
-let target a = Target a
-
 let mem ?base ?index ?(disp = 0) () =
   (match index with
    | Some (_, s) when s <> 1 && s <> 2 && s <> 4 && s <> 8 ->
@@ -41,9 +36,7 @@ let is_mem = function Mem _ -> true | _ -> false
 let is_imm = function Imm _ -> true | _ -> false
 let is_freg = function Freg _ -> true | _ -> false
 
-let get_reg = function Reg r -> r | _ -> invalid_arg "Operand.get_reg"
 let get_imm = function Imm i -> i | _ -> invalid_arg "Operand.get_imm"
-let get_mem = function Mem m -> m | _ -> invalid_arg "Operand.get_mem"
 let get_target = function Target t -> t | _ -> invalid_arg "Operand.get_target"
 
 (** Registers read when computing a memory operand's effective address. *)

@@ -17,11 +17,6 @@ type t =
   | Mem of mem
   | Target of int                (** absolute code address of a direct CTI *)
 
-val reg : Reg.t -> t
-val freg : Reg.F.t -> t
-val imm : int -> t
-val target : int -> t
-
 val mem : ?base:Reg.t -> ?index:Reg.t * int -> ?disp:int -> unit -> t
 (** @raise Invalid_argument when the scale is not 1, 2, 4 or 8. *)
 
@@ -36,9 +31,7 @@ val is_mem : t -> bool
 val is_imm : t -> bool
 val is_freg : t -> bool
 
-val get_reg : t -> Reg.t
 val get_imm : t -> int
-val get_mem : t -> mem
 val get_target : t -> int
 
 val mem_regs : mem -> Reg.t list
@@ -48,5 +41,4 @@ val regs_used : t -> Reg.t list
 
 val equal_mem : mem -> mem -> bool
 val equal : t -> t -> bool
-val pp_mem : Format.formatter -> mem -> unit
 val pp : Format.formatter -> t -> unit

@@ -49,7 +49,6 @@ let name = function
   | Edi -> "edi"
 
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = compare (number a) (number b)
 let pp ppf r = Fmt.pf ppf "%%%s" (name r)
 
 (** Floating-point registers: a flat bank of eight 64-bit registers,

@@ -24,7 +24,6 @@ val of_number : int -> t
 
 val name : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 (** Floating-point registers: a flat bank of eight 64-bit registers
@@ -37,7 +36,6 @@ module F : sig
 
   val number : t -> int
   val all : t list
-  val name : t -> string
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end

@@ -178,3 +178,7 @@ let run (rt : runtime) : (unit, fragment * string) result =
             Error (f, msg))
   in
   go frags
+
+module For_testing = struct
+  let check_fragment = check_fragment
+end

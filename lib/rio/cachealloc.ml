@@ -116,3 +116,8 @@ let reset t =
   Hashtbl.reset t.live;
   t.free <- [ (0, t.total_units) ];
   t.free_units <- t.total_units
+
+module For_testing = struct
+  let capacity = capacity
+  let used_bytes = used_bytes
+end

@@ -11,10 +11,6 @@
 
 type t
 
-val default_unit_bytes : int
-(** 64: small enough that a typical basic block wastes under one unit,
-    large enough to keep free lists short. *)
-
 val create : base:int -> size:int -> ?unit_bytes:int -> unit -> t
 (** An allocator over [\[base, base + size)]. [size] is rounded down to
     a whole number of units. *)
@@ -41,8 +37,6 @@ val slide_down : t -> addr:int -> int
 val reset : t -> unit
 (** Drop every allocation (flush-the-world). *)
 
-val capacity : t -> int
-val used_bytes : t -> int
 val free_bytes : t -> int
 
 val holes : t -> int
@@ -51,3 +45,10 @@ val holes : t -> int
 val largest_free_bytes : t -> int
 (** Size of the largest free run: the biggest fragment that could be
     emitted without evicting. *)
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val capacity : t -> int
+
+  val used_bytes : t -> int
+end

@@ -519,3 +519,7 @@ let run_quantum (rt : runtime) (ts : thread_state) : quantum_result =
     | s -> Q_fault ("unexpected emulation stop: " ^ Vm.Interp.stop_to_string s)
   end
   else from_dispatcher ()
+
+module For_testing = struct
+  let recover_tag = recover_tag
+end

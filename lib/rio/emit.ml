@@ -959,3 +959,8 @@ let check_invariants (rt : runtime) : (unit, string) result =
           if f.deleted then fail "ibl entry 0x%x points to a deleted fragment" tag))
     rt.thread_states;
   match !err with None -> Ok () | Some e -> Error e
+
+module For_testing = struct
+  let check_invariants = check_invariants
+  let move_fragment = move_fragment
+end

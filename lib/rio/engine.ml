@@ -354,3 +354,7 @@ let stop_reason_to_string = function
   | Cycle_limit -> "cycle limit reached"
   | Deadline_exceeded -> "request deadline exceeded"
   | Crashed msg -> "worker crashed: " ^ msg
+
+module For_testing = struct
+  let make_thread_state = make_thread_state
+end

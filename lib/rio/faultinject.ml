@@ -133,12 +133,6 @@ type chaos_kind =
                          so the request diverges or faults *)
   | Chaos_hook_storm (** arm a hook-raise burst against the client *)
 
-let chaos_kind_name = function
-  | Chaos_crash -> "crash"
-  | Chaos_stall -> "stall"
-  | Chaos_poison -> "poison"
-  | Chaos_hook_storm -> "hookstorm"
-
 exception Chaos_domain_kill
 (** The injected worker-domain death.  Deliberately punches through the
     pool's per-request exception barrier: the domain really dies, and
@@ -242,3 +236,8 @@ let tick (rt : runtime) (ts : thread_state) : bool =
               rt.stats.Stats.faults_injected <- rt.stats.Stats.faults_injected + 1;
             injected
       end
+
+module For_testing = struct
+  let exit_patchable = exit_patchable
+  let inject_link_flip = inject_link_flip
+end

@@ -283,3 +283,7 @@ let store_dead_after ~(mem : Operand.mem) ~(width : int) (start : Instr.t option
           else go i.Instr.next
   in
   go start
+
+module For_testing = struct
+  let written_before_read = written_before_read
+end

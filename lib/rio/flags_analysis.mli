@@ -8,10 +8,6 @@ val dead_after : Instr.t option -> bool
     written before read without leaving the fragment.  List end and
     exit CTIs are conservative live boundaries. *)
 
-val written_before_read : Instr.t option -> int
-(** The set of flags certainly written before any read, as a
-    flag-register bit mask. *)
-
 val flags_dead_after : mask:int -> Instr.t option -> bool
 (** Like {!dead_after} but for a subset of flags: true when every flag
     in [mask] is written before read, without leaving the fragment
@@ -25,9 +21,6 @@ type live = {
   live_flags : int;  (** eflags mask, {!Isa.Eflags} bits *)
 }
 (** Liveness at a program point, as bit sets. *)
-
-val all_live : live
-(** Everything live: the state at every fragment boundary. *)
 
 val live_reg : live -> Isa.Reg.t -> bool
 val live_freg : live -> Isa.Reg.F.t -> bool
@@ -54,3 +47,10 @@ val store_dead_after : mem:Isa.Operand.mem -> width:int -> Instr.t option -> boo
     observe it (an aliasing read, a barrier leaving the fragment, an
     implicit stack access, or a write to one of its address
     registers). *)
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val written_before_read : Instr.t option -> int
+  (** The set of flags certainly written before any read, as a
+      flag-register bit mask. *)
+end

@@ -332,3 +332,8 @@ let trace_count t =
   let n = ref 0 in
   iter_traces t (fun _ _ -> incr n);
   !n
+
+module For_testing = struct
+  let clear_ibl = clear_ibl
+  let count = count
+end

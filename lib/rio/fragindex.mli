@@ -76,7 +76,6 @@ val find_trace : 'a t -> int -> 'a option
 val set_bb : 'a t -> int -> 'a -> unit
 val set_trace : 'a t -> int -> 'a -> unit
 val set_ibl : 'a t -> int -> 'a -> unit
-val clear_ibl : 'a t -> int -> unit
 
 val is_head : 'a t -> int -> bool
 (** True when the tag has a head counter or a client mark. *)
@@ -94,9 +93,6 @@ val delete : 'a t -> int -> unit
     Entry references for {e other} keys stay valid (records move by
     cell, not by copy); a reference to the deleted key's entry becomes
     detached and must not be reused. *)
-
-val count : 'a t -> int
-(** Live keys in the table. *)
 
 val record_successor : 'a t -> int -> int -> unit
 (** [record_successor t site target] adds one sample to the site's
@@ -138,3 +134,11 @@ val iter_ibl : 'a t -> (int -> 'a -> unit) -> unit
 
 val bb_count : 'a t -> int
 val trace_count : 'a t -> int
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val clear_ibl : 'a t -> int -> unit
+
+  val count : 'a t -> int
+  (** Live keys in the table. *)
+end

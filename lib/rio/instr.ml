@@ -158,7 +158,6 @@ let get_insn (i : t) : Insn.t =
   match i.payload with Full { insn; _ } -> insn | _ -> assert false
 
 let num_srcs i = Insn.num_srcs (get_insn i)
-let num_dsts i = Insn.num_dsts (get_insn i)
 let get_src i n = Insn.src (get_insn i) n
 let get_dst i n = Insn.dst (get_insn i) n
 let get_prefixes i = (get_insn i).Insn.prefixes
@@ -178,12 +177,6 @@ let set_src (i : t) n (o : Operand.t) : unit =
   srcs.(n) <- o;
   set_insn i { insn with Insn.srcs }
 
-let set_dst (i : t) n (o : Operand.t) : unit =
-  let insn = get_insn i in
-  let dsts = Array.copy insn.Insn.dsts in
-  dsts.(n) <- o;
-  set_insn i { insn with Insn.dsts }
-
 let set_prefixes (i : t) p : unit =
   let insn = get_insn i in
   set_insn i { insn with Insn.prefixes = p }
@@ -191,17 +184,6 @@ let set_prefixes (i : t) p : unit =
 let is_cti (i : t) : bool =
   if is_bundle i then false (* bundles never contain CTIs by construction *)
   else Opcode.is_cti (get_opcode i)
-
-(** Is this an exit CTI, i.e. a direct transfer whose target lies
-    outside the fragment (in app space or the runtime's trap space)?
-    Callers typically use {!Instrlist} context; at the instr level any
-    direct CTI qualifies. *)
-let is_exit_cti (i : t) : bool =
-  (not (is_bundle i))
-  &&
-  match Opcode.cti_kind (get_opcode i) with
-  | Cti_direct_jmp | Cti_cond | Cti_direct_call -> true
-  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Length and encoding                                                *)
@@ -244,3 +226,7 @@ let pp ppf (i : t) =
       Fmt.pf ppf "<L%d %s>" (if raw_valid then 3 else 4) (Disasm.insn_to_string insn)
 
 let to_string i = Fmt.str "%a" pp i
+
+module For_testing = struct
+  let length = length
+end

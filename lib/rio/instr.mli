@@ -71,16 +71,13 @@ val get_opcode : t -> Opcode.t
 val get_eflags : t -> Eflags.mask
 val get_insn : t -> Insn.t
 val num_srcs : t -> int
-val num_dsts : t -> int
 val get_src : t -> int -> Operand.t
 val get_dst : t -> int -> Operand.t
 val get_prefixes : t -> int
 val set_insn : t -> Insn.t -> unit
 val set_src : t -> int -> Operand.t -> unit
-val set_dst : t -> int -> Operand.t -> unit
 val set_prefixes : t -> int -> unit
 val is_cti : t -> bool
-val is_exit_cti : t -> bool
 
 val copy : t -> t
 (** Deep copy: fresh payload bytes, note preserved, list links and
@@ -88,7 +85,6 @@ val copy : t -> t
 
 (** {2 Length and encoding} *)
 
-val length : ?pc:int -> t -> int
 val encode : pc:int -> t -> Bytes.t
 (** Copies raw bytes whenever valid (L0–L3 non-CTI); re-encodes CTIs
     (their pc-relative form depends on placement) and L4. *)
@@ -98,5 +94,9 @@ val encode : pc:int -> t -> Bytes.t
 val set_note : t -> note -> unit
 val get_note : t -> note
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val length : ?pc:int -> t -> int
+end

@@ -22,9 +22,7 @@ let create () =
 let first t = t.first
 let last t = t.last
 let length t = t.count
-let is_empty t = t.count = 0
 
-let next (i : Instr.t) = i.Instr.next
 let prev (i : Instr.t) = i.Instr.prev
 
 let check_unowned (i : Instr.t) =
@@ -174,12 +172,3 @@ let decode_to (t : t) (lvl : Level.t) : unit =
           Instr.uplevel3 i;
           Instr.invalidate_raw i)
 
-(** Total encoded size when laid out starting at [pc]. *)
-let encoded_size ?(pc = 0) (t : t) : int =
-  fst
-    (fold t ~init:(0, pc) (fun (sz, pc) i ->
-         let l = Instr.length ~pc i in
-         (sz + l, pc + l)))
-
-let pp ppf t =
-  iter t (fun i -> Fmt.pf ppf "  %a@." Instr.pp i)

@@ -10,8 +10,6 @@ val create : unit -> t
 val first : t -> Instr.t option
 val last : t -> Instr.t option
 val length : t -> int
-val is_empty : t -> bool
-val next : Instr.t -> Instr.t option
 val prev : Instr.t -> Instr.t option
 
 val append : t -> Instr.t -> unit
@@ -47,5 +45,3 @@ val decode_to : t -> Level.t -> unit
     the runtime uses before trace optimization: fully decoded, raw bits
     valid). *)
 
-val encoded_size : ?pc:int -> t -> int
-val pp : Format.formatter -> t -> unit

@@ -11,11 +11,3 @@
 
 type t = L0 | L1 | L2 | L3 | L4
 
-let to_int = function L0 -> 0 | L1 -> 1 | L2 -> 2 | L3 -> 3 | L4 -> 4
-let of_int = function
-  | 0 -> L0 | 1 -> L1 | 2 -> L2 | 3 -> L3 | 4 -> L4
-  | n -> invalid_arg (Printf.sprintf "Level.of_int: %d" n)
-
-let compare a b = Int.compare (to_int a) (to_int b)
-let equal a b = to_int a = to_int b
-let pp ppf l = Fmt.pf ppf "Level %d" (to_int l)

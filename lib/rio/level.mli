@@ -5,8 +5,3 @@
 
 type t = L0 | L1 | L2 | L3 | L4
 
-val to_int : t -> int
-val of_int : int -> t
-val compare : t -> t -> int
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

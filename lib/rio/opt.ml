@@ -937,3 +937,9 @@ let maybe_reoptimize (rt : runtime) (ts : thread_state) (frag : fragment) :
     end
     else frag
   end
+
+module For_testing = struct
+  let eliminate_dead = eliminate_dead
+  let simplify_exit_checks = simplify_exit_checks
+  let elide_flag_saves = elide_flag_saves
+end

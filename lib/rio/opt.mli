@@ -38,16 +38,11 @@ val fresh_counters : unit -> counters
 (** {2 Individual passes} — exported for clients, examples and tests;
     each mutates the IL in place and bumps its counters. *)
 
-val copy_prop : counters -> Instrlist.t -> unit
 val strength_reduce : family:Vm.Cost.family -> counters -> Instrlist.t -> unit
 val remove_redundant_loads : consts:bool -> counters -> Instrlist.t -> unit
 (** Redundant load removal (paper §4.1).  [~consts:true] also tracks
     constants stored to memory and folds their reloads, as [-O2] does;
     the RLR client runs it with [~consts:false]. *)
-
-val eliminate_dead : counters -> Instrlist.t -> unit
-val simplify_exit_checks : counters -> Instrlist.t -> unit
-val elide_flag_saves : counters -> Instrlist.t -> unit
 
 val run_passes :
   ?always_save_flags:bool ->
@@ -63,12 +58,6 @@ val run : runtime -> Instrlist.t -> unit
 (** Optimize a trace IL in place, charging the modelled pass cost and
     folding counters into the runtime's stats.  No-op when
     {!Options.effective_passes} is empty ([-O0]). *)
-
-val estimate_cost : runtime -> Instrlist.t -> int
-(** Static per-execution cycle estimate of an IL under the machine's
-    cost model (base cycles + memory-operand charges; predictor terms
-    ignored).  Only meaningful compared between two versions of the
-    same code. *)
 
 val despeculate : runtime -> thread_state -> fragment -> guard -> fragment
 (** Drop one spent speculative assumption from a trace (DESIGN.md
@@ -94,3 +83,12 @@ val maybe_reoptimize : runtime -> thread_state -> fragment -> fragment
     violation paths call {!despeculate} directly.  Returns the
     fragment to actually enter — a fresh one on success, the original
     when nothing changed or replacement found no room. *)
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val eliminate_dead : counters -> Instrlist.t -> unit
+
+  val simplify_exit_checks : counters -> Instrlist.t -> unit
+
+  val elide_flag_saves : counters -> Instrlist.t -> unit
+end

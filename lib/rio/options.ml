@@ -737,3 +737,8 @@ let table1_configs =
     ("+ link indirect branches", { default with enable_traces = false });
     ("+ traces", default);
   ]
+
+module For_testing = struct
+  let leaves = leaves
+  let default_costs = default_costs
+end

@@ -1285,3 +1285,7 @@ let shutdown pool : unit =
   List.iter Domain.join pool.handles;
   pool.handles <- [];
   pool.sup_handle <- None
+
+module For_testing = struct
+  let warm_instances = warm_instances
+end

@@ -118,8 +118,6 @@ val create :
     deterministic stream derived from [ch_seed] and its worker id.
     @raise Options.Invalid_options on a rejected [cfg]. *)
 
-val domains : t -> int
-
 val submit : t -> request -> (unit, reject) Stdlib.result
 (** Validate and enqueue on the request's home worker; blocks while the
     in-flight cap is reached.  Returns [Error] — never raises — when
@@ -167,13 +165,6 @@ val reset_counters : t -> unit
 (** Zero steal/warm/busy/supervision counters between measurement
     passes.  Call only when drained. *)
 
-val warm_instances : t -> (int * string * Engine.t) list
-(** Every live warm instance as [(worker_id, key, engine)], sorted.
-    Coherent only when the pool is quiescent (after {!drain}); the
-    returned engines are still owned by their workers and must not be
-    driven.  Lets tests and the autotuner verify which {!Options.t} a
-    per-workload bundle override actually reached. *)
-
 val stats : t -> snapshot
 (** Counters plus runtime stats merged across all live warm instances.
     Merged stats are coherent only when the pool is quiescent. *)
@@ -194,3 +185,13 @@ val save_caches : t -> dir:string -> (string * string * int) list
 val shutdown : t -> unit
 (** Stop accepting work, let workers finish queued requests, join the
     supervisor and every worker domain (including respawned ones). *)
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val warm_instances : t -> (int * string * Engine.t) list
+  (** Every live warm instance as [(worker_id, key, engine)], sorted.
+      Coherent only when the pool is quiescent (after {!drain}); the
+      returned engines are still owned by their workers and must not be
+      driven.  Lets tests and the autotuner verify which {!Options.t} a
+      per-workload bundle override actually reached. *)
+end

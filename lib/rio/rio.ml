@@ -60,13 +60,9 @@ type outcome = Engine.outcome = {
 }
 
 let stats = Engine.stats
-let machine = Engine.machine
 let options = Engine.options
 let flow_log = Engine.flow_log
 let create = Engine.create
 let enable_flow_log = Engine.enable_flow_log
-let make_thread_state = Engine.make_thread_state
-let attach_thread_state = Engine.attach_thread_state
-let reset_for_reuse = Engine.reset_for_reuse
 let run = Engine.run
 let stop_reason_to_string = Engine.stop_reason_to_string

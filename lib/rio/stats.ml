@@ -472,3 +472,12 @@ let pp_report (o : Options.t) ppf (s : t) =
    it, and without it all later code moves off its 64-byte alignment, which
    perf/'s layout-sensitive yardstick misreads as a 15-20% slowdown. *)
 let keep_code_layout f = f 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19
+
+module For_testing = struct
+  let hist_create = hist_create
+  let bucket_of = bucket_of
+  let bucket_upper = bucket_upper
+  let hist_count = hist_count
+  let recoveries = recoveries
+  let rows = rows
+end

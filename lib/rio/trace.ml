@@ -478,3 +478,7 @@ let abort_tracegen (rt : runtime) (ts : thread_state) =
   | Some _ ->
       ts.tracegen <- None;
       log_flow rt "abort trace generation"
+
+module For_testing = struct
+  let const_scan_stops = const_scan_stops
+end

@@ -70,7 +70,6 @@ let ind_kind_of_token a =
   else None
 
 let is_app_addr a = a >= 0 && a < tls_base
-let is_trap_token a = a >= trap_base && a < ind_token_base
 
 type fragment_kind = Bb | Trace
 

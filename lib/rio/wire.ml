@@ -248,3 +248,7 @@ let decode_response (s : string) : response =
 
 let send_msg fd (m : client_msg) : unit = write_frame fd (encode_client_msg m)
 let recv_response fd : response = decode_response (read_frame fd)
+
+module For_testing = struct
+  let write_all = write_all
+end

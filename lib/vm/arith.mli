@@ -7,10 +7,8 @@ open Isa
 
 val mask32 : int
 val wrap : int -> int
-val msb : int -> bool
 val to_signed : int -> int
 val of_signed : int -> int
-val parity : int -> bool
 
 type result = { value : int; flags : Eflags.t }
 

@@ -244,12 +244,6 @@ let invalidate_icache m ~addr ~len =
     gens.(p) <- gens.(p) + 1
   done
 
-let reset_hardware m =
-  (* the shared never-filled slot is read-only: lines still pointing at
-     it were never filled, and writing it would race between domains *)
-  Array.iter (fun s -> if s != dummy_islot then s.is_pc <- -1) m.icache;
-  Cost.reset_predictor m.pred
-
 (** Reset the per-run machine state for serving a new request on a
     reused machine: threads, I/O ports, cycle and instruction counters,
     signals, and predictor go back to power-on.  Memory contents and
@@ -266,3 +260,7 @@ let reset_for_run m =
   m.signal_queue <- [];
   m.pending_smc <- [];
   Cost.reset_predictor m.pred
+
+module For_testing = struct
+  let main_thread = main_thread
+end

@@ -100,11 +100,6 @@ let read_u16 m addr =
   Bigarray.Array1.unsafe_get m.bytes addr
   lor (Bigarray.Array1.unsafe_get m.bytes (addr + 1) lsl 8)
 
-let write_u16 m addr v =
-  check m addr 2 true;
-  Bigarray.Array1.unsafe_set m.bytes addr (v land 0xFF);
-  Bigarray.Array1.unsafe_set m.bytes (addr + 1) ((v lsr 8) land 0xFF)
-
 (** 32-bit reads return an unsigned value in [0, 2^32). *)
 let read_u32 m addr =
   check m addr 4 false;
@@ -222,13 +217,9 @@ let equal_range (a : t) (b : t) ~addr ~len =
   in
   go 0
 
-let blit_string m ~src ~dst =
-  let len = String.length src in
-  check m dst len true;
-  let b = m.bytes in
-  for i = 0 to len - 1 do
-    Bigarray.Array1.unsafe_set b (dst + i) (Char.code (String.unsafe_get src i))
-  done
-
 (** A {!Isa.Decode.fetch} view of this memory (bounds-checked). *)
 let fetch (m : t) : Isa.Decode.fetch = fun addr -> read_u8 m addr
+
+module For_testing = struct
+  let equal_range = equal_range
+end

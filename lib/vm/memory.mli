@@ -27,7 +27,6 @@ val take_dirty : t -> (int * int) list
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_u16 : t -> int -> int
-val write_u16 : t -> int -> int -> unit
 
 val read_u32 : t -> int -> int
 (** Unsigned value in [0, 2{^32}). *)
@@ -41,7 +40,6 @@ val read_bytes : t -> addr:int -> len:int -> Bytes.t
     whole range. *)
 
 val blit_bytes : t -> src:Bytes.t -> src_pos:int -> dst:int -> len:int -> unit
-val blit_string : t -> src:string -> dst:int -> unit
 
 val blit_bytes_raw : t -> src:Bytes.t -> src_pos:int -> dst:int -> len:int -> unit
 (** Bulk copy without write tracking (no touch marks, no dirty ranges).
@@ -57,8 +55,11 @@ val zero_touched : t -> below:int -> (int * int) list
     of resetting a machine between requests is proportional to pages
     written, not address-space size. *)
 
-val equal_range : t -> t -> addr:int -> len:int -> bool
-(** Byte-equality of two memories over [addr, addr+len). *)
-
 val fetch : t -> Isa.Decode.fetch
 (** Bounds-checked byte-fetcher view for the decoders. *)
+
+(** Test hooks: not part of the runtime's interface. *)
+module For_testing : sig
+  val equal_range : t -> t -> addr:int -> len:int -> bool
+  (** Byte-equality of two memories over [addr, addr+len). *)
+end

@@ -7,8 +7,6 @@ type outcome = {
   insns : int;
 }
 
-val default_quantum : int
-
 val run :
   ?quantum:int -> ?max_cycles:int -> emulate:bool -> Machine.t -> outcome
 (** Run all live threads to completion (or fault), round-robin. *)

@@ -28,10 +28,6 @@ let all : Workload.t list =
     Ammp_like.workload;
   ]
 
-let integer = List.filter (fun w -> not w.Workload.fp) all
-let floating = List.filter (fun w -> w.Workload.fp) all
-
 let by_name name =
   List.find_opt (fun w -> w.Workload.name = name) all
 
-let names = List.map (fun w -> w.Workload.name) all

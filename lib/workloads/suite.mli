@@ -3,7 +3,4 @@
     rationale). *)
 
 val all : Workload.t list
-val integer : Workload.t list
-val floating : Workload.t list
 val by_name : string -> Workload.t option
-val names : string list

@@ -5,7 +5,7 @@ let checkb = Alcotest.(check bool)
 let check_ilist = Alcotest.(check (list int))
 
 let run_source ?(input = []) src =
-  let prog = Asm.Parse.program src in
+  let prog = Asm.Parse.For_testing.program src in
   let image = Asm.Assemble.assemble prog in
   let m = Vm.Machine.create () in
   Vm.Machine.set_input m input;
@@ -14,7 +14,7 @@ let run_source ?(input = []) src =
   (Vm.Machine.output m, o.Vm.Sched.stop = Vm.Interp.Halted)
 
 let run_source_rio src =
-  let prog = Asm.Parse.program src in
+  let prog = Asm.Parse.For_testing.program src in
   let image = Asm.Assemble.assemble prog in
   let m = Vm.Machine.create () in
   ignore (Asm.Image.load m image);
@@ -164,7 +164,7 @@ let test_equivalent_to_dsl () =
   check_ilist "text = dsl (cached)" dsl_out rio_out
 
 let expect_error src frag =
-  match Asm.Parse.program src with
+  match Asm.Parse.For_testing.program src with
   | exception Asm.Parse.Parse_error { msg; _ } ->
       checkb
         (Printf.sprintf "error mentions %S (got %S)" frag msg)
@@ -192,7 +192,7 @@ let prop_disasm_parse_roundtrip =
       else begin
         let text = Isa.Disasm.insn_to_string insn in
         let src = Printf.sprintf "main:\n  %s\n  hlt\n" text in
-        match Asm.Parse.program src with
+        match Asm.Parse.For_testing.program src with
         | exception Asm.Parse.Parse_error { msg; _ } ->
             QCheck2.Test.fail_reportf "parse of %S failed: %s" text msg
         | prog -> (

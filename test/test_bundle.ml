@@ -370,7 +370,7 @@ let bundle_of opts pool =
    its own field; and the leaves must cover every record field. *)
 let check_table (type r) name (tbl : r O.table) ~bases ~(bundle : r -> B.t)
     ~(record_moves : r -> r -> bool) =
-  let leaves = O.leaves tbl in
+  let leaves = O.For_testing.leaves tbl in
   List.iter
     (fun (O.Knob k) ->
       let row = name ^ "." ^ k.key in
@@ -416,9 +416,9 @@ let fields r = Obj.size (Obj.repr r)
 let test_table_complete () =
   (* the two nested-table fields of Options.t are not leaves *)
   Alcotest.(check int) "one leaf per record field"
-    (fields O.default - 2 + fields O.default_costs + fields O.default_faults
+    (fields O.default - 2 + fields O.For_testing.default_costs + fields O.default_faults
     + fields O.default_pool)
-    (List.length (O.leaves O.engine_table) + List.length (O.leaves O.pool_table));
+    (List.length (O.For_testing.leaves O.engine_table) + List.length (O.For_testing.leaves O.pool_table));
   check_table "engine" O.engine_table
     ~bases:[ O.default; { O.default with O.opt_level = 3 } ]
     ~bundle:(fun o -> bundle_of o O.default_pool)

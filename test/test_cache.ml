@@ -21,11 +21,11 @@ module CA = Rio.Cachealloc
 
 let test_alloc_rounds_and_fits () =
   let a = CA.create ~base:0x1000 ~size:1024 () in
-  checki "capacity" 1024 (CA.capacity a);
+  checki "capacity" 1024 (CA.For_testing.capacity a);
   checki "one hole when empty" 1 (CA.holes a);
   (* 100 bytes rounds up to two 64-byte units *)
   checkb "first alloc at base" true (CA.alloc a 100 = Some 0x1000);
-  checki "used" 128 (CA.used_bytes a);
+  checki "used" 128 (CA.For_testing.used_bytes a);
   checkb "second alloc follows" true (CA.alloc a 1 = Some 0x1080);
   checki "free accounting" (1024 - 128 - 64) (CA.free_bytes a);
   checkb "oversized alloc refused" true (CA.alloc a 2048 = None);
@@ -110,8 +110,8 @@ let test_alloc_model =
               !live)
           !live
       in
-      CA.used_bytes a = used
-      && CA.free_bytes a = CA.capacity a - used
+      CA.For_testing.used_bytes a = used
+      && CA.free_bytes a = CA.For_testing.capacity a - used
       && CA.largest_free_bytes a <= CA.free_bytes a
       && no_overlap)
 

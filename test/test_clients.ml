@@ -31,7 +31,7 @@ type rlr_counts = { removed : int; rewritten : int }
 let rlr_run list =
   let il = il_of list in
   let c = Rio.Opt.fresh_counters () in
-  Clients.Rlr.optimize_il c il;
+  Clients.Rlr.For_testing.optimize_il c il;
   (il, { removed = c.Rio.Opt.loads_removed; rewritten = c.Rio.Opt.loads_rewritten })
 
 let test_rlr_removes_same_reg_reload () =
@@ -185,7 +185,7 @@ let test_rlr_fp_clobber_kills () =
 let strength_run list =
   let il = il_of list in
   let st = { Clients.Strength.examined = 0; converted = 0 } in
-  Clients.Strength.optimize_il il st;
+  Clients.Strength.For_testing.optimize_il il st;
   (il, st)
 
 let test_strength_converts_when_cf_dead () =
@@ -279,7 +279,7 @@ let test_strength_preserves_semantics () =
 let rcmp_run list =
   let il = il_of list in
   let _, t = Clients.Redundant_cmp.make () in
-  Clients.Redundant_cmp.optimize_il t il;
+  Clients.Redundant_cmp.For_testing.optimize_il t il;
   (il, t)
 
 let test_rcmp_removes_duplicate () =
@@ -504,7 +504,7 @@ let test_emitted_counter_matches_clean_calls () =
   let n = Workload.run_native w in
   let cc_client, cc_counts = Clients.Counter.make ~dynamic:true () in
   let cc_run, _ = Workload.run_rio ~client:cc_client w in
-  let em_client, read = Clients.Counter.make_emitted () in
+  let em_client, read = Clients.Counter.For_testing.make_emitted () in
   let em_run, _ = Workload.run_rio ~client:em_client w in
   check_ilist "clean-call output intact" n.output cc_run.output;
   check_ilist "emitted output intact" n.output em_run.output;
@@ -527,7 +527,7 @@ let test_opmix_exact () =
   let client, t = Clients.Opmix.make () in
   let r, _ = Workload.run_rio ~client w in
   check_ilist "output intact" n.output r.output;
-  let mix = Clients.Opmix.dynamic_mix t in
+  let mix = Clients.Opmix.For_testing.dynamic_mix t in
   let total = List.fold_left (fun a (_, c) -> a + c) 0 mix in
   (* the dynamic instruction total must match the machine's retired
      count for the app portion; we check it is plausibly large and that

@@ -113,7 +113,7 @@ let mk_rt () =
   let m = Vm.Machine.create () in
   let rt = Rio.create m in
   let thread = Vm.Machine.add_thread m ~entry:0x1000 ~stack_top:0x7F0000 in
-  let ts = Rio.make_thread_state rt thread in
+  let ts = Rio.Engine.For_testing.make_thread_state rt thread in
   (rt, ts)
 
 let body_il () =

@@ -38,12 +38,12 @@ let test_corruption_detected =
       let addr =
         f.Rio.Types.entry + (off mod (f.Rio.Types.total_end - f.Rio.Types.entry))
       in
-      let mem = Vm.Machine.mem (Rio.machine rt) in
+      let mem = Vm.Machine.mem (Rio.Engine.machine rt) in
       let old = Vm.Memory.read_u8 mem addr in
       Vm.Memory.write_u8 mem addr (old lxor mask);
-      let detected = Rio.Audit.check_fragment rt f <> None in
+      let detected = Rio.Audit.For_testing.check_fragment rt f <> None in
       Vm.Memory.write_u8 mem addr old;
-      let restored = Rio.Audit.check_fragment rt f = None in
+      let restored = Rio.Audit.For_testing.check_fragment rt f = None in
       detected && restored)
 
 (* ------------------------------------------------------------------ *)
@@ -61,28 +61,28 @@ let test_move_then_audit () =
   checkb "corpus non-empty" true (frags <> []);
   List.iter
     (fun f ->
-      checkb "clean before move" true (Rio.Audit.check_fragment rt f = None))
+      checkb "clean before move" true (Rio.Audit.For_testing.check_fragment rt f = None))
     frags;
-  let mem = Vm.Machine.mem (Rio.machine rt) in
+  let mem = Vm.Machine.mem (Rio.Engine.machine rt) in
   List.iter
     (fun f ->
       let len = f.Rio.Types.total_end - f.Rio.Types.entry in
       let dst = rt.Rio.Types.cache_cursor in
       assert (dst + len <= rt.Rio.Types.cache_end);
       rt.Rio.Types.cache_cursor <- dst + len;
-      Rio.Emit.move_fragment rt f ~dst;
+      Rio.Emit.For_testing.move_fragment rt f ~dst;
       checki "fragment entry moved" dst f.Rio.Types.entry;
-      checkb "clean after move" true (Rio.Audit.check_fragment rt f = None);
+      checkb "clean after move" true (Rio.Audit.For_testing.check_fragment rt f = None);
       (* the refreshed checksum covers the new placement: flipping a
          byte of the moved body must still be detected *)
       let addr = f.Rio.Types.entry + (len / 2) in
       let old = Vm.Memory.read_u8 mem addr in
       Vm.Memory.write_u8 mem addr (old lxor 0x5a);
       checkb "corruption after move detected" true
-        (Rio.Audit.check_fragment rt f <> None);
+        (Rio.Audit.For_testing.check_fragment rt f <> None);
       Vm.Memory.write_u8 mem addr old;
       checkb "clean after restore" true
-        (Rio.Audit.check_fragment rt f = None))
+        (Rio.Audit.For_testing.check_fragment rt f = None))
     frags;
   checki "every move counted" (List.length frags)
     (Rio.stats rt).Rio.Stats.fragments_moved
@@ -102,18 +102,18 @@ let test_rel8_site_not_patchable () =
   in
   checkb "some exits are linked" true (linked <> []);
   checkb "long sites are patchable" true
-    (List.for_all (Rio.Faultinject.exit_patchable rt) linked);
-  let mem = Vm.Machine.mem (Rio.machine rt) in
+    (List.for_all (Rio.Faultinject.For_testing.exit_patchable rt) linked);
+  let mem = Vm.Machine.mem (Rio.Engine.machine rt) in
   (* 0x80 is jmp rel8: over a jmp rel32 or a jcc rel32 opcode byte *)
   List.iter (fun e -> Vm.Memory.write_u8 mem (site e) 0x80) linked;
   List.iter
     (fun e ->
-      checkb "rel8 site is not patchable" false (Rio.Faultinject.exit_patchable rt e);
+      checkb "rel8 site is not patchable" false (Rio.Faultinject.For_testing.exit_patchable rt e);
       match Rio.Emit.patch_branch rt ~pc:(site e) ~target:0x1000 with
       | () -> Alcotest.fail "patch_branch accepted a rel8 site"
       | exception Rio_error _ -> ())
     linked;
-  checkb "link flip finds no victim" false (Rio.Faultinject.inject_link_flip rt)
+  checkb "link flip finds no victim" false (Rio.Faultinject.For_testing.inject_link_flip rt)
 
 (* ------------------------------------------------------------------ *)
 (* Hook barrier: a raising client never alters program output         *)
@@ -193,7 +193,7 @@ let test_ladder_escalates () =
   let f = List.hd (Rio.Audit.live_fragments rt) in
   let tag = f.Rio.Types.tag in
   for _ = 1 to 4 do
-    Rio.Dispatch.recover_tag rt ts ~tag ~reason:"test escalation"
+    Rio.Dispatch.For_testing.recover_tag rt ts ~tag ~reason:"test escalation"
   done;
   let s = Rio.stats rt in
   checki "rung 0 re-emit" 1 s.Rio.Stats.recover_reemit;
@@ -257,7 +257,7 @@ let test_injection_preserves_output () =
   let total = !total in
   checkb "faults were injected" true (total.Rio.Stats.faults_injected > 0);
   checkb "faults were detected" true (total.Rio.Stats.faults_detected > 0);
-  checkb "recoveries happened" true (Rio.Stats.recoveries total > 0)
+  checkb "recoveries happened" true (Rio.Stats.For_testing.recoveries total > 0)
 
 let test_injection_is_deterministic () =
   let run () =

@@ -76,7 +76,7 @@ let index_apply (idx : int FI.t) = function
   | Set_bb (t, v) -> FI.set_bb idx t v
   | Set_trace (t, v) -> FI.set_trace idx t v
   | Set_ibl (t, v) -> FI.set_ibl idx t v
-  | Clear_ibl t -> FI.clear_ibl idx t
+  | Clear_ibl t -> FI.For_testing.clear_ibl idx t
   | Bump_head t ->
       let e = FI.ensure idx t in
       e.FI.head <- 1 + (if e.FI.head >= 0 then e.FI.head else 0)
@@ -217,10 +217,10 @@ let test_delete_removes_everything () =
   FI.delete idx 10;
   checkb "no entry" true (FI.find idx 10 = None);
   checkb "not a head" false (FI.is_head idx 10);
-  checki "count" 0 (FI.count idx);
+  checki "count" 0 (FI.For_testing.count idx);
   (* deleting an absent key is a no-op *)
   FI.delete idx 10;
-  checki "still empty" 0 (FI.count idx)
+  checki "still empty" 0 (FI.For_testing.count idx)
 
 let test_delete_closes_probe_chains () =
   (* a tiny initial table guarantees long collision chains; deleting
@@ -237,12 +237,12 @@ let test_delete_closes_probe_chains () =
     let want = if k mod 3 = 0 then None else Some k in
     if FI.find_bb idx k <> want then Alcotest.failf "key %d wrong after deletes" k
   done;
-  checki "live keys" 66 (FI.count idx);
+  checki "live keys" 66 (FI.For_testing.count idx);
   (* deleted slots are genuinely reusable *)
   for k = 0 to 99 do
     if k mod 3 = 0 then FI.set_bb idx k (k * 2)
   done;
-  checki "refilled" 100 (FI.count idx)
+  checki "refilled" 100 (FI.For_testing.count idx)
 
 let test_flush_preserves_heads () =
   let idx = FI.create () in

@@ -7,7 +7,7 @@ open Workloads
 let checkb = Alcotest.(check bool)
 
 let check_consistency name rt =
-  match Rio.Emit.check_invariants rt with
+  match Rio.Emit.For_testing.check_invariants rt with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: cache inconsistency: %s" name e
 

@@ -107,12 +107,12 @@ let test_invalid_decode () =
   (* 0x06 is ALU form 6: unused *)
   let f = Decode.fetch_bytes (Bytes.of_string "\x06\x00") in
   checkb "invalid opcode rejected" true (Result.is_error (Decode.full f 0));
-  checkb "invalid boundary rejected" true (Result.is_error (Decode.boundary f 0));
+  checkb "invalid boundary rejected" true (Result.is_error (Decode.For_testing.boundary f 0));
   (* the register-only FP forms refuse a memory ModRM, as fmov and the
      register fadd..fdiv do *)
   List.iter
     (fun (what, s) ->
-      let f = Decode.fetch_string (s ^ String.make 8 '\x00') in
+      let f = Decode.For_testing.fetch_string (s ^ String.make 8 '\x00') in
       match Decode.full f 0 with
       | Error (Decode.Invalid_modrm 2) -> ()
       | Error e -> Alcotest.failf "%s: %s" what (Decode.error_to_string e)
@@ -131,9 +131,9 @@ let test_unknown_two_byte () =
      instruction's start *)
   List.iter
     (fun s ->
-      let f = Decode.fetch_string (s ^ String.make 8 '\x00') in
+      let f = Decode.For_testing.fetch_string (s ^ String.make 8 '\x00') in
       let expected = Error (Decode.Invalid_opcode (0, 0x99)) in
-      checkb "boundary" true (Decode.boundary f 0 = expected);
+      checkb "boundary" true (Decode.For_testing.boundary f 0 = expected);
       checkb "opcode_eflags" true (Result.map snd (Decode.opcode_eflags f 0) = expected);
       checkb "full" true (Result.map snd (Decode.full f 0) = expected))
     [ "\x0f\x99"; "\xf0\x0f\x99" ]
@@ -248,7 +248,7 @@ let test_eflags_metadata () =
   checkb "add writes CF" true (writes_flag m CF);
   let m = Opcode.eflags (Opcode.Jcc Cond.B) in
   checkb "jb reads CF" true (reads_flag m CF);
-  checkb "jb does not write" true (write_set m = []);
+  checkb "jb does not write" true (For_testing.write_set m = []);
   let m = Opcode.eflags Opcode.Adc in
   checkb "adc reads CF" true (reads_flag m CF);
   checkb "mov touches nothing" true (Opcode.eflags Opcode.Mov = Eflags.none)
@@ -347,12 +347,12 @@ let prop_decoder_total =
       (* pad generously so reads past a truncated instruction stay in
          bounds; bounds themselves are the fetcher's concern *)
       let padded = s ^ String.make 16 '\x00' in
-      let f = Decode.fetch_string padded in
+      let f = Decode.For_testing.fetch_string padded in
       let check_result = function
         | Ok len -> len > 0 && len <= 13
         | Error _ -> true
       in
-      check_result (Decode.boundary f 0)
+      check_result (Decode.For_testing.boundary f 0)
       && check_result (Result.map snd (Decode.opcode_eflags f 0))
       && check_result (Result.map snd (Decode.full f 0))
       &&
@@ -360,7 +360,7 @@ let prop_decoder_total =
          same length (the cheap scans may accept a superset: they skip
          operand-shape checks, like a real length decoder), and an
          unknown opcode is the same error to all of them *)
-      match (Decode.full f 0, Decode.boundary f 0) with
+      match (Decode.full f 0, Decode.For_testing.boundary f 0) with
       | Ok (_, len), b -> b = Ok len && Result.map snd (Decode.opcode_eflags f 0) = Ok len
       (* what the length scan refuses, the full decode refuses alike *)
       | Error e, Error e' -> e = e'
@@ -373,7 +373,7 @@ let prop_decoded_garbage_reencodes =
     QCheck2.Gen.(string_size ~gen:char (int_range 16 32))
     (fun s ->
       let padded = s ^ String.make 16 '\x00' in
-      match Decode.full (Decode.fetch_string padded) 0 with
+      match Decode.full (Decode.For_testing.fetch_string padded) 0 with
       | Error _ -> true
       | Ok (insn, _) -> Result.is_ok (Encode.encode ~pc:0 insn))
 

@@ -290,9 +290,9 @@ let p3 = Vm.Cost.default_params Vm.Cost.Pentium3
 let effects_line (op : Opcode.t) : string =
   let b c v = if v then c else '.' in
   Printf.sprintf "%s 0x%06x %s %c%c%c%c%c %d/%d" (Opcode.name op)
-    (Opcode.eflags op) (cti_name (Opcode.cti_kind op))
-    (b 'i' (Opcode.is_indirect_cti op))
-    (b 'c' (Opcode.is_call op))
+    (Opcode.eflags op) (cti_name (Opcode.For_testing.cti_kind op))
+    (b 'i' (Opcode.For_testing.is_indirect_cti op))
+    (b 'c' (Opcode.For_testing.is_call op))
     (b 'r' (Opcode.implicit_stack_read op))
     (b 'w' (Opcode.implicit_stack_write op))
     (b 'f' (Opcode.mem_width op = 8))
@@ -392,7 +392,7 @@ let pinned_sets =
       [ "jmp"; "jmp*"; "call"; "call*"; "ret"; "hlt"; "out"; "in"; "ccall" ]
       @ jccs );
     ( "constant-scan stop",
-      Rio.Trace.const_scan_stops,
+      Rio.Trace.For_testing.const_scan_stops,
       [ "push"; "pop"; "pushf"; "popf"; "jmp"; "jmp*"; "call"; "call*"; "ret";
         "hlt"; "out"; "in"; "ccall" ]
       @ jccs );

@@ -73,7 +73,7 @@ let fresh_serve ~opts (name, seed) =
    file, and all application memory below the TLS area. *)
 let state_equal (o1 : Rio.Engine.outcome) rt1 (o2 : Rio.Engine.outcome) rt2 =
   let m1 = Rio.Engine.machine rt1 and m2 = Rio.Engine.machine rt2 in
-  let t1 = Vm.Machine.main_thread m1 and t2 = Vm.Machine.main_thread m2 in
+  let t1 = Vm.Machine.For_testing.main_thread m1 and t2 = Vm.Machine.For_testing.main_thread m2 in
   let problems = ref [] in
   let check name b = if not b then problems := name :: !problems in
   check "output" (Vm.Machine.output m1 = Vm.Machine.output m2);
@@ -92,7 +92,7 @@ let state_equal (o1 : Rio.Engine.outcome) rt1 (o2 : Rio.Engine.outcome) rt2 =
      then t1.Vm.Machine.pc = t2.Vm.Machine.pc
      else true);
   check "app memory"
-    (Vm.Memory.equal_range
+    (Vm.Memory.For_testing.equal_range
        (Vm.Machine.mem m1) (Vm.Machine.mem m2)
        ~addr:0 ~len:Rio.Types.tls_base);
   !problems
@@ -855,7 +855,7 @@ let bundle_override_case () =
         (Printf.sprintf "%s seed %d ok" r.Rio.Pool.res_key r.Rio.Pool.res_seed)
         true r.Rio.Pool.res_ok)
     results;
-  let instances = Rio.Pool.warm_instances pool in
+  let instances = Rio.Pool.For_testing.warm_instances pool in
   Alcotest.(check bool) "fleet has warm instances" true (instances <> []);
   let audited = ref 0 in
   List.iter

@@ -25,7 +25,7 @@ let test_levels_bundle () =
   let raw, l1, l2 = sample_bytes () in
   let b = Rio.Instr.of_bundle ~addr:0x1000 raw in
   checkb "starts at L0" true (Rio.Instr.level b = Rio.Level.L0);
-  checki "bundle length" (l1 + l2) (Rio.Instr.length b);
+  checki "bundle length" (l1 + l2) (Rio.Instr.For_testing.length b);
   (* splitting happens through an InstrList *)
   let il = Rio.Instrlist.create () in
   Rio.Instrlist.append il b;
@@ -33,7 +33,7 @@ let test_levels_bundle () =
   checki "split into two" 2 (Rio.Instrlist.length il);
   let first = Option.get (Rio.Instrlist.first il) in
   checkb "split gives L1" true (Rio.Instr.level first = Rio.Level.L1);
-  checki "first piece len" l1 (Rio.Instr.length first)
+  checki "first piece len" l1 (Rio.Instr.For_testing.length first)
 
 let test_levels_transitions () =
   let raw, l1, _ = sample_bytes () in
@@ -212,13 +212,13 @@ let test_written_before_read () =
   let il = Rio.Instrlist.create () in
   Rio.Instrlist.append il (Rio.Create.inc (Operand.Reg Reg.Eax));   (* writes all but CF *)
   Rio.Instrlist.append il (Rio.Create.mov (Operand.Reg Reg.Ebx) (Operand.Imm 1));
-  let written = Rio.Flags_analysis.written_before_read (Rio.Instrlist.first il) in
+  let written = Rio.Flags_analysis.For_testing.written_before_read (Rio.Instrlist.first il) in
   checkb "ZF certainly written" true (written land Eflags.bit Eflags.ZF <> 0);
   checkb "CF not written" true (written land Eflags.bit Eflags.CF = 0);
   (* an adc first READS CF: it must not count as written *)
   let il2 = Rio.Instrlist.create () in
   Rio.Instrlist.append il2 (Rio.Create.adc (Operand.Reg Reg.Eax) (Operand.Imm 0));
-  let w2 = Rio.Flags_analysis.written_before_read (Rio.Instrlist.first il2) in
+  let w2 = Rio.Flags_analysis.For_testing.written_before_read (Rio.Instrlist.first il2) in
   checkb "CF read-before-write excluded" true (w2 land Eflags.bit Eflags.CF = 0)
 
 let test_flags_inc_partial () =
@@ -439,6 +439,77 @@ let test_transparent_output () =
   let out, _, rt = run_with ~client (loop_prog 20) in
   check_ilist "app output untouched" [ 190 ] out;
   Alcotest.(check string) "client output separate" "bye 7" (Rio.Api.client_output rt)
+
+(* The paper's §3.2 storage and spill interface, used the way a client
+   uses it: a global field and runtime-region counter maintained by the
+   bb hook, a per-thread field, and emitted code that borrows [eax]
+   through a spill slot to count block executions in the TLS field.
+   [lea] adds without touching eflags, so the inserted code is
+   transparent; it is built with [raw_insn], the opcode-plus-operands
+   bypass. *)
+exception Blocks_built of int ref
+
+let test_spill_and_tls_storage () =
+  let counter = ref 0 in
+  let tls_count = ref (-1) in
+  let spill_is_save_dst = ref false in
+  let client =
+    {
+      Rio.Types.null_client with
+      name = "storage";
+      init =
+        (fun rt ->
+          Rio.Api.set_global_field rt (Blocks_built (ref 0));
+          counter := Rio.Api.alloc_global rt ~bytes:4;
+          Rio.Api.write_global rt !counter 0);
+      thread_init =
+        (fun ctx ->
+          Rio.Api.set_thread_field ctx (Blocks_built (ref 0));
+          Rio.Api.write_tls_field ctx 0);
+      basic_block =
+        Some
+          (fun ctx ~tag:_ il ->
+            let rt = ctx.Rio.Types.rt in
+            (match Rio.Api.get_global_field rt with
+            | Some (Blocks_built n) -> incr n
+            | _ -> Alcotest.fail "global field lost");
+            Rio.Api.write_global rt !counter (Rio.Api.read_global rt !counter + 1);
+            let field = Rio.Api.tls_field_opnd ctx in
+            let bump =
+              Rio.Create.raw_insn Opcode.Lea
+                ~srcs:[| Operand.mem_base ~disp:1 Reg.Eax |]
+                ~dsts:[| Operand.Reg Reg.Eax |]
+            in
+            List.iter (Rio.Instrlist.prepend il)
+              (List.rev
+                 [
+                   Rio.Api.save_reg ctx Reg.Eax 0;
+                   Rio.Create.mov (Operand.Reg Reg.Eax) field;
+                   bump;
+                   Rio.Create.mov field (Operand.Reg Reg.Eax);
+                   Rio.Api.restore_reg ctx Reg.Eax 0;
+                 ]));
+      thread_exit =
+        (fun ctx ->
+          tls_count := Rio.Api.read_tls_field ctx;
+          spill_is_save_dst :=
+            Rio.Instr.get_dst (Rio.Api.save_reg ctx Reg.Eax 0) 0
+            = Rio.Api.spill_slot_opnd ctx 0;
+          match Rio.Api.get_thread_field ctx with
+          | Some (Blocks_built _) -> ()
+          | _ -> Alcotest.fail "thread field lost");
+    }
+  in
+  let prog = loop_prog 500 in
+  let out, _, rt = run_with ~client prog in
+  check_ilist "output transparent" (native_out prog) out;
+  checkb "loop body counted" true (!tls_count >= 500);
+  checkb "save_reg writes the spill slot" true !spill_is_save_dst;
+  match Rio.Api.get_global_field rt with
+  | Some (Blocks_built n) ->
+      checki "runtime-region counter = blocks built" !n
+        (Rio.Api.read_global rt !counter)
+  | _ -> Alcotest.fail "global field lost"
 
 (* ------------------------------------------------------------------ *)
 (* Custom exit stubs                                                  *)
@@ -1157,6 +1228,7 @@ let () =
           Alcotest.test_case "transform applies" `Quick test_client_transform_applies;
           Alcotest.test_case "clean calls" `Quick test_clean_call_counts_executions;
           Alcotest.test_case "transparent output" `Quick test_transparent_output;
+          Alcotest.test_case "spill and tls storage" `Quick test_spill_and_tls_storage;
         ] );
       ( "custom stubs",
         [

@@ -28,18 +28,18 @@ let gen_samples =
 let gen_stats : S.t QCheck.Gen.t =
   let open QCheck.Gen in
   let* samples = gen_samples in
-  let* values = list_repeat (List.length S.rows) (int_range 0 10_000) in
+  let* values = list_repeat (List.length S.For_testing.rows) (int_range 0 10_000) in
   return
     (let s = S.create () in
      List.iter (S.hist_add s.S.serve_lat) samples;
-     List.iter2 (fun (r : S.row) v -> r.set s v) S.rows values;
+     List.iter2 (fun (r : S.row) v -> r.set s v) S.For_testing.rows values;
      s)
 
 let stats_arb =
   QCheck.make
     ~print:(fun s ->
       Printf.sprintf "{blocks=%d; shed=%d; hist_n=%d}" s.S.blocks_built
-        s.S.requests_shed (S.hist_count s.S.serve_lat))
+        s.S.requests_shed (S.For_testing.hist_count s.S.serve_lat))
     gen_stats
 
 (* Structural equality is the right notion: [t] is ints and an int
@@ -75,7 +75,7 @@ let prop_merge_pointwise =
         (fun (r : S.row) ->
           let gauge = String.starts_with ~prefix:"freelist_" r.name in
           r.get m = (if gauge then max else ( + )) (r.get a) (r.get b))
-        S.rows)
+        S.For_testing.rows)
 
 (* Histogram totals are conserved: no sample is dropped or double
    counted by a merge. *)
@@ -83,8 +83,8 @@ let prop_merge_conserves_count =
   QCheck.Test.make ~count:300 ~name:"merge conserves histogram mass"
     QCheck.(pair stats_arb stats_arb)
     (fun (a, b) ->
-      S.hist_count (S.merge a b).S.serve_lat
-      = S.hist_count a.S.serve_lat + S.hist_count b.S.serve_lat)
+      S.For_testing.hist_count (S.merge a b).S.serve_lat
+      = S.For_testing.hist_count a.S.serve_lat + S.For_testing.hist_count b.S.serve_lat)
 
 (* ------------------------------------------------------------------ *)
 (* Percentile vs sorted-sample oracle                                 *)
@@ -102,13 +102,13 @@ let oracle_percentile samples q =
   if n = 0 then 0
   else
     let rank = min n (max 1 ((n * q + 99) / 100)) in
-    S.bucket_upper (S.bucket_of arr.(rank - 1))
+    S.For_testing.bucket_upper (S.For_testing.bucket_of arr.(rank - 1))
 
 let prop_percentile_oracle =
   QCheck.Test.make ~count:500 ~name:"hist_percentile matches sorted oracle"
     QCheck.(pair (make gen_samples) (make Gen.(int_range 0 100)))
     (fun (samples, q) ->
-      let h = S.hist_create () in
+      let h = S.For_testing.hist_create () in
       List.iter (S.hist_add h) samples;
       let got = S.hist_percentile h q in
       let want = oracle_percentile samples q in
@@ -124,7 +124,7 @@ let prop_percentile_conservative =
     QCheck.(pair (make gen_samples) (make Gen.(int_range 0 100)))
     (fun (samples, q) ->
       QCheck.assume (samples <> []);
-      let h = S.hist_create () in
+      let h = S.For_testing.hist_create () in
       List.iter (S.hist_add h) samples;
       let bound = S.hist_percentile h q in
       let n = List.length samples in
@@ -137,7 +137,7 @@ let prop_percentile_conservative =
 (* ------------------------------------------------------------------ *)
 
 let test_hist_edges () =
-  let h = S.hist_create () in
+  let h = S.For_testing.hist_create () in
   Alcotest.(check int) "empty histogram p99 is 0" 0 (S.hist_percentile h 99);
   S.hist_add h 0;
   S.hist_add h (-7);
@@ -149,18 +149,18 @@ let test_hist_edges () =
   S.hist_add h 1024;
   Alcotest.(check int) "power-of-two sample reports its bucket upper" 2047
     (S.hist_percentile h 100);
-  Alcotest.(check int) "count tracks adds" 4 (S.hist_count h)
+  Alcotest.(check int) "count tracks adds" 4 (S.For_testing.hist_count h)
 
 (* ------------------------------------------------------------------ *)
 (* The registry: complete, and the report it derives                  *)
 (* ------------------------------------------------------------------ *)
 
-let names = List.map (fun (r : S.row) -> r.name) S.rows
+let names = List.map (fun (r : S.row) -> r.name) S.For_testing.rows
 
 let test_table_complete () =
   Alcotest.(check int) "one row per int field (all but serve_lat)"
     (Obj.size (Obj.repr (S.create ())) - 1)
-    (List.length S.rows);
+    (List.length S.For_testing.rows);
   Alcotest.(check int) "row names are unique" (List.length names)
     (List.length (List.sort_uniq compare names));
   List.iter
@@ -174,13 +174,13 @@ let test_table_complete () =
             Alcotest.(check int)
               (Printf.sprintf "%s untouched by %s" o.name r.name)
               0 (o.get s))
-        S.rows)
-    S.rows;
+        S.For_testing.rows)
+    S.For_testing.rows;
   Alcotest.(check (list string)) "exactly the free-list gauges merge by max"
     [ "freelist_holes"; "freelist_free_bytes"; "freelist_largest_hole" ]
     (List.filter_map
        (fun (r : S.row) -> if r.merge = S.Max then Some r.name else None)
-       S.rows)
+       S.For_testing.rows)
 
 (* Every counter holds a distinct value (its rank among the sorted
    field names), so a label printed against the wrong counter shows. *)
@@ -188,7 +188,7 @@ let golden_stats () =
   let s = S.create () in
   List.iteri
     (fun i name ->
-      (List.find (fun (r : S.row) -> r.name = name) S.rows).set s (i + 1))
+      (List.find (fun (r : S.row) -> r.name = name) S.For_testing.rows).set s (i + 1))
     (List.sort compare names);
   s
 

@@ -170,7 +170,9 @@ let run_rio ?(opts = Rio.Options.default) ?(client = Rio.Types.null_client) prog
   ignore (Asm.Image.load m image);
   let rt = Rio.create ~opts ~client m in
   let o = Rio.run rt in
-  (Vm.Machine.output m, o.Rio.reason = Rio.All_exited)
+  (* the cache's link state is checked after every run, not just output *)
+  (Vm.Machine.output m, o.Rio.reason = Rio.All_exited,
+   Rio.Emit.For_testing.check_invariants rt)
 
 (* low threshold so short random runs still exercise traces and
    adaptive rewrites *)
@@ -205,11 +207,16 @@ let prop_differential =
       else begin
         List.iter
           (fun (cname, run) ->
-            let out, ok = run prog in
+            let out, ok, inv = run prog in
             if not ok then
               QCheck2.Test.fail_reportf "seed %d: %s did not complete" seed cname;
             if out <> n_out then
-              QCheck2.Test.fail_reportf "seed %d: %s output mismatch" seed cname)
+              QCheck2.Test.fail_reportf "seed %d: %s output mismatch" seed cname;
+            match inv with
+            | Ok () -> ()
+            | Error e ->
+                QCheck2.Test.fail_reportf "seed %d: %s link invariants: %s" seed
+                  cname e)
           (configs seed);
         true
       end)
@@ -225,7 +232,7 @@ let debug_seed () =
         (String.concat ";" (List.map string_of_int n_out));
       List.iter
         (fun (name, client) ->
-          let out, ok = run_rio ~opts:hot_opts ~client prog in
+          let out, ok, _ = run_rio ~opts:hot_opts ~client prog in
           Printf.printf "%-10s ok=%b eq=%b out=[%s]\n" name ok (out = n_out)
             (String.concat ";" (List.map string_of_int out)))
         [

@@ -35,14 +35,6 @@ open Workloads
 
 let pr fmt = Printf.printf fmt
 
-let arm_alarm ~quick =
-  Sys.set_signal Sys.sigalrm
-    (Sys.Signal_handle
-       (fun _ ->
-         prerr_endline "!! autotune: HANG — alarm fired before completion";
-         exit 3));
-  ignore (Unix.alarm (if quick then 420 else 3000))
-
 let opts (b : Rio.Bundle.t) = b.Rio.Bundle.b_opts
 let pool_cfg (b : Rio.Bundle.t) = b.Rio.Bundle.b_pool
 let set_opts (b : Rio.Bundle.t) o = { b with Rio.Bundle.b_opts = o }
@@ -277,15 +269,6 @@ let random_bundle ~knobs st base =
 let override_pass ~wls ~score (best : Rio.Bundle.t) best_m :
     Rio.Bundle.t * measurement =
   (* deterministic single-engine cycles at each level, memoized *)
-  let native_of = Hashtbl.create 32 in
-  let native (w : Workload.t) =
-    match Hashtbl.find_opt native_of w.Workload.name with
-    | Some r -> r
-    | None ->
-        let r = Sweep.native_checked w in
-        Hashtbl.replace native_of w.Workload.name r;
-        r
-  in
   let se_memo = Hashtbl.create 64 in
   let se_cycles (w : Workload.t) lvl =
     match Hashtbl.find_opt se_memo (w.Workload.name, lvl) with
@@ -300,12 +283,8 @@ let override_pass ~wls ~score (best : Rio.Bundle.t) best_m :
           match Rio.Options.validate o with
           | Error _ -> None
           | Ok () ->
-              let r, _rt = Workload.run_rio ~opts:o w in
-              if
-                r.Workload.ok
-                && r.Workload.output = (native w).Workload.output
-              then Some r.Workload.cycles
-              else None
+              let r = Sweep.run ~label:(Printf.sprintf "-O%d guard" lvl) ~opts:o w in
+              if r.same then Some r.res.Workload.cycles else None
         in
         Hashtbl.replace se_memo (w.Workload.name, lvl) c;
         c
@@ -402,8 +381,11 @@ let override_pass ~wls ~score (best : Rio.Bundle.t) best_m :
 (* Driver                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run ~quick ~out_path ~bundle_out () =
-  arm_alarm ~quick;
+let run ({ Sweep.quick; _ } as cli) =
+  let bundle_out =
+    Option.value (List.assoc_opt "--bundle-out" cli.Sweep.flags)
+      ~default:"bundle.json"
+  in
   let wls =
     if quick then
       List.filter_map Suite.by_name
@@ -457,9 +439,7 @@ let run ~quick ~out_path ~bundle_out () =
   let default_m =
     match score ~phase:"baseline" ~desc:"defaults" default_bundle with
     | Trial_ok m -> m
-    | o ->
-        pr "!! the default bundle failed to measure: %s\n%!" (outcome_str o);
-        exit 2
+    | o -> failwith ("the default bundle failed to measure: " ^ outcome_str o)
   in
   (* --- coordinate descent with a seeded random-restart ladder --- *)
   let global_best = ref default_bundle and global_best_m = ref default_m in
@@ -536,9 +516,9 @@ let run ~quick ~out_path ~bundle_out () =
   (match Rio.Bundle.save bundle_out best with
   | Ok () -> pr "wrote %s\n%!" bundle_out
   | Error e ->
-      pr "!! could not write %s: %s\n%!" bundle_out
-        (Rio.Bundle.error_to_string e);
-      exit 2);
+      failwith
+        (Printf.sprintf "could not write %s: %s" bundle_out
+           (Rio.Bundle.error_to_string e)));
   (* --- JSON datapoint --- *)
   let open Rio.Json in
   let knob_obj b =
@@ -552,88 +532,78 @@ let run ~quick ~out_path ~bundle_out () =
                  b.Rio.Bundle.b_overrides) );
         ])
   in
-  Sweep.write_json ~path:out_path
-    (Obj
-       [
-         ("schema", Str "rio-autotune-v1");
-         ("quick", Bool quick);
-         ("workloads", Int (List.length wls));
-         ("requests_per_workload", Int reqs_per_wl);
-         ("objective", Str "geomean_mean_sim_cycles_per_request");
-         ("default_objective", Float default_m.m_objective);
-         ("tuned_objective", Float best_m.m_objective);
-         ("improvement_pct", Float improvement_pct);
-         ("default_makespan", Int default_m.m_makespan);
-         ("tuned_makespan", Int best_m.m_makespan);
-         ("bundle_digest", Str (Printf.sprintf "%08x" (Rio.Bundle.digest best)));
-         ("bundle_file", Str bundle_out);
-         ("tuned_knobs", knob_obj best);
-         ("trials_total", Int (List.length trials));
-         ("trials_ok", Int (count "ok"));
-         ("trials_invalid", Int (count "invalid"));
-         ("trials_diverged", Int (count "diverged"));
-         ("trials_failed", Int (count "failed"));
-         ("memo_hits", Int !memo_hits);
-         ( "per_workload",
-           Arr
-             (List.map
-                (fun (name, d) ->
-                  let t = List.assoc name best_m.m_per_wl in
-                  Obj
-                    [
-                      ("bench", Str name);
-                      ("default_cycles", Float d);
-                      ("tuned_cycles", Float t);
-                      ("ratio", Float (t /. d));
-                    ])
-                default_m.m_per_wl) );
-         ( "trials",
-           Arr
-             (List.map
-                (fun t ->
-                  Obj
-                    [
-                      ("id", Int t.t_id);
-                      ("phase", Str t.t_phase);
-                      ("move", Str t.t_desc);
-                      ("digest", Str t.t_digest);
-                      ("outcome", Str (outcome_kind t.t_outcome));
-                      ( "objective",
-                        match t.t_outcome with
-                        | Trial_ok m -> Float m.m_objective
-                        | _ -> Null );
-                      ( "makespan",
-                        match t.t_outcome with
-                        | Trial_ok m -> Int m.m_makespan
-                        | _ -> Null );
-                      ( "host_s",
-                        match t.t_outcome with
-                        | Trial_ok m -> Float m.m_host_s
-                        | Trial_divergent (_, s) -> Float s
-                        | _ -> Null );
-                      ( "detail",
-                        match t.t_outcome with
-                        | Trial_ok _ -> Null
-                        | Trial_invalid e | Trial_failed e -> Str e
-                        | Trial_divergent (n, _) ->
-                            Str (Printf.sprintf "%d diverged" n) );
-                    ])
-                trials) );
-       ]);
-  (* --- hard gates --- *)
-  if count "diverged" > 0 || count "failed" > 0 then begin
-    pr "!! %d diverged and %d failed trials (must be zero)\n%!"
-      (count "diverged") (count "failed");
-    exit 1
-  end;
-  if best_m.m_objective > default_m.m_objective then begin
-    pr "!! tuned objective %.0f is worse than the default %.0f\n%!"
-      best_m.m_objective default_m.m_objective;
-    exit 1
-  end;
-  if (not quick) && improvement_pct < 3.0 then begin
-    pr "!! improvement %.2f%% below the 3%% full-mode target\n%!"
-      improvement_pct;
-    exit 1
-  end;
-  ignore (Unix.alarm 0)
+  ( [
+      ("workloads", Int (List.length wls));
+      ("requests_per_workload", Int reqs_per_wl);
+      ("objective", Str "geomean_mean_sim_cycles_per_request");
+      ("default_objective", Float default_m.m_objective);
+      ("tuned_objective", Float best_m.m_objective);
+      ("improvement_pct", Float improvement_pct);
+      ("default_makespan", Int default_m.m_makespan);
+      ("tuned_makespan", Int best_m.m_makespan);
+      ("bundle_digest", Str (Printf.sprintf "%08x" (Rio.Bundle.digest best)));
+      ("bundle_file", Str bundle_out);
+      ("tuned_knobs", knob_obj best);
+      ("trials_total", Int (List.length trials));
+      ("trials_ok", Int (count "ok"));
+      ("trials_invalid", Int (count "invalid"));
+      ("trials_diverged", Int (count "diverged"));
+      ("trials_failed", Int (count "failed"));
+      ("memo_hits", Int !memo_hits);
+      ( "per_workload",
+        Arr
+          (List.map
+             (fun (name, d) ->
+               let t = List.assoc name best_m.m_per_wl in
+               Obj
+                 [
+                   ("bench", Str name);
+                   ("default_cycles", Float d);
+                   ("tuned_cycles", Float t);
+                   ("ratio", Float (t /. d));
+                 ])
+             default_m.m_per_wl) );
+      ( "trials",
+        Arr
+          (List.map
+             (fun t ->
+               Obj
+                 [
+                   ("id", Int t.t_id);
+                   ("phase", Str t.t_phase);
+                   ("move", Str t.t_desc);
+                   ("digest", Str t.t_digest);
+                   ("outcome", Str (outcome_kind t.t_outcome));
+                   ( "objective",
+                     match t.t_outcome with
+                     | Trial_ok m -> Float m.m_objective
+                     | _ -> Null );
+                   ( "makespan",
+                     match t.t_outcome with
+                     | Trial_ok m -> Int m.m_makespan
+                     | _ -> Null );
+                   ( "host_s",
+                     match t.t_outcome with
+                     | Trial_ok m -> Float m.m_host_s
+                     | Trial_divergent (_, s) -> Float s
+                     | _ -> Null );
+                   ( "detail",
+                     match t.t_outcome with
+                     | Trial_ok _ -> Null
+                     | Trial_invalid e | Trial_failed e -> Str e
+                     | Trial_divergent (n, _) ->
+                         Str (Printf.sprintf "%d diverged" n) );
+                 ])
+             trials) );
+    ],
+    [
+      Sweep.at_most "diverged trials" ~bound:0.0 (float_of_int (count "diverged"));
+      Sweep.at_most "failed trials" ~bound:0.0 (float_of_int (count "failed"));
+      Sweep.at_most "tuned objective (cycles/request) vs default"
+        ~bound:default_m.m_objective best_m.m_objective;
+    ]
+    @
+    if quick then []
+    else
+      [ Sweep.at_least "improvement over defaults (%)" ~bound:3.0 improvement_pct ]
+  )

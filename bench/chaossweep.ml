@@ -37,17 +37,6 @@ let seeds ~quick = if quick then [ 1 ] else [ 1; 2 ]
 let policies ~quick = if quick then [ 3 ] else [ 1; 3 ]
 let requests_per_workload ~quick = if quick then 1 else 2
 
-(* the whole-process hang backstop: chaossweep's first gate is that it
-   terminates, so a deadlocked drain must not look like a quiet CI
-   timeout *)
-let arm_alarm ~quick =
-  Sys.set_signal Sys.sigalrm
-    (Sys.Signal_handle
-       (fun _ ->
-         prerr_endline "!! chaossweep: HANG — alarm fired before completion";
-         exit 3));
-  ignore (Unix.alarm (if quick then 300 else 900))
-
 type combo_row = {
   cr_seed : int;
   cr_retries : int;
@@ -66,8 +55,7 @@ type combo_row = {
   cr_host_s : float;
 }
 
-let run ~quick ~out_path () =
-  arm_alarm ~quick;
+let run { Sweep.quick; _ } =
   let wls = List.map Workload.serving_variant Suite.all in
   pr "\n=== Chaos sweep (%s mode; %d workloads) ===\n"
     (if quick then "quick" else "full")
@@ -85,7 +73,6 @@ let run ~quick ~out_path () =
   let opts = { Rio.Options.default with max_cycles = max_int / 2 } in
   let boots = Sweep.pool_boots ~client ~opts wls in
   let n = requests_per_workload ~quick * List.length wls in
-  let divergences = ref 0 in
   let lost_total = ref 0 in
   let reloads_done = ref 0 in
   let first_combo = ref true in
@@ -138,7 +125,7 @@ let run ~quick ~out_path () =
             (* count via completion: submit_exn means all were accepted *)
             let lost = submitted - List.length all in
             let bad = List.filter (fun r -> not r.Rio.Pool.res_ok) all in
-            Sweep.check_pass ~divergences
+            Sweep.check_pass
               (Printf.sprintf "chaos seed=%d retries=%d" seed retries)
               all;
             lost_total := !lost_total + lost;
@@ -256,80 +243,62 @@ let run ~quick ~out_path () =
   pr
     "totals: %d crashes  %d respawns  %d deadline hits  %d retries  %d lost  \
      %d divergences\n%!"
-    crashes respawns deadline_hits retried !lost_total !divergences;
+    crashes respawns deadline_hits retried !lost_total !Sweep.diverged;
 
   let open Rio.Json in
-  Sweep.write_json ~path:out_path
-    (Obj
-       [
-         ("schema", Str "rio-chaossweep-v1");
-         ("quick", Bool quick);
-         ("workloads", Int (List.length wls));
-         ("combos", Int (List.length rows));
-         ("lost", Int !lost_total);
-         ("divergences", Int !divergences);
-         ("crashes", Int crashes);
-         ("respawns", Int respawns);
-         ("deadline_hits", Int deadline_hits);
-         ("retries", Int retried);
-         ("requeues", Int (total (fun r -> r.cr_requeues)));
-         ("reloads", Int !reloads_done);
-         ( "quarantine",
-           Obj
-             [
-               ("opens", Int qsnap.Rio.Pool.snap_quarantine_opens);
-               ("closes", Int qsnap.Rio.Pool.snap_quarantine_closes);
-               ("probes", Int qsnap.Rio.Pool.snap_probes);
-               ( "rejected",
-                 Int qsnap.Rio.Pool.snap_rejected_quarantined );
-               ("rejected_while_probing", Bool rejected_while_probing);
-               ("lifecycle_ok", Bool quarantine_ok);
-             ] );
-         ( "grid",
-           Arr
-             (List.map
-                (fun r ->
-                  Obj
-                    [
-                      ("chaos_seed", Int r.cr_seed);
-                      ("retries", Int r.cr_retries);
-                      ("requests", Int r.cr_requests);
-                      ("completed", Int r.cr_completed);
-                      ("lost", Int r.cr_lost);
-                      ("bad", Int r.cr_bad);
-                      ("crashes", Int r.cr_crashes);
-                      ("deadline_hits", Int r.cr_deadline_hits);
-                      ("retries_done", Int r.cr_retries_done);
-                      ("requeues", Int r.cr_requeues);
-                      ("respawns", Int r.cr_respawns);
-                      ("warm_hits", Int r.cr_warm_hits);
-                      ("cold_boots", Int r.cr_cold_boots);
-                      ("max_attempts", Int r.cr_max_attempts);
-                      ("host_seconds", Float r.cr_host_s);
-                    ])
-                rows) );
-       ]);
-
-  (* hard gates *)
-  if !lost_total > 0 then begin
-    pr "!! %d accepted request(s) lost\n%!" !lost_total;
-    exit 1
-  end;
-  if !divergences > 0 then begin
-    pr "!! %d request(s) not output-identical to native\n%!" !divergences;
-    exit 1
-  end;
-  if not quarantine_ok then begin
-    pr "!! quarantine lifecycle incomplete\n%!";
-    exit 1
-  end;
-  (* the chaos machinery must actually have been exercised: with
-     ch_period 3 over the whole grid, zero worker deaths means the
-     injector (or the supervisor accounting) is broken.  A chaos kill
-     deliberately bypasses the exception barrier, so it surfaces as a
-     respawn, not a [Crashed] result *)
-  if respawns = 0 then begin
-    pr "!! no worker death/respawn exercised (respawns %d)\n%!" respawns;
-    exit 1
-  end;
-  ignore (Unix.alarm 0)
+  ( [
+      ("workloads", Int (List.length wls));
+      ("combos", Int (List.length rows));
+      ("lost", Int !lost_total);
+      ("divergences", Int !Sweep.diverged);
+      ("crashes", Int crashes);
+      ("respawns", Int respawns);
+      ("deadline_hits", Int deadline_hits);
+      ("retries", Int retried);
+      ("requeues", Int (total (fun r -> r.cr_requeues)));
+      ("reloads", Int !reloads_done);
+      ( "quarantine",
+        Obj
+          [
+            ("opens", Int qsnap.Rio.Pool.snap_quarantine_opens);
+            ("closes", Int qsnap.Rio.Pool.snap_quarantine_closes);
+            ("probes", Int qsnap.Rio.Pool.snap_probes);
+            ( "rejected",
+              Int qsnap.Rio.Pool.snap_rejected_quarantined );
+            ("rejected_while_probing", Bool rejected_while_probing);
+            ("lifecycle_ok", Bool quarantine_ok);
+          ] );
+      ( "grid",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [
+                   ("chaos_seed", Int r.cr_seed);
+                   ("retries", Int r.cr_retries);
+                   ("requests", Int r.cr_requests);
+                   ("completed", Int r.cr_completed);
+                   ("lost", Int r.cr_lost);
+                   ("bad", Int r.cr_bad);
+                   ("crashes", Int r.cr_crashes);
+                   ("deadline_hits", Int r.cr_deadline_hits);
+                   ("retries_done", Int r.cr_retries_done);
+                   ("requeues", Int r.cr_requeues);
+                   ("respawns", Int r.cr_respawns);
+                   ("warm_hits", Int r.cr_warm_hits);
+                   ("cold_boots", Int r.cr_cold_boots);
+                   ("max_attempts", Int r.cr_max_attempts);
+                   ("host_seconds", Float r.cr_host_s);
+                 ])
+             rows) );
+    ],
+    (* the chaos machinery must actually have been exercised: with
+       ch_period 3 over the whole grid, zero worker deaths means the
+       injector (or the supervisor accounting) is broken.  A chaos kill
+       deliberately bypasses the exception barrier, so it surfaces as a
+       respawn, not a [Crashed] result *)
+    [
+      Sweep.at_most "accepted requests lost" ~bound:0.0 (float_of_int !lost_total);
+      Sweep.holds "quarantine lifecycle complete" quarantine_ok;
+      Sweep.at_least "worker deaths respawned" ~bound:1.0 (float_of_int respawns);
+    ] )

@@ -13,11 +13,10 @@
 
 open Workloads
 
-let pr fmt = Printf.printf fmt
-
-(* shared sweep scaffolding (CLI parsing, JSON emission, native checks)
-   lives in [Sweep]; alias the helpers used throughout *)
+let pr = Sweep.pr
 let geomean = Sweep.geomean
+
+let rec adjacent = function a :: (b :: _ as tl) -> (a, b) :: adjacent tl | _ -> []
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                            *)
@@ -27,24 +26,36 @@ let table1 () =
   pr "\n=== Table 1: performance of interpreter features (crafty, vpr) ===\n";
   pr "%-28s %10s %10s\n" "System Type" "crafty" "vpr";
   let wl = [ Option.get (Suite.by_name "crafty"); Option.get (Suite.by_name "vpr") ] in
-  let native = List.map (fun w -> float_of_int (Workload.run_native w).cycles) wl in
-  List.iter
-    (fun (name, opts) ->
-      let opts = { opts with Rio.Options.max_cycles = max_int / 2 } in
-      let ratios =
-        List.map2
-          (fun w n ->
-            let r, _ = Workload.run_rio ~opts w in
-            if not r.Workload.ok then
-              failwith (Printf.sprintf "table1: %s under %s: %s" w.name name r.detail);
-            float_of_int r.cycles /. n)
-          wl native
-      in
-      match ratios with
-      | [ c; v ] -> pr "%-28s %10.1f %10.1f\n" name c v
-      | _ -> assert false)
-    Rio.Options.table1_configs;
-  pr "(paper: ~300/~300, 26.1/26.0, 5.1/3.0, 2.0/1.2, 1.7/1.1)\n%!"
+  let rows =
+    List.map
+      (fun (name, opts) ->
+        let opts = { opts with Rio.Options.max_cycles = max_int / 2 } in
+        let ratios = List.map (fun w -> (Sweep.run ~label:name ~opts w).ratio) wl in
+        (match ratios with
+        | [ c; v ] -> pr "%-28s %10.1f %10.1f\n" name c v
+        | _ -> assert false);
+        (name, ratios))
+      Rio.Options.table1_configs
+  in
+  pr "(paper: ~300/~300, 26.1/26.0, 5.1/3.0, 2.0/1.2, 1.7/1.1)\n%!";
+  (* the paper's shape: each feature makes both workloads strictly
+     faster, and indirect-branch-heavy crafty never beats vpr *)
+  List.concat
+    (List.mapi
+       (fun k w ->
+         List.map
+           (fun ((above, a), (name, r)) ->
+             Sweep.below
+               (Printf.sprintf "%s: %s vs %s" w.Workload.name name above)
+               ~bound:(List.nth a k) (List.nth r k))
+           (adjacent rows))
+       wl)
+  @ List.map
+      (fun (name, r) ->
+        Sweep.at_least
+          (Printf.sprintf "%s: crafty vs vpr" name)
+          ~bound:(List.nth r 1) (List.nth r 0))
+      rows
 
 (* Extended Table 1: the same five configurations over the whole suite
    (not part of the paper; an appendix-style completeness check). *)
@@ -55,14 +66,11 @@ let table1x () =
   pr "\n";
   List.iter
     (fun w ->
-      let native = float_of_int (Workload.run_native w).cycles in
       pr "%-9s" w.Workload.name;
       List.iter
-        (fun (_, opts) ->
+        (fun (name, opts) ->
           let opts = { opts with Rio.Options.max_cycles = max_int / 2 } in
-          let r, _ = Workload.run_rio ~opts w in
-          if not r.Workload.ok then failwith (w.Workload.name ^ ": failed");
-          pr " %12.1f" (float_of_int r.cycles /. native))
+          pr " %12.1f" (Sweep.run ~label:name ~opts w).ratio)
         Rio.Options.table1_configs;
       pr "\n%!")
     Suite.all
@@ -197,7 +205,8 @@ let figure1 () =
   ignore (Asm.Image.load m image);
   let rt = Rio.create m in
   Rio.enable_flow_log rt;
-  ignore (Rio.run rt);
+  let o = Rio.run rt in
+  ignore (Sweep.check w ~ok:(o.Rio.reason = Rio.All_exited) (Vm.Machine.output m));
   let log = Rio.flow_log rt in
   pr "first 14 events:\n";
   List.iteri (fun k e -> if k < 14 then pr "  %2d. %s\n" (k + 1) e) log;
@@ -298,7 +307,8 @@ let figure4 () =
   in
   let client = Clients.Compose.compose [ capture; Clients.Ibdispatch.make () ] in
   let rt = Rio.create ~client m in
-  ignore (Rio.run rt);
+  let o = Rio.run rt in
+  ignore (Sweep.check w ~ok:(o.Rio.reason = Rio.All_exited) (Vm.Machine.output m));
   pr "-- trace as first created (client view, before any rewrite):\n%s"
     (Option.value !before ~default:"  (no trace built)\n");
   let ts = List.hd rt.Rio.Types.thread_states in
@@ -336,24 +346,16 @@ let figure5_bars () =
 let figure5 () =
   pr "\n=== Figure 5: normalized execution time (ratio to native; <1 is faster) ===\n";
   let bars = figure5_bars () in
+  let names = List.map fst bars in
   pr "%-9s %5s" "bench" "";
-  List.iter (fun (n, _) -> pr " %10s" n) bars;
+  List.iter (pr " %10s") names;
   pr "\n";
   let results =
     List.map
       (fun w ->
-        let n = Workload.run_native w in
-        if not n.Workload.ok then failwith (w.Workload.name ^ ": native failed");
         let row =
           List.map
-            (fun (bname, mk) ->
-              let r, _ = Workload.run_rio ~client:(mk ()) w in
-              if not r.Workload.ok then
-                failwith (Printf.sprintf "%s/%s: %s" w.Workload.name bname r.detail);
-              if r.Workload.output <> n.Workload.output then
-                failwith
-                  (Printf.sprintf "%s/%s: OUTPUT MISMATCH" w.Workload.name bname);
-              float_of_int r.cycles /. float_of_int n.cycles)
+            (fun (bname, mk) -> (Sweep.run ~label:bname ~client:(mk ()) w).ratio)
             bars
         in
         pr "%-9s %5s" w.Workload.name (if w.Workload.fp then "fp" else "int");
@@ -362,34 +364,42 @@ let figure5 () =
         (w, row))
       Suite.all
   in
-  let mean_of sel =
+  let mean name sel =
     let rows =
       List.filter_map (fun (w, row) -> if sel w then Some row else None) results
     in
-    List.mapi (fun k _ -> geomean (List.map (fun r -> List.nth r k) rows)) bars
-  in
-  let print_mean name sel =
+    let means =
+      List.mapi (fun k _ -> geomean (List.map (fun r -> List.nth r k) rows)) bars
+    in
     pr "%-9s %5s" name "";
-    List.iter (fun x -> pr " %10.3f" x) (mean_of sel);
-    pr "\n"
+    List.iter (fun x -> pr " %10.3f" x) means;
+    pr "\n";
+    List.combine names means
   in
-  print_mean "mean-int" (fun w -> not w.Workload.fp);
-  print_mean "mean-fp" (fun w -> w.Workload.fp);
-  print_mean "mean-all" (fun _ -> true);
+  ignore (mean "mean-int" (fun w -> not w.Workload.fp));
+  let fp = mean "mean-fp" (fun w -> w.Workload.fp) in
+  let all = mean "mean-all" (fun _ -> true) in
   pr "(paper shape: rlr ~0.6 on mgrid and helps fp broadly; strength helps on\n";
   pr " the P4; ibdispatch helps branchy int; ctraces helps call-heavy; gcc and\n";
-  pr " perlbmk slow down; combined mean ~= native, ~12%% better than base)\n%!"
+  pr " perlbmk slow down; combined mean ~= native, ~12%% better than base)\n%!";
+  let mgrid =
+    List.combine names
+      (List.assoc "mgrid"
+         (List.map (fun (w, row) -> (w.Workload.name, row)) results))
+  in
+  [
+    Sweep.at_most "mgrid under rlr" ~bound:0.7 (List.assoc "rlr" mgrid);
+    Sweep.at_most "combined mean-fp distance from native" ~bound:0.01
+      (Float.abs (List.assoc "combined" fp -. 1.0));
+    Sweep.below "combined mean-all vs base's"
+      ~bound:(List.assoc "base" all) (List.assoc "combined" all);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations of the design choices DESIGN.md calls out                *)
 (* ------------------------------------------------------------------ *)
 
-let ratio_of ?(opts = Rio.Options.default) ?(client = Rio.Types.null_client) w =
-  let n = Workload.run_native w in
-  let r, rt = Workload.run_rio ~opts ~client w in
-  if (not r.Workload.ok) || r.Workload.output <> n.Workload.output then
-    failwith (w.Workload.name ^ ": ablation run diverged");
-  (float_of_int r.cycles /. float_of_int n.cycles, rt)
+let ratio_of ?opts ?client w = (Sweep.run ?opts ?client w).ratio
 
 let ablation () =
   pr "\n=== Ablations ===\n";
@@ -400,8 +410,8 @@ let ablation () =
   List.iter
     (fun name ->
       let w = Option.get (Suite.by_name name) in
-      let live, _ = ratio_of w in
-      let always, _ =
+      let live = ratio_of w in
+      let always =
         ratio_of ~opts:{ Rio.Options.default with always_save_flags = true } w
       in
       pr "%-9s %12.3f %14.3f\n%!" name live always)
@@ -417,10 +427,9 @@ let ablation () =
       pr "%-9s" name;
       List.iter
         (fun threshold ->
-          let r, _ =
-            ratio_of ~opts:{ Rio.Options.default with trace_threshold = threshold } w
-          in
-          pr " %8.3f" r)
+          pr " %8.3f"
+            (ratio_of
+               ~opts:{ Rio.Options.default with trace_threshold = threshold } w))
         [ 10; 25; 50; 100; 200 ];
       pr "\n%!")
     [ "crafty"; "gzip"; "gcc"; "mgrid" ];
@@ -430,14 +439,14 @@ let ablation () =
   List.iter
     (fun name ->
       let w = Option.get (Suite.by_name name) in
-      let inline_r, _ = ratio_of ~client:(Clients.Compose.all_four ()) w in
-      let side_r, rt =
-        ratio_of
+      let inline_r = ratio_of ~client:(Clients.Compose.all_four ()) w in
+      let side =
+        Sweep.run
           ~opts:{ Rio.Options.default with sideline = true }
           ~client:(Clients.Compose.all_four ()) w
       in
-      pr "%-9s %10.3f %10.3f %16d\n%!" name inline_r side_r
-        (Rio.stats rt).Rio.Stats.sideline_cycles)
+      pr "%-9s %10.3f %10.3f %16d\n%!" name inline_r side.ratio
+        (Rio.stats side.rt).Rio.Stats.sideline_cycles)
     [ "gcc"; "perlbmk"; "mgrid"; "vortex" ];
 
   pr "\n-- code-cache capacity (bytes; flush-the-world on overflow):\n";
@@ -452,7 +461,7 @@ let ablation () =
       pr "%-9s" name;
       List.iter
         (fun cache_capacity ->
-          let r, _ =
+          let r =
             ratio_of
               ~opts:
                 { Rio.Options.default with
@@ -486,8 +495,7 @@ let ablation () =
                 ~params:{ Clients.Ibdispatch.default_params with max_inline }
                 ()
           in
-          let r, _ = ratio_of ~client w in
-          pr " %8.3f" r)
+          pr " %8.3f" (ratio_of ~client w))
         [ 0; 1; 2; 4; 8 ];
       pr "\n%!")
     [ "eon"; "gap"; "crafty"; "perlbmk" ]
@@ -502,9 +510,7 @@ let tracestats () =
     "bb-enters" "trace-enters" "ibl-hits";
   List.iter
     (fun w ->
-      let r, rt = Workload.run_rio w in
-      if not r.Workload.ok then failwith (w.Workload.name ^ ": failed");
-      let s = Rio.stats rt in
+      let s = Rio.stats (Sweep.run w).rt in
       pr "%-9s %7d %9d %9d %10d %11d %9d\n%!" w.Workload.name
         s.Rio.Stats.traces_built s.Rio.Stats.cache_bytes_trace
         s.Rio.Stats.cache_bytes_bb s.Rio.Stats.enters_bb
@@ -565,7 +571,6 @@ let faultsweep () =
   let mismatches = ref 0 in
   List.iter
     (fun w ->
-      let native = Workload.run_native w in
       let row = ref (Rio.Stats.create ()) in
       let row_ok = ref 0 in
       List.iter
@@ -578,16 +583,12 @@ let faultsweep () =
               max_cycles = max_int / 2;
             }
           in
-          let r, rt = Workload.run_rio ~opts ~client:(Clients.Compose.all_four ()) w in
-          if r.Workload.ok && r.Workload.output = native.Workload.output then
-            incr row_ok
-          else begin
-            incr mismatches;
-            pr "  !! %s seed %d: %s (output %s)\n" w.Workload.name seed r.detail
-              (if r.Workload.output = native.Workload.output then "matches"
-               else "DIFFERS")
-          end;
-          row := Rio.Stats.merge !row (Rio.stats rt))
+          let r =
+            Sweep.run ~label:(Printf.sprintf "fault seed %d" seed) ~opts
+              ~client:(Clients.Compose.all_four ()) w
+          in
+          if r.same then incr row_ok else incr mismatches;
+          row := Rio.Stats.merge !row (Rio.stats r.rt))
         seeds;
       let row = !row in
       tot := Rio.Stats.merge !tot row;
@@ -615,13 +616,14 @@ let faultsweep () =
   let ratios =
     List.map
       (fun w ->
-        let plain, _ = Workload.run_rio w in
-        let audited, _ =
-          Workload.run_rio ~opts:{ Rio.Options.default with audit_period = 1 } w
+        let plain = (Sweep.run w).res.Workload.cycles in
+        let audited =
+          (Sweep.run ~label:"audit"
+             ~opts:{ Rio.Options.default with audit_period = 1 } w)
+            .res.Workload.cycles
         in
-        let ratio = float_of_int audited.cycles /. float_of_int plain.cycles in
-        pr "%-9s %12d %12d %8.3f\n%!" w.Workload.name plain.cycles audited.cycles
-          ratio;
+        let ratio = float_of_int audited /. float_of_int plain in
+        pr "%-9s %12d %12d %8.3f\n%!" w.Workload.name plain audited ratio;
         ratio)
       wl
   in
@@ -630,8 +632,6 @@ let faultsweep () =
     pr "\nall %d injected runs terminated with output identical to native\n%!"
       (List.length wl * List.length seeds)
   else pr "\n!! %d runs diverged\n%!" !mismatches
-
-let time_now = Sweep.time_now
 
 (* ------------------------------------------------------------------ *)
 (* Cache sweep: capacity ladder x flush policy                        *)
@@ -657,8 +657,7 @@ type cs_row = {
 }
 
 let cachesweep_one (w : Workload.t) ~policy_name ~policy ~cap : cs_row =
-  let native = Workload.run_native w in
-  if not native.Workload.ok then failwith (w.Workload.name ^ ": native failed");
+  let native = Sweep.native w in
   let opts =
     { Rio.Options.default with
       cache_capacity = cap;
@@ -666,21 +665,21 @@ let cachesweep_one (w : Workload.t) ~policy_name ~policy ~cap : cs_row =
       max_cycles = max_int / 2;
     }
   in
-  let t0 = time_now () in
-  let r, rt = Workload.run_rio ~opts w in
-  let host_s = time_now () -. t0 in
-  if not r.Workload.ok then
-    failwith
-      (Printf.sprintf "cachesweep: %s @ %s/%s diverged: %s" w.Workload.name
-         policy_name
-         (match cap with None -> "unbounded" | Some c -> string_of_int c)
-         r.Workload.detail);
-  let s = Rio.stats rt in
+  let t0 = Sweep.time_now () in
+  let r =
+    Sweep.run
+      ~label:
+        (Printf.sprintf "%s/%s" policy_name
+           (match cap with None -> "unbounded" | Some c -> string_of_int c))
+      ~opts w
+  in
+  let host_s = Sweep.time_now () -. t0 in
+  let s = Rio.stats r.rt in
   {
     cs_bench = w.Workload.name;
     cs_policy = policy_name;
     cs_cap = cap;
-    cs_ratio = float_of_int r.Workload.cycles /. float_of_int native.Workload.cycles;
+    cs_ratio = r.ratio;
     cs_mips = float_of_int native.Workload.insns /. host_s /. 1.0e6;
     cs_evictions = s.Rio.Stats.evictions;
     cs_flushes = s.Rio.Stats.cache_flushes;
@@ -688,7 +687,7 @@ let cachesweep_one (w : Workload.t) ~policy_name ~policy ~cap : cs_row =
     cs_fallbacks = s.Rio.Stats.full_flush_fallbacks;
   }
 
-let cachesweep ~quick ~out_path () =
+let cachesweep { Sweep.quick; _ } =
   let ladder =
     if quick then [ Some 16384; Some 4096 ]
     else [ Some 65536; Some 32768; Some 16384; Some 8192; Some 4096 ]
@@ -744,29 +743,25 @@ let cachesweep ~quick ~out_path () =
   else pr "\n!! FIFO rows fell back to %d full flushes\n%!" fifo_flushes;
   (* write the JSON datapoint *)
   let open Rio.Json in
-  Sweep.write_json ~path:out_path
-    (Obj
-       [ ("schema", Str "rio-cachesweep-v1");
-         ("quick", Bool quick);
-         ("fifo_full_flushes", Int fifo_flushes);
-         ( "rows",
-           Arr
-             (List.map
-                (fun r ->
-                  Obj
-                    [ ("bench", Str r.cs_bench);
-                      ("policy", Str r.cs_policy);
-                      ( "capacity",
-                        match r.cs_cap with None -> Null | Some c -> Int c );
-                      ("cycle_ratio", Float r.cs_ratio);
-                      ("mips", Float r.cs_mips);
-                      ("evictions", Int r.cs_evictions);
-                      ("cache_flushes", Int r.cs_flushes);
-                      ("traces_dropped", Int r.cs_dropped);
-                      ("full_flush_fallbacks", Int r.cs_fallbacks) ])
-                rows) );
-       ]);
-  if fifo_flushes > 0 then exit 1
+  ( [ ("fifo_full_flushes", Int fifo_flushes);
+      ( "rows",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [ ("bench", Str r.cs_bench);
+                   ("policy", Str r.cs_policy);
+                   ( "capacity",
+                     match r.cs_cap with None -> Null | Some c -> Int c );
+                   ("cycle_ratio", Float r.cs_ratio);
+                   ("mips", Float r.cs_mips);
+                   ("evictions", Int r.cs_evictions);
+                   ("cache_flushes", Int r.cs_flushes);
+                   ("traces_dropped", Int r.cs_dropped);
+                   ("full_flush_fallbacks", Int r.cs_fallbacks) ])
+             rows) );
+    ],
+    [ Sweep.at_most "FIFO full flushes" ~bound:0.0 (float_of_int fifo_flushes) ] )
 
 (* ------------------------------------------------------------------ *)
 (* Opt sweep: the trace-optimizer evaluation (DESIGN.md §6.4)         *)
@@ -779,91 +774,97 @@ let cachesweep ~quick ~out_path () =
    threshold must exercise the decode/replace path without ever falling
    back to a full flush. *)
 
-type os_row = {
-  os_bench : string;
-  os_level : int;
-  os_cycles : int;
-  os_ratio : float;          (* simulated cycles / native cycles *)
-  os_removed : int;          (* instructions removed by the optimizer *)
+(* One checked run of a workload at one -O level. *)
+type level_row = {
+  bench : string;
+  level : int;
+  cycles : int;
+  ratio : float;  (* simulated cycles / native cycles *)
+  stats : Rio.Stats.t;
 }
 
-let optsweep_run (w : Workload.t) ~label ~opts : Workload.run_result * Rio.t =
-  let native = Workload.run_native w in
-  if not native.Workload.ok then failwith (w.Workload.name ^ ": native failed");
-  let r, rt = Workload.run_rio ~opts w in
-  if (not r.Workload.ok) || r.Workload.output <> native.Workload.output then
-    failwith
-      (Printf.sprintf "optsweep: %s @ %s diverged from native: %s"
-         w.Workload.name label r.Workload.detail);
-  (r, rt)
-
-let optsweep ~quick ~bundle_path ~out_path () =
+(* Every workload (of [quick_set] in quick mode) at every -O level of
+   [levels], printed one table row per workload ([head] and [extra] add
+   its last columns), with the geomean row under them.  Returns the
+   rows, each bench's -O0 cycles, the geomean over benches of level
+   [l]'s cycles against -O0, and the worst row against its -O0 row. *)
+let level_sweep ~title ~quick ~quick_set ~levels ~head ~extra =
   let wl =
-    if quick then
-      List.filter_map Suite.by_name
-        [ "gzip"; "gcc"; "crafty"; "perlbmk"; "swim"; "mgrid"; "art" ]
-    else Suite.all
+    if quick then List.filter_map Suite.by_name quick_set else Suite.all
   in
-  let levels = [ 0; 1; 2 ] in
-  pr "\n=== Opt sweep: -O levels x workloads (%s mode) ===\n"
-    (if quick then "quick" else "full");
+  pr "\n=== %s (%s mode) ===\n" title (if quick then "quick" else "full");
   pr "(%d workloads; every run's output checked against native)\n"
     (List.length wl);
   pr "%-9s %5s" "bench" "";
   List.iter (fun l -> pr " %9s" (Printf.sprintf "-O%d" l)) levels;
-  pr " %9s\n" "O2/O0";
-  let rows = ref [] in
-  let o0_by_bench = Hashtbl.create 32 in
-  List.iter
-    (fun w ->
-      let native = Workload.run_native w in
-      let per_level =
-        List.map
-          (fun level ->
-            let opts =
-              { Rio.Options.default with opt_level = level;
-                max_cycles = max_int / 2 }
-            in
-            let r, rt =
-              optsweep_run w ~label:(Printf.sprintf "-O%d" level) ~opts
-            in
-            let row =
+  pr "%s\n" head;
+  let rows =
+    List.concat_map
+      (fun w ->
+        let runs =
+          List.map
+            (fun level ->
+              let opts =
+                { Rio.Options.default with opt_level = level;
+                  max_cycles = max_int / 2 }
+              in
+              let r = Sweep.run ~label:(Printf.sprintf "-O%d" level) ~opts w in
               {
-                os_bench = w.Workload.name;
-                os_level = level;
-                os_cycles = r.Workload.cycles;
-                os_ratio =
-                  float_of_int r.Workload.cycles
-                  /. float_of_int native.Workload.cycles;
-                os_removed = (Rio.stats rt).Rio.Stats.opt_insns_removed;
-              }
-            in
-            if level = 0 then
-              Hashtbl.replace o0_by_bench w.Workload.name r.Workload.cycles;
-            rows := row :: !rows;
-            row)
-          levels
-      in
-      pr "%-9s %5s" w.Workload.name (if w.Workload.fp then "fp" else "int");
-      List.iter (fun r -> pr " %9.3f" r.os_ratio) per_level;
-      let o0 = (List.hd per_level).os_cycles
-      and o2 = (List.nth per_level 2).os_cycles in
-      pr " %9.3f\n%!" (float_of_int o2 /. float_of_int o0))
-    wl;
-  let rows = List.rev !rows in
-  let level_rows l = List.filter (fun r -> r.os_level = l) rows in
+                bench = w.Workload.name;
+                level;
+                cycles = r.res.Workload.cycles;
+                ratio = r.ratio;
+                stats = Rio.stats r.rt;
+              })
+            levels
+        in
+        pr "%-9s %5s" w.Workload.name (if w.Workload.fp then "fp" else "int");
+        List.iter (fun r -> pr " %9.3f" r.ratio) runs;
+        extra runs;
+        runs)
+      wl
+  in
+  let o0 bench =
+    (List.find (fun o -> o.bench = bench && o.level = 0) rows).cycles
+  in
+  let vs_o0 r = float_of_int r.cycles /. float_of_int (o0 r.bench) in
   pr "%-9s %5s" "geomean" "";
   List.iter
-    (fun l -> pr " %9.3f" (geomean (List.map (fun r -> r.os_ratio) (level_rows l))))
+    (fun l ->
+      pr " %9.3f"
+        (geomean (List.filter_map (fun r -> if r.level = l then Some r.ratio else None) rows)))
     levels;
-  let o2_vs_o0 =
-    geomean
-      (List.map
-         (fun (r : os_row) ->
-           float_of_int r.os_cycles
-           /. float_of_int (Hashtbl.find o0_by_bench r.os_bench))
-         (level_rows 2))
+  let worst =
+    List.fold_left
+      (fun (wr, wn) r ->
+        if vs_o0 r > wr then (vs_o0 r, Printf.sprintf "%s -O%d" r.bench r.level)
+        else (wr, wn))
+      (0.0, "-") rows
   in
+  let geomean_vs_o0 l =
+    geomean (List.filter_map (fun r -> if r.level = l then Some (vs_o0 r) else None) rows)
+  in
+  (wl, rows, o0, geomean_vs_o0, worst)
+
+let worst_gate (worst, name) =
+  Sweep.at_most ("worst cycles vs own -O0 row (" ^ name ^ ")") ~bound:1.02 worst
+
+let optsweep ({ Sweep.quick; _ } as cli) =
+  let bundle_path =
+    match List.assoc_opt "--bundle" cli.Sweep.flags with
+    | Some p -> Some p (* explicit: a load failure then fails a gate *)
+    | None -> if Sys.file_exists "bundle.json" then Some "bundle.json" else None
+  in
+  let levels = [ 0; 1; 2 ] in
+  let wl, rows, o0, vs_o0, worst =
+    level_sweep ~title:"Opt sweep: -O levels x workloads" ~quick
+      ~quick_set:[ "gzip"; "gcc"; "crafty"; "perlbmk"; "swim"; "mgrid"; "art" ]
+      ~levels ~head:(Printf.sprintf " %9s" "O2/O0") ~extra:(fun runs ->
+        pr " %9.3f\n%!"
+          (float_of_int (List.nth runs 2).cycles
+          /. float_of_int (List.hd runs).cycles))
+  in
+  let o2_vs_o0 = vs_o0 2 in
   pr " %9.3f\n" o2_vs_o0;
   let reduction_pct = (1.0 -. o2_vs_o0) *. 100.0 in
   pr "-O2 removes %.1f%% of simulated app cycles (geomean vs -O0)\n%!"
@@ -873,15 +874,15 @@ let optsweep ~quick ~bundle_path ~out_path () =
   let o0_drift = ref 0 in
   List.iter
     (fun w ->
-      let plain, _ =
-        Workload.run_rio
-          ~opts:{ Rio.Options.default with max_cycles = max_int / 2 } w
+      let plain =
+        (Sweep.run ~opts:{ Rio.Options.default with max_cycles = max_int / 2 } w)
+          .res.Workload.cycles
       in
-      let o0 = Hashtbl.find o0_by_bench w.Workload.name in
-      if plain.Workload.cycles <> o0 then begin
+      let o0 = o0 w.Workload.name in
+      if plain <> o0 then begin
         incr o0_drift;
         pr "!! %s: -O0 cycles %d differ from plain RIO %d\n%!" w.Workload.name
-          o0 plain.Workload.cycles
+          o0 plain
       end)
     wl;
   if !o0_drift = 0 then pr "-O0 cycle counts identical to plain RIO on every workload\n%!";
@@ -891,18 +892,17 @@ let optsweep ~quick ~bundle_path ~out_path () =
     Rio.Options.default_faults.Rio.Options.fi_seed;
   List.iter
     (fun level ->
-      List.iter
-        (fun w ->
-          let opts =
-            { Rio.Options.default with
-              opt_level = level;
-              faults = Some Rio.Options.default_faults;
-              audit_period = 1;
-              max_cycles = max_int / 2 }
-          in
-          ignore (optsweep_run w ~label:(Printf.sprintf "-O%d+faults" level) ~opts))
-        wl;
-      pr "   -O%d: all outputs identical to native under injection\n%!" level)
+      let label = Printf.sprintf "-O%d+faults" level in
+      let opts =
+        { Rio.Options.default with
+          opt_level = level;
+          faults = Some Rio.Options.default_faults;
+          audit_period = 1;
+          max_cycles = max_int / 2 }
+      in
+      let same = List.map (fun w -> (Sweep.run ~label ~opts w).same) wl in
+      if List.for_all Fun.id same then
+        pr "   -O%d: all outputs identical to native under injection\n%!" level)
     levels;
 
   (* hot-trace re-optimization under a bounded FIFO cache *)
@@ -918,8 +918,7 @@ let optsweep ~quick ~bundle_path ~out_path () =
           flush_policy = Rio.Options.Flush_fifo;
           max_cycles = max_int / 2 }
       in
-      let _, rt = optsweep_run w ~label:"-O2+reopt" ~opts in
-      let s = Rio.stats rt in
+      let s = Rio.stats (Sweep.run ~label:"-O2+reopt" ~opts w).rt in
       reopt_total := !reopt_total + s.Rio.Stats.traces_reoptimized;
       reopt_fallbacks := !reopt_fallbacks + s.Rio.Stats.full_flush_fallbacks;
       if s.Rio.Stats.traces_reoptimized > 0 then incr reopt_benches)
@@ -933,116 +932,106 @@ let optsweep ~quick ~bundle_path ~out_path () =
      replays exactly the single-engine measurement the autotuner's
      override pass used as its hard constraint. *)
   let bundle_rows = ref [] in
-  let bundle_viol = ref 0 in
-  (match bundle_path with
-   | None ->
-       pr "\n-- no tuned bundle found (pass --bundle FILE); skipping the \
-           never-worse-than--O0 check\n%!"
-   | Some path -> (
-       match Rio.Bundle.load path with
-       | Error e ->
-           pr "!! bundle %s failed to load: %s\n%!" path
-             (Rio.Bundle.error_to_string e);
-           exit 1
-       | Ok b ->
-           pr "\n-- tuned bundle %s (digest %08x): per-bench \
-               never-worse-than--O0 check:\n"
-             path (Rio.Bundle.digest b);
-           List.iter
-             (fun w ->
-               let name = w.Workload.name in
-               let tuned =
-                 { (Rio.Bundle.opts_for b name) with
-                   Rio.Options.max_cycles = max_int / 2 }
-               in
-               let b0 = { b with Rio.Bundle.b_overrides = [ (name, 0) ] } in
-               let o0 =
-                 { (Rio.Bundle.opts_for b0 name) with
-                   Rio.Options.max_cycles = max_int / 2 }
-               in
-               let rt, _ =
-                 optsweep_run w
-                   ~label:(Printf.sprintf "bundle(-O%d)"
-                             tuned.Rio.Options.opt_level)
-                   ~opts:tuned
-               in
-               let r0, _ = optsweep_run w ~label:"bundle(-O0)" ~opts:o0 in
-               let worse = rt.Workload.cycles > r0.Workload.cycles in
-               if worse then incr bundle_viol;
-               bundle_rows :=
-                 (name, tuned.Rio.Options.opt_level, rt.Workload.cycles,
-                  r0.Workload.cycles)
-                 :: !bundle_rows;
-               pr "   %-9s -O%d %9d vs -O0 %9d  %s\n%!" name
-                 tuned.Rio.Options.opt_level rt.Workload.cycles
-                 r0.Workload.cycles
-                 (if worse then "!! WORSE" else "ok"))
-             wl;
-           if !bundle_viol = 0 then
-             pr "   bundle level is never worse than -O0 on any bench\n%!"));
+  let bundle_gates =
+    match bundle_path with
+    | None ->
+        pr "\n-- no tuned bundle found (pass --bundle FILE); skipping the \
+            never-worse-than--O0 check\n%!";
+        []
+    | Some path -> (
+        match Rio.Bundle.load path with
+        | Error e ->
+            pr "!! bundle %s failed to load: %s\n%!" path
+              (Rio.Bundle.error_to_string e);
+            [ Sweep.holds ("tuned bundle " ^ path ^ " loads") false ]
+        | Ok b ->
+            pr "\n-- tuned bundle %s (digest %08x): per-bench \
+                never-worse-than--O0 check:\n"
+              path (Rio.Bundle.digest b);
+            let worse = ref 0 in
+            List.iter
+              (fun w ->
+                let name = w.Workload.name in
+                let tuned =
+                  { (Rio.Bundle.opts_for b name) with
+                    Rio.Options.max_cycles = max_int / 2 }
+                in
+                let b0 = { b with Rio.Bundle.b_overrides = [ (name, 0) ] } in
+                let o0 =
+                  { (Rio.Bundle.opts_for b0 name) with
+                    Rio.Options.max_cycles = max_int / 2 }
+                in
+                let level = tuned.Rio.Options.opt_level in
+                let rt =
+                  (Sweep.run ~label:(Printf.sprintf "bundle(-O%d)" level)
+                     ~opts:tuned w)
+                    .res.Workload.cycles
+                in
+                let r0 =
+                  (Sweep.run ~label:"bundle(-O0)" ~opts:o0 w).res.Workload.cycles
+                in
+                if rt > r0 then incr worse;
+                bundle_rows := (name, level, rt, r0) :: !bundle_rows;
+                pr "   %-9s -O%d %9d vs -O0 %9d  %s\n%!" name level rt r0
+                  (if rt > r0 then "!! WORSE" else "ok"))
+              wl;
+            if !worse = 0 then
+              pr "   bundle level is never worse than -O0 on any bench\n%!";
+            [
+              Sweep.at_most "benches where the bundle level is worse than -O0"
+                ~bound:0.0 (float_of_int !worse);
+            ])
+  in
   let bundle_rows = List.rev !bundle_rows in
-
-  (* write the JSON datapoint *)
   let open Rio.Json in
-  Sweep.write_json ~path:out_path
-    (Obj
-       [ ("schema", Str "rio-optsweep-v1");
-         ("quick", Bool quick);
-         ("o2_vs_o0_geomean_cycle_ratio", Float o2_vs_o0);
-         ("o2_geomean_cycles_removed_pct", Float reduction_pct);
-         ("o0_cycle_drift", Int !o0_drift);
-         ("traces_reoptimized", Int !reopt_total);
-         ("reopt_workloads", Int !reopt_benches);
-         ("reopt_full_flush_fallbacks", Int !reopt_fallbacks);
-         ("bundle_checked", Bool (bundle_path <> None));
-         ("bundle_worse_than_o0", Int !bundle_viol);
-         ( "bundle_rows",
-           Arr
-             (List.map
-                (fun (bench, level, tuned, o0) ->
-                  Obj
-                    [ ("bench", Str bench);
-                      ("level", Int level);
-                      ("tuned_cycles", Int tuned);
-                      ("o0_cycles", Int o0) ])
-                bundle_rows) );
-         ( "rows",
-           Arr
-             (List.map
-                (fun r ->
-                  Obj
-                    [ ("bench", Str r.os_bench);
-                      ("level", Int r.os_level);
-                      ("sim_cycles", Int r.os_cycles);
-                      ("cycle_ratio", Float r.os_ratio);
-                      ("insns_removed", Int r.os_removed) ])
-                rows) );
-       ]);
-  (* hard gates: -O0 byte-identical; re-opt exercised with no full-flush
-     fallback; no single bench >2% worse than its own -O0 row; and
-     (full mode) the >=5% geomean win *)
-  if !o0_drift > 0 then exit 1;
-  if !reopt_total = 0 || !reopt_fallbacks > 0 then exit 1;
-  let regressions = ref 0 in
-  List.iter
-    (fun (r : os_row) ->
-      let o0 = Hashtbl.find o0_by_bench r.os_bench in
-      if float_of_int r.os_cycles > 1.02 *. float_of_int o0 then begin
-        incr regressions;
-        pr "!! %s: -O%d cycles %d regress >2%% vs -O0 %d\n%!" r.os_bench
-          r.os_level r.os_cycles o0
-      end)
-    rows;
-  if !regressions > 0 then exit 1;
-  if !bundle_viol > 0 then begin
-    pr "!! tuned bundle picks a level worse than -O0 on %d bench(es)\n%!"
-      !bundle_viol;
-    exit 1
-  end;
-  if (not quick) && reduction_pct < 5.0 then begin
-    pr "!! -O2 geomean reduction %.2f%% below the 5%% target\n%!" reduction_pct;
-    exit 1
-  end
+  ( [ ("o2_vs_o0_geomean_cycle_ratio", Float o2_vs_o0);
+      ("o2_geomean_cycles_removed_pct", Float reduction_pct);
+      ("o0_cycle_drift", Int !o0_drift);
+      ("traces_reoptimized", Int !reopt_total);
+      ("reopt_workloads", Int !reopt_benches);
+      ("reopt_full_flush_fallbacks", Int !reopt_fallbacks);
+      ("bundle_checked", Bool (bundle_path <> None));
+      ( "bundle_worse_than_o0",
+        Int
+          (List.length
+             (List.filter (fun (_, _, t, o) -> t > o) bundle_rows)) );
+      ( "bundle_rows",
+        Arr
+          (List.map
+             (fun (bench, level, tuned, o0) ->
+               Obj
+                 [ ("bench", Str bench);
+                   ("level", Int level);
+                   ("tuned_cycles", Int tuned);
+                   ("o0_cycles", Int o0) ])
+             bundle_rows) );
+      ( "rows",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [ ("bench", Str r.bench);
+                   ("level", Int r.level);
+                   ("sim_cycles", Int r.cycles);
+                   ("cycle_ratio", Float r.ratio);
+                   ("insns_removed", Int r.stats.Rio.Stats.opt_insns_removed) ])
+             rows) );
+    ],
+    [
+      Sweep.at_most "workloads whose -O0 cycles differ from plain RIO"
+        ~bound:0.0 (float_of_int !o0_drift);
+      Sweep.at_least "traces re-optimized under --reopt 2" ~bound:1.0
+        (float_of_int !reopt_total);
+      Sweep.at_most "re-optimization full-flush fallbacks" ~bound:0.0
+        (float_of_int !reopt_fallbacks);
+      worst_gate worst;
+    ]
+    @ bundle_gates
+    @
+    if quick then []
+    else
+      [ Sweep.at_least "-O2 geomean cycles removed (%)" ~bound:5.0 reduction_pct ]
+  )
 
 (* ------------------------------------------------------------------ *)
 (* Spec sweep: the speculative tier evaluation (DESIGN.md §6.7)       *)
@@ -1055,248 +1044,231 @@ let optsweep ~quick ~bundle_path ~out_path () =
    least one workload must exercise the full lifecycle — speculate,
    violate, deoptimize, re-optimize. *)
 
-type ss_row = {
-  ss_bench : string;
-  ss_level : int;
-  ss_cycles : int;
-  ss_ratio : float;           (* simulated cycles / native cycles *)
-  ss_guards : int;            (* guards compiled (ind + const) *)
-  ss_violations : int;
-  ss_despecs : int;
-  ss_biases : int;            (* profile-biased final exits *)
-}
-
-let specsweep ~quick ~out_path () =
-  let wl =
-    if quick then
-      List.filter_map Suite.by_name
-        [ "gzip"; "gcc"; "crafty"; "eon"; "perlbmk"; "mesa"; "art" ]
-    else Suite.all
+let specsweep { Sweep.quick; _ } =
+  let guards r =
+    r.stats.Rio.Stats.spec_guards_ind + r.stats.Rio.Stats.spec_guards_const
+  and violations r = r.stats.Rio.Stats.spec_violations
+  and despecs r = r.stats.Rio.Stats.spec_despecs in
+  let _, rows, _, vs_o0, worst =
+    level_sweep ~title:"Spec sweep: speculative optimization (-O3) x workloads"
+      ~quick
+      ~quick_set:[ "gzip"; "gcc"; "crafty"; "eon"; "perlbmk"; "mesa"; "art" ]
+      ~levels:[ 0; 2; 3 ]
+      ~head:(Printf.sprintf " %7s %6s %6s %6s" "O3/O0" "guards" "viols" "despec")
+      ~extra:(fun runs ->
+        let o3 = List.nth runs 2 in
+        pr " %7.3f %6d %6d %6d\n%!"
+          (float_of_int o3.cycles /. float_of_int (List.hd runs).cycles)
+          (guards o3) (violations o3) (despecs o3))
   in
-  let levels = [ 0; 2; 3 ] in
-  pr "\n=== Spec sweep: speculative optimization (-O3) x workloads (%s mode) ===\n"
-    (if quick then "quick" else "full");
-  pr "(%d workloads; every run's output checked against native)\n"
-    (List.length wl);
-  pr "%-9s %5s" "bench" "";
-  List.iter (fun l -> pr " %9s" (Printf.sprintf "-O%d" l)) levels;
-  pr " %7s %6s %6s %6s\n" "O3/O0" "guards" "viols" "despec";
-  let rows = ref [] in
-  let o0_by_bench = Hashtbl.create 32 in
-  List.iter
-    (fun w ->
-      let native = Workload.run_native w in
-      let per_level =
-        List.map
-          (fun level ->
-            let opts =
-              { Rio.Options.default with opt_level = level;
-                max_cycles = max_int / 2 }
-            in
-            let r, rt =
-              optsweep_run w ~label:(Printf.sprintf "-O%d" level) ~opts
-            in
-            let s = Rio.stats rt in
-            let row =
-              {
-                ss_bench = w.Workload.name;
-                ss_level = level;
-                ss_cycles = r.Workload.cycles;
-                ss_ratio =
-                  float_of_int r.Workload.cycles
-                  /. float_of_int native.Workload.cycles;
-                ss_guards =
-                  s.Rio.Stats.spec_guards_ind + s.Rio.Stats.spec_guards_const;
-                ss_violations = s.Rio.Stats.spec_violations;
-                ss_despecs = s.Rio.Stats.spec_despecs;
-                ss_biases = s.Rio.Stats.spec_exit_biases;
-              }
-            in
-            if level = 0 then
-              Hashtbl.replace o0_by_bench w.Workload.name r.Workload.cycles;
-            rows := row :: !rows;
-            row)
-          levels
-      in
-      let o3 = List.nth per_level 2 in
-      pr "%-9s %5s" w.Workload.name (if w.Workload.fp then "fp" else "int");
-      List.iter (fun r -> pr " %9.3f" r.ss_ratio) per_level;
-      pr " %7.3f %6d %6d %6d\n%!"
-        (float_of_int o3.ss_cycles
-        /. float_of_int (List.hd per_level).ss_cycles)
-        o3.ss_guards o3.ss_violations o3.ss_despecs)
-    wl;
-  let rows = List.rev !rows in
-  let level_rows l = List.filter (fun r -> r.ss_level = l) rows in
-  let vs_o0 l =
-    geomean
-      (List.map
-         (fun (r : ss_row) ->
-           float_of_int r.ss_cycles
-           /. float_of_int (Hashtbl.find o0_by_bench r.ss_bench))
-         (level_rows l))
-  in
-  pr "%-9s %5s" "geomean" "";
-  List.iter
-    (fun l ->
-      pr " %9.3f" (geomean (List.map (fun r -> r.ss_ratio) (level_rows l))))
-    levels;
   let o2_vs_o0 = vs_o0 2 and o3_vs_o0 = vs_o0 3 in
   pr " %7.3f\n" o3_vs_o0;
   pr "-O3 vs -O0 geomean %.4f (tier target: beat -O2's recorded 0.930)\n%!"
     o3_vs_o0;
-  (* the lifecycle witness: a bench whose -O3 run speculated, took
+  (* the lifecycle witnesses: benches whose -O3 run speculated, took
      guard violations, deoptimized, and re-speculated after the deopt
      (more guards compiled than assumptions retired) *)
-  let lifecycle =
-    List.find_opt
+  let witnesses =
+    List.filter
       (fun r ->
-        r.ss_despecs >= 1 && r.ss_violations >= r.ss_despecs
-        && r.ss_guards > r.ss_despecs)
-      (level_rows 3)
+        r.level = 3 && despecs r >= 1
+        && violations r >= despecs r
+        && guards r > despecs r)
+      rows
   in
-  (match lifecycle with
-   | Some r ->
+  (match witnesses with
+   | r :: _ ->
        pr "lifecycle witness: %s (%d guards, %d violations, %d despecs)\n%!"
-         r.ss_bench r.ss_guards r.ss_violations r.ss_despecs
-   | None -> pr "!! no workload exercised the full speculation lifecycle\n%!");
-  (* per-bench 2%% gate against -O0 *)
-  let regressions = ref 0 in
-  List.iter
-    (fun (r : ss_row) ->
-      let o0 = Hashtbl.find o0_by_bench r.ss_bench in
-      if float_of_int r.ss_cycles > 1.02 *. float_of_int o0 then begin
-        incr regressions;
-        pr "!! %s: -O%d cycles %d regress >2%% vs -O0 %d\n%!" r.ss_bench
-          r.ss_level r.ss_cycles o0
-      end)
-    rows;
-  if !regressions = 0 then
+         r.bench (guards r) (violations r) (despecs r)
+   | [] -> pr "!! no workload exercised the full speculation lifecycle\n%!");
+  if fst worst <= 1.02 then
     pr "no bench regresses >2%% against its -O0 row at any level\n%!";
-  (* write the JSON datapoint *)
   let open Rio.Json in
-  Sweep.write_json ~path:out_path
-    (Obj
-       [ ("schema", Str "rio-specsweep-v1");
-         ("quick", Bool quick);
-         ("o3_vs_o0_geomean_cycle_ratio", Float o3_vs_o0);
-         ("o2_vs_o0_geomean_cycle_ratio", Float o2_vs_o0);
-         ( "lifecycle_bench",
-           match lifecycle with Some r -> Str r.ss_bench | None -> Str "" );
-         ( "rows",
-           Arr
-             (List.map
-                (fun r ->
-                  Obj
-                    [ ("bench", Str r.ss_bench);
-                      ("level", Int r.ss_level);
-                      ("sim_cycles", Int r.ss_cycles);
-                      ("cycle_ratio", Float r.ss_ratio);
-                      ("guards", Int r.ss_guards);
-                      ("violations", Int r.ss_violations);
-                      ("despecs", Int r.ss_despecs);
-                      ("exit_biases", Int r.ss_biases) ])
-                rows) );
-       ]);
-  (* hard gates *)
-  if !regressions > 0 then exit 1;
-  if lifecycle = None then exit 1;
-  if (not quick) && o3_vs_o0 >= 0.930 then begin
-    pr "!! -O3 geomean %.4f does not beat the -O2 tier's 0.930\n%!" o3_vs_o0;
-    exit 1
-  end
+  ( [ ("o3_vs_o0_geomean_cycle_ratio", Float o3_vs_o0);
+      ("o2_vs_o0_geomean_cycle_ratio", Float o2_vs_o0);
+      ( "lifecycle_bench",
+        Str (match witnesses with r :: _ -> r.bench | [] -> "") );
+      ( "rows",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [ ("bench", Str r.bench);
+                   ("level", Int r.level);
+                   ("sim_cycles", Int r.cycles);
+                   ("cycle_ratio", Float r.ratio);
+                   ("guards", Int (guards r));
+                   ("violations", Int (violations r));
+                   ("despecs", Int (despecs r));
+                   ("exit_biases", Int r.stats.Rio.Stats.spec_exit_biases) ])
+             rows) );
+    ],
+    [
+      worst_gate worst;
+      Sweep.at_least "workloads exercising the full speculation lifecycle"
+        ~bound:1.0
+        (float_of_int (List.length witnesses));
+    ]
+    @
+    if quick then []
+    else [ Sweep.below "-O3 geomean cycles vs -O0" ~bound:0.930 o3_vs_o0 ] )
 
 (* ------------------------------------------------------------------ *)
+(* The experiment table                                               *)
+(* ------------------------------------------------------------------ *)
 
-let all () =
-  table1 ();
-  table1x ();
-  table2 ();
-  figure1 ();
-  figure2 ();
-  figure4 ();
-  figure5 ();
-  ablation ();
-  tracestats ();
-  faultsweep ();
-  micro ()
+type row = {
+  name : string;
+  out : string option;  (* default datapoint file; [None] for a printed artifact *)
+  flags : string list;  (* value options beyond [--quick] and [--out] *)
+  alarm : (int * int) option;  (* hang backstop in seconds: quick, full *)
+  run : Sweep.cli -> Rio.Json.t option * Sweep.gate list;
+}
+
+let artifact name f =
+  { name; out = None; flags = []; alarm = None; run = (fun _ -> (None, f ())) }
+
+(* An artifact whose only gate is the divergence gate of its runs. *)
+let printed name f = artifact name (fun () -> f (); [])
+
+(* A sweep's datapoint: its schema tag and mode, then what [f] measured. *)
+let sweep ?(flags = []) ?alarm name out f =
+  {
+    name;
+    out = Some out;
+    flags;
+    alarm;
+    run =
+      (fun cli ->
+        let fields, gates = f cli in
+        ( Some
+            (Rio.Json.Obj
+               (("schema", Rio.Json.Str ("rio-" ^ name ^ "-v1"))
+               :: ("quick", Rio.Json.Bool cli.Sweep.quick)
+               :: fields)),
+          gates ));
+  }
+
+let experiments =
+  [
+    artifact "table1" table1;
+    printed "table1x" table1x;
+    printed "table2" table2;
+    printed "figure1" figure1;
+    printed "figure2" figure2;
+    printed "figure4" figure4;
+    artifact "figure5" figure5;
+    printed "ablation" ablation;
+    printed "tracestats" tracestats;
+    printed "faultsweep" faultsweep;
+    printed "micro" micro;
+    sweep "cachesweep" "BENCH_cache.json" cachesweep;
+    sweep ~flags:[ "--bundle" ] "optsweep" "BENCH_opt.json" optsweep;
+    sweep "specsweep" "BENCH_spec.json" specsweep;
+    sweep "parsweep" "BENCH_parallel.json" Parsweep.run;
+    sweep "servesweep" "BENCH_serve.json" Servesweep.run;
+    sweep ~alarm:(300, 900) "chaossweep" "BENCH_chaos.json" Chaossweep.run;
+    sweep ~alarm:(300, 900) "persistsweep" "BENCH_persist.json"
+      Persistsweep.run;
+    sweep ~flags:[ "--bundle-out" ] ~alarm:(420, 3000) "autotune"
+      "BENCH_autotune.json" Autotune.run;
+  ]
+
+(* Run one experiment and print its gates: its own, the divergence gate
+   of the runs it compared with native, and one for an escaped
+   exception. *)
+let run_row (row : row) (cli : Sweep.cli) =
+  Sweep.checked := 0;
+  Sweep.diverged := 0;
+  let body () = row.run cli in
+  let json, gates =
+    match
+      match row.alarm with
+      | None -> body ()
+      | Some (q, full) ->
+          Sweep.with_alarm ~name:row.name (if cli.Sweep.quick then q else full) body
+    with
+    | r -> r
+    | exception e ->
+        pr "!! %s raised %s\n%!" row.name (Printexc.to_string e);
+        (None, [ Sweep.holds "ran to completion" false ])
+  in
+  Option.iter (Sweep.write_json ~path:cli.Sweep.out) json;
+  Sweep.print_gates row.name (gates @ Sweep.divergence_gate ())
+
+let usage =
+  let row_usage r =
+    match r.out with
+    | None -> r.name
+    | Some _ ->
+        String.concat " "
+          (r.name :: "[--quick]" :: "[--out f]"
+          :: List.map (fun f -> "[" ^ f ^ " f]") r.flags)
+  in
+  "usage: main.exe ["
+  ^ String.concat "|" (List.map row_usage experiments @ [ "all"; "gates [--quick]" ])
+  ^ "]"
+
+let usage_error msg =
+  prerr_endline msg;
+  prerr_endline usage;
+  exit 2
+
+let find name = List.find_opt (fun r -> r.name = name) experiments
+
+(* Split the arguments into experiments, each followed by its options. *)
+let rec parse = function
+  | [] -> []
+  | name :: rest -> (
+      match find name with
+      | None -> usage_error (Printf.sprintf "unknown artifact %S" name)
+      | Some row ->
+          let rec opts (cli : Sweep.cli) = function
+            | "--quick" :: tl when row.out <> None -> opts { cli with quick = true } tl
+            | "--out" :: p :: tl when row.out <> None -> opts { cli with out = p } tl
+            | f :: v :: tl when List.mem f row.flags ->
+                opts { cli with flags = (f, v) :: cli.flags } tl
+            | a :: _ when find a = None ->
+                usage_error (Printf.sprintf "%s: unknown argument %s" name a)
+            | tl -> (row, cli) :: parse tl
+          in
+          opts
+            { Sweep.quick = false; out = Option.value row.out ~default:""; flags = [] }
+            rest)
+
+(* Every experiment in the table, its datapoints and tuned bundle
+   written under _gates/ so no committed file is touched. *)
+let gates ~quick =
+  let dir = "_gates" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let in_dir = Filename.concat dir in
+  List.iter
+    (fun row ->
+      run_row row
+        {
+          Sweep.quick;
+          out = in_dir (Option.value row.out ~default:"");
+          flags = [ ("--bundle-out", in_dir "bundle.json") ];
+        })
+    experiments
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: [] | [] -> all ()
-  | _ :: "optsweep" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"optsweep" ~string_opts:[ "--bundle" ]
-          ~default_out:"BENCH_opt.json" rest
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--help" ] | [ "-h" ] -> print_endline usage
+  | "gates" :: rest ->
+      (match rest with
+      | [] -> gates ~quick:false
+      | [ "--quick" ] -> gates ~quick:true
+      | a :: _ -> usage_error ("gates: unknown argument " ^ a));
+      Sweep.finish ()
+  | args ->
+      (* no experiment named: every printed artifact *)
+      let args =
+        if args = [] || args = [ "all" ] then
+          List.filter_map
+            (fun r -> if r.out = None then Some r.name else None)
+            experiments
+        else args
       in
-      let bundle_path =
-        match List.assoc_opt "--bundle" cli.Sweep.extra with
-        | Some p -> Some p (* explicit: a load failure is then fatal *)
-        | None -> if Sys.file_exists "bundle.json" then Some "bundle.json"
-                  else None
-      in
-      optsweep ~quick:cli.Sweep.quick ~bundle_path ~out_path:cli.Sweep.out_path
-        ()
-  | _ :: "specsweep" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"specsweep" ~default_out:"BENCH_spec.json" rest
-      in
-      specsweep ~quick:cli.Sweep.quick ~out_path:cli.Sweep.out_path ()
-  | _ :: "cachesweep" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"cachesweep" ~default_out:"BENCH_cache.json" rest
-      in
-      cachesweep ~quick:cli.Sweep.quick ~out_path:cli.Sweep.out_path ()
-  | _ :: "parsweep" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"parsweep" ~default_out:"BENCH_parallel.json" rest
-      in
-      Parsweep.run ~quick:cli.Sweep.quick ~out_path:cli.Sweep.out_path ()
-  | _ :: "servesweep" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"servesweep" ~default_out:"BENCH_serve.json" rest
-      in
-      Servesweep.run ~quick:cli.Sweep.quick ~out_path:cli.Sweep.out_path ()
-  | _ :: "chaossweep" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"chaossweep" ~default_out:"BENCH_chaos.json" rest
-      in
-      Chaossweep.run ~quick:cli.Sweep.quick ~out_path:cli.Sweep.out_path ()
-  | _ :: "persistsweep" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"persistsweep" ~default_out:"BENCH_persist.json"
-          rest
-      in
-      Persistsweep.run ~quick:cli.Sweep.quick ~out_path:cli.Sweep.out_path ()
-  | _ :: "autotune" :: rest ->
-      let cli =
-        Sweep.parse_cli ~cmd:"autotune" ~string_opts:[ "--bundle-out" ]
-          ~default_out:"BENCH_autotune.json" rest
-      in
-      let bundle_out =
-        Option.value
-          (List.assoc_opt "--bundle-out" cli.Sweep.extra)
-          ~default:"bundle.json"
-      in
-      Autotune.run ~quick:cli.Sweep.quick ~out_path:cli.Sweep.out_path
-        ~bundle_out ()
-  | _ :: args ->
-      List.iter
-        (function
-          | "table1" -> table1 ()
-          | "table1x" -> table1x ()
-          | "table2" -> table2 ()
-          | "figure1" -> figure1 ()
-          | "figure2" -> figure2 ()
-          | "figure4" -> figure4 ()
-          | "figure5" -> figure5 ()
-          | "ablation" -> ablation ()
-          | "tracestats" -> tracestats ()
-          | "faultsweep" -> faultsweep ()
-          | "micro" -> micro ()
-          | "all" -> all ()
-          | "--help" | "-h" ->
-              print_endline
-                "usage: main.exe [table1|table1x|table2|figure1|figure2|figure4|figure5|ablation|tracestats|faultsweep|micro|cachesweep [--quick] [--out f]|optsweep [--quick] [--out f]|specsweep [--quick] [--out f]|parsweep [--quick] [--out f]|servesweep [--quick] [--out f]|chaossweep [--quick] [--out f]|persistsweep [--quick] [--out f]|autotune [--quick] [--out f] [--bundle-out f]|all]"
-          | a -> Printf.eprintf "unknown artifact %S\n" a)
-        args
+      List.iter (fun (row, cli) -> run_row row cli) (parse args);
+      Sweep.finish ()

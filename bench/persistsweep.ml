@@ -34,14 +34,6 @@ open Workloads
 
 let pr fmt = Printf.printf fmt
 
-let arm_alarm ~quick =
-  Sys.set_signal Sys.sigalrm
-    (Sys.Signal_handle
-       (fun _ ->
-         prerr_endline "!! persistsweep: HANG — alarm fired before completion";
-         exit 3));
-  ignore (Unix.alarm (if quick then 300 else 900))
-
 let prime_requests = 2
 let batch ~quick = if quick then 3 else 50
 
@@ -90,11 +82,6 @@ let measure_workload ~quick ~opts (w : Workload.t) : wl_row =
   let image = Asm.Assemble.assemble w.Workload.program in
   let digest = Asm.Image.digest image in
   let input_for seed = Workload.request_input ~seed @ w.Workload.input in
-  let native_for seed =
-    let n = Workload.run_native (Workload.with_input w (input_for seed)) in
-    assert n.Workload.ok;
-    n.Workload.output
-  in
   (* prime one long-lived instance the way the pool would: a few warm
      requests, traces and profiles accumulating, then snapshot *)
   let path = Filename.temp_file "persistsweep" ".riocache" in
@@ -129,7 +116,13 @@ let measure_workload ~quick ~opts (w : Workload.t) : wl_row =
       | Some (Ok _) -> incr loads
       | Some (Error _) -> incr refused
       | None -> ());
-      if not (o.Rio.Engine.reason = Rio.Engine.All_exited && out = native_for seed)
+      if
+        not
+          (Sweep.check
+             ~label:(Printf.sprintf "seed %d" seed)
+             (Workload.with_input w (input_for seed))
+             ~ok:(o.Rio.Engine.reason = Rio.Engine.All_exited)
+             out)
       then incr divergent;
       cycles := !cycles + o.Rio.Engine.cycles;
       rt_cycles := !rt_cycles + (Rio.Engine.stats rt).Rio.Stats.runtime_cycles;
@@ -265,45 +258,8 @@ let run_compaction_case ~compacting : compaction_run =
   ignore (Asm.Image.load m image);
   ignore (Asm.Image.spawn m image "worker");
   let rt = Rio.Engine.create ~opts m in
-  if Sys.getenv_opt "PSW_DEBUG" <> None then Rio.enable_flow_log rt;
   let o = Rio.Engine.run rt in
-  (if Sys.getenv_opt "PSW_DEBUG" <> None then
-     List.iter
-       (fun l ->
-         if
-           (String.length l >= 5 && String.sub l 0 5 = "built")
-           || List.exists
-                (fun p ->
-                  let pl = String.length p in
-                  let rec has i =
-                    i + pl <= String.length l
-                    && (String.sub l i pl = p || has (i + 1))
-                  in
-                  has 0)
-                [ "compact"; "evict trace"; "drop"; "No_room"; "start trace" ]
-         then Printf.eprintf "FLOW %s\n%!" l)
-       (Rio.flow_log rt));
   let s = Rio.Engine.stats rt in
-  if Sys.getenv_opt "PSW_DEBUG" <> None then
-    Printf.eprintf
-      "DBG compaction compacting=%b: built bb=%d tr=%d bytes bb=%d tr=%d \
-       evict=%d dropped=%d fallback=%d compact=%d moved=%d holes=%d free=%d \
-       largest=%d reason=%s\n%!"
-      compacting s.Rio.Stats.blocks_built s.Rio.Stats.traces_built
-      s.Rio.Stats.cache_bytes_bb s.Rio.Stats.cache_bytes_trace
-      s.Rio.Stats.evictions s.Rio.Stats.traces_dropped
-      s.Rio.Stats.full_flush_fallbacks s.Rio.Stats.compactions
-      s.Rio.Stats.fragments_moved s.Rio.Stats.freelist_holes
-      s.Rio.Stats.freelist_free_bytes s.Rio.Stats.freelist_largest_hole
-      (Rio.Engine.stop_reason_to_string o.Rio.Engine.reason);
-  if Sys.getenv_opt "PSW_DEBUG" <> None then
-    List.iter
-      (fun ts ->
-        Rio.Fragindex.iter_traces ts.Rio.Types.index (fun tag f ->
-            Printf.eprintf "DBG   tid %d trace 0x%x: entry=0x%x len=%d\n%!"
-              ts.Rio.Types.ts_tid tag f.Rio.Types.entry
-              (f.Rio.Types.total_end - f.Rio.Types.entry)))
-      rt.Rio.Types.thread_states;
   let native =
     let nm = Vm.Machine.create () in
     ignore (Asm.Image.load nm image);
@@ -316,14 +272,14 @@ let run_compaction_case ~compacting : compaction_run =
     c_compactions = s.Rio.Stats.compactions;
     c_moved = s.Rio.Stats.fragments_moved;
     c_output_ok =
-      o.Rio.Engine.reason = Rio.Engine.All_exited
-      && Vm.Machine.output m = native;
+      Sweep.tally
+        (o.Rio.Engine.reason = Rio.Engine.All_exited
+        && Vm.Machine.output m = native);
   }
 
 (* ------------------------------------------------------------------ *)
 
-let run ~quick ~out_path () =
-  arm_alarm ~quick;
+let run { Sweep.quick; _ } =
   let wls = List.map Workload.serving_variant Suite.all in
   pr "\n=== Persist sweep (%s mode; %d workloads; batch %d) ===\n"
     (if quick then "quick" else "full")
@@ -368,80 +324,54 @@ let run ~quick ~out_path () =
     (if compacted.c_output_ok then "ok" else "BAD");
 
   let open Rio.Json in
-  Sweep.write_json ~path:out_path
-    (Obj
-       [
-         ("schema", Str "rio-persistsweep-v1");
-         ("quick", Bool quick);
-         ("workloads", Int (List.length rows));
-         ("batch", Int (batch ~quick));
-         ("geomean_boot_speedup", Float boot_speedup);
-         ("geomean_total_speedup", Float total_speedup);
-         ("divergences", Int divergences);
-         ("loads_refused", Int refused);
-         ( "compaction",
-           Obj
-             [
-               ("fifo_only_dropped", Int fifo_only.c_dropped);
-               ("compacting_dropped", Int compacted.c_dropped);
-               ("compactions", Int compacted.c_compactions);
-               ("fragments_moved", Int compacted.c_moved);
-               ( "outputs_ok",
-                 Bool (fifo_only.c_output_ok && compacted.c_output_ok) );
-             ] );
-         ( "grid",
-           Arr
-             (List.map
-                (fun r ->
-                  Obj
-                    [
-                      ("workload", Str r.r_name);
-                      ("fragments_persisted", Int r.r_persisted);
-                      ("images_loaded", Int r.r_loaded);
-                      ("loads_refused", Int r.r_refused);
-                      ("cold_cycles", Int r.r_cold_cycles);
-                      ("warm_cycles", Int r.r_warm_cycles);
-                      ("cold_runtime_cycles", Int r.r_cold_rt_cycles);
-                      ("warm_runtime_cycles", Int r.r_warm_rt_cycles);
-                      ("cold_blocks_built", Int r.r_cold_blocks);
-                      ("warm_blocks_built", Int r.r_warm_blocks);
-                      ("cold_host_seconds", Float r.r_cold_host_s);
-                      ("warm_host_seconds", Float r.r_warm_host_s);
-                      ("boot_speedup", Float r.r_boot_speedup);
-                      ("total_speedup", Float r.r_total_speedup);
-                      ("divergent", Int r.r_divergent);
-                    ])
-                rows) );
-       ]);
-
-  (* hard gates *)
-  if divergences > 0 then begin
-    pr "!! %d run(s) not output-identical to native\n%!" divergences;
-    exit 1
-  end;
-  if refused > 0 then begin
-    pr "!! %d image load(s) refused\n%!" refused;
-    exit 1
-  end;
-  if boot_speedup < 1.5 then begin
-    pr "!! warm-boot speedup %.2fx below the 1.5x gate\n%!" boot_speedup;
-    exit 1
-  end;
-  if total_speedup < 1.0 then begin
-    pr "!! warm boot made whole requests slower (%.2fx)\n%!" total_speedup;
-    exit 1
-  end;
-  if fifo_only.c_dropped < 1 then begin
-    pr "!! compaction gate vacuous: FIFO-only run dropped no trace\n%!";
-    exit 1
-  end;
-  if compacted.c_dropped > 0 then begin
-    pr "!! compaction failed to prevent %d trace drop(s)\n%!"
-      compacted.c_dropped;
-    exit 1
-  end;
-  if not (fifo_only.c_output_ok && compacted.c_output_ok) then begin
-    pr "!! compaction scenario diverged from native\n%!";
-    exit 1
-  end;
-  ignore (Unix.alarm 0)
+  ( [
+      ("workloads", Int (List.length rows));
+      ("batch", Int (batch ~quick));
+      ("geomean_boot_speedup", Float boot_speedup);
+      ("geomean_total_speedup", Float total_speedup);
+      ("divergences", Int divergences);
+      ("loads_refused", Int refused);
+      ( "compaction",
+        Obj
+          [
+            ("fifo_only_dropped", Int fifo_only.c_dropped);
+            ("compacting_dropped", Int compacted.c_dropped);
+            ("compactions", Int compacted.c_compactions);
+            ("fragments_moved", Int compacted.c_moved);
+            ( "outputs_ok",
+              Bool (fifo_only.c_output_ok && compacted.c_output_ok) );
+          ] );
+      ( "grid",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [
+                   ("workload", Str r.r_name);
+                   ("fragments_persisted", Int r.r_persisted);
+                   ("images_loaded", Int r.r_loaded);
+                   ("loads_refused", Int r.r_refused);
+                   ("cold_cycles", Int r.r_cold_cycles);
+                   ("warm_cycles", Int r.r_warm_cycles);
+                   ("cold_runtime_cycles", Int r.r_cold_rt_cycles);
+                   ("warm_runtime_cycles", Int r.r_warm_rt_cycles);
+                   ("cold_blocks_built", Int r.r_cold_blocks);
+                   ("warm_blocks_built", Int r.r_warm_blocks);
+                   ("cold_host_seconds", Float r.r_cold_host_s);
+                   ("warm_host_seconds", Float r.r_warm_host_s);
+                   ("boot_speedup", Float r.r_boot_speedup);
+                   ("total_speedup", Float r.r_total_speedup);
+                   ("divergent", Int r.r_divergent);
+                 ])
+             rows) );
+    ],
+    [
+      Sweep.at_most "image loads refused" ~bound:0.0 (float_of_int refused);
+      Sweep.at_least "geomean warm-boot speedup (runtime cycles)" ~bound:1.5
+        boot_speedup;
+      Sweep.at_least "geomean whole-request speedup" ~bound:1.0 total_speedup;
+      Sweep.at_least "FIFO-only trace drops (scenario not vacuous)" ~bound:1.0
+        (float_of_int fifo_only.c_dropped);
+      Sweep.at_most "trace drops with compaction" ~bound:0.0
+        (float_of_int compacted.c_dropped);
+    ] )

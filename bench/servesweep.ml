@@ -142,7 +142,7 @@ let open_loop_rung ~seed ~d ~cap ~rho ~(service : int array) ~arrivals : ol_row
 (* The sweep                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run ~quick ~out_path () =
+let run { Sweep.quick; _ } =
   let wls =
     List.map
       (fun n -> Workload.serving_variant (Option.get (Suite.by_name n)))
@@ -154,8 +154,6 @@ let run ~quick ~out_path () =
   let make_requests = Sweep.request_maker wls in
   let default_opts = { Rio.Options.default with max_cycles = max_int / 2 } in
   let boots = Sweep.pool_boots ~opts:default_opts wls in
-  let divergences = ref 0 in
-  let check_pass tag results = Sweep.check_pass ~divergences tag results in
 
   (* ---------------- 1. closed loop, pre-warmed ---------------- *)
   let d = closed_domains ~quick in
@@ -176,12 +174,12 @@ let run ~quick ~out_path () =
   (* warm pass: fills trace caches (pre-warming builds instances, the
      first requests still build fragments) *)
   List.iter (Sweep.submit_exn pool) (make_requests ~seed_base:10_000 n);
-  check_pass "closed warm" (Rio.Pool.drain pool);
+  Sweep.check_pass "closed warm" (Rio.Pool.drain pool);
   let warm_snap = Rio.Pool.stats pool in
   Rio.Pool.reset_counters pool;
   List.iter (Sweep.submit_exn pool) (make_requests ~seed_base:0 n);
   let results = Rio.Pool.drain pool in
-  check_pass "closed measured" results;
+  Sweep.check_pass "closed measured" results;
   let meas_snap = Rio.Pool.stats pool in
   Rio.Pool.shutdown pool;
   ignore results;
@@ -198,10 +196,10 @@ let run ~quick ~out_path () =
       ~boots ()
   in
   List.iter (Sweep.submit_exn mpool) (make_requests ~seed_base:10_000 n);
-  check_pass "service warm" (Rio.Pool.drain mpool);
+  Sweep.check_pass "service warm" (Rio.Pool.drain mpool);
   List.iter (Sweep.submit_exn mpool) (make_requests ~seed_base:0 n);
   let mresults = Rio.Pool.drain mpool in
-  check_pass "service measured" mresults;
+  Sweep.check_pass "service measured" mresults;
   Rio.Pool.shutdown mpool;
   let service =
     Array.of_list (List.map (fun r -> r.Rio.Pool.res_cycles) mresults)
@@ -307,9 +305,8 @@ let run ~quick ~out_path () =
         let expect =
           (List.nth reqs r.Rio.Wire.r_id).Rio.Pool.req_expect
         in
-        if Some r.Rio.Wire.r_output <> expect then begin
+        if not (Sweep.tally (Some r.Rio.Wire.r_output = expect)) then begin
           incr smoke_mismatch;
-          incr divergences;
           pr "!! socket: response %d output differs from native\n%!"
             r.Rio.Wire.r_id
         end
@@ -324,76 +321,62 @@ let run ~quick ~out_path () =
 
   (* ---------------- JSON + gates ---------------- *)
   let open Rio.Json in
-  Sweep.write_json ~path:out_path
-    (Obj
-       [ ("schema", Str "rio-servesweep-v1");
-         ("quick", Bool quick);
-         ("mix", Arr (List.map (fun n -> Str n) (mix_names ~quick)));
-         ("divergences", Int !divergences);
-         ( "closed_loop",
-           Obj
-             [ ("domains", Int d);
-               ("requests", Int n);
-               ("prewarm_boots", Int boot_snap.Rio.Pool.snap_prewarm_boots);
-               ("cold_boots", Int closed_cold);
-               ("batch_hits", Int meas_snap.Rio.Pool.snap_batch_hits);
-               ("mean_service_cycles", Float mean_service);
-               ("p50_service_cycles", Float (percentile servicef 50.0));
-               ("p99_service_cycles", Float (percentile servicef 99.0)) ] );
-         ( "open_loop",
-           Obj
-             [ ("servers", Int d);
-               ("cap", Int model_cap);
-               ("arrivals_per_rung", Int arrivals);
-               ("p99_budget_cycles", Float p99_budget);
-               ( "rungs",
-                 Arr
-                   (List.map
-                      (fun r ->
-                        Obj
-                          [ ("rho", Float r.ol_rho);
-                            ("offered", Int r.ol_offered);
-                            ("accepted", Int r.ol_accepted);
-                            ("shed", Int r.ol_shed);
-                            ("p50_cycles", Float r.ol_p50);
-                            ("p95_cycles", Float r.ol_p95);
-                            ("p99_cycles", Float r.ol_p99);
-                            ("max_cycles", Float r.ol_max) ])
-                      ol_rows) ) ] );
-         ( "socket",
-           Obj
-             [ ("requests", Int smoke_n);
-               ("accept_queue", Int smoke_aq);
-               ("ok", Int smoke_ok);
-               ("shed", Int smoke_shed);
-               ("failed", Int smoke_failed);
-               ("output_mismatches", Int !smoke_mismatch);
-               ("connections", Int sstats.Rio.Server.sv_accepted);
-               ("responses", Int sstats.Rio.Server.sv_responses) ] );
-       ]);
-
-  let fail = ref false in
-  let gate cond msg = if not cond then begin pr "!! gate: %s\n%!" msg; fail := true end in
-  gate (!divergences = 0)
-    (Printf.sprintf "%d responses diverged from native" !divergences);
-  gate (closed_cold = 0)
-    (Printf.sprintf "closed loop took %d cold boots despite pre-warming"
-       closed_cold);
-  gate (subcritical_shed = 0)
-    (Printf.sprintf "open loop shed %d requests at rho <= 0.8"
-       subcritical_shed);
-  gate (target.ol_p99 <= p99_budget)
-    (Printf.sprintf "open-loop p99 %.0f at rho=0.8 exceeds budget %.0f"
-       target.ol_p99 p99_budget);
-  gate (saturated.ol_shed > 0)
-    "open loop failed to shed past saturation";
-  gate (saturated.ol_p99 <= accepted_bound)
-    (Printf.sprintf
-       "accepted p99 %.0f past saturation exceeds the admission bound %.3g"
-       saturated.ol_p99 accepted_bound);
-  gate (smoke_shed > 0) "socket burst produced no typed shed";
-  gate (smoke_ok > 0) "socket burst produced no success";
-  gate (smoke_failed = 0)
-    (Printf.sprintf "socket burst produced %d failed responses" smoke_failed);
-  if !fail then exit 1;
-  pr "\nall serving gates passed\n%!"
+  ( [ ("mix", Arr (List.map (fun n -> Str n) (mix_names ~quick)));
+      ("divergences", Int !Sweep.diverged);
+      ( "closed_loop",
+        Obj
+          [ ("domains", Int d);
+            ("requests", Int n);
+            ("prewarm_boots", Int boot_snap.Rio.Pool.snap_prewarm_boots);
+            ("cold_boots", Int closed_cold);
+            ("batch_hits", Int meas_snap.Rio.Pool.snap_batch_hits);
+            ("mean_service_cycles", Float mean_service);
+            ("p50_service_cycles", Float (percentile servicef 50.0));
+            ("p99_service_cycles", Float (percentile servicef 99.0)) ] );
+      ( "open_loop",
+        Obj
+          [ ("servers", Int d);
+            ("cap", Int model_cap);
+            ("arrivals_per_rung", Int arrivals);
+            ("p99_budget_cycles", Float p99_budget);
+            ( "rungs",
+              Arr
+                (List.map
+                   (fun r ->
+                     Obj
+                       [ ("rho", Float r.ol_rho);
+                         ("offered", Int r.ol_offered);
+                         ("accepted", Int r.ol_accepted);
+                         ("shed", Int r.ol_shed);
+                         ("p50_cycles", Float r.ol_p50);
+                         ("p95_cycles", Float r.ol_p95);
+                         ("p99_cycles", Float r.ol_p99);
+                         ("max_cycles", Float r.ol_max) ])
+                   ol_rows) ) ] );
+      ( "socket",
+        Obj
+          [ ("requests", Int smoke_n);
+            ("accept_queue", Int smoke_aq);
+            ("ok", Int smoke_ok);
+            ("shed", Int smoke_shed);
+            ("failed", Int smoke_failed);
+            ("output_mismatches", Int !smoke_mismatch);
+            ("connections", Int sstats.Rio.Server.sv_accepted);
+            ("responses", Int sstats.Rio.Server.sv_responses) ] );
+    ],
+    [
+      Sweep.at_most "closed-loop cold boots after pre-warming" ~bound:0.0
+        (float_of_int closed_cold);
+      Sweep.at_most "open-loop shed at rho <= 0.8" ~bound:0.0
+        (float_of_int subcritical_shed);
+      Sweep.at_most "open-loop p99 cycles at rho = 0.8" ~bound:p99_budget
+        target.ol_p99;
+      Sweep.above "open-loop shed past saturation" ~bound:0.0
+        (float_of_int saturated.ol_shed);
+      Sweep.at_most "accepted p99 cycles past saturation" ~bound:accepted_bound
+        saturated.ol_p99;
+      Sweep.above "socket burst typed sheds" ~bound:0.0 (float_of_int smoke_shed);
+      Sweep.above "socket burst successes" ~bound:0.0 (float_of_int smoke_ok);
+      Sweep.at_most "socket burst failed responses" ~bound:0.0
+        (float_of_int smoke_failed);
+    ] )

@@ -1,7 +1,10 @@
-(** Shared scaffolding for the bench sweep subcommands (cachesweep,
-    optsweep, parsweep): CLI parsing, native-checked runs,
-    and JSON datapoint emission (through {!Rio.Json}).  Factoring it here keeps each sweep
-    about its experiment, not its plumbing. *)
+(** Shared scaffolding for the experiments of [main.ml]: typed gates
+    and their one reporter, the native-checked run, the hang backstop,
+    JSON datapoint emission (through {!Rio.Json}) and the serving-pool
+    plumbing.  Factoring it here keeps each experiment about its
+    experiment, not its plumbing. *)
+
+open Workloads
 
 let pr fmt = Printf.printf fmt
 
@@ -12,52 +15,162 @@ let geomean xs =
 
 let time_now () = Unix.gettimeofday ()
 
-(* ------------------------------------------------------------------ *)
-(* CLI                                                                *)
-(* ------------------------------------------------------------------ *)
-
+(** What one invocation of an experiment was asked for: [--quick],
+    the datapoint path ([--out]), and any further [--name VALUE]
+    options its row declares. *)
 type cli = {
   quick : bool;
-  out_path : string;
-  extra : (string * string) list;  (* accepted --name value options *)
+  out : string;
+  flags : (string * string) list;
 }
 
-(** Parse a sweep's arguments: [--quick], [--out PATH], plus any
-    [--name VALUE] options named in [string_opts]. *)
-let parse_cli ~cmd ?(string_opts = []) ~default_out (args : string list) : cli =
-  let quick = ref false in
-  let out_path = ref default_out in
-  let extra = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--quick" :: tl ->
-        quick := true;
-        parse tl
-    | "--out" :: p :: tl ->
-        out_path := p;
-        parse tl
-    | a :: v :: tl when List.mem a string_opts ->
-        extra := (a, v) :: !extra;
-        parse tl
-    | a :: _ -> failwith (cmd ^ ": unknown argument " ^ a)
-  in
-  parse args;
-  { quick = !quick; out_path = !out_path; extra = List.rev !extra }
-
 (* ------------------------------------------------------------------ *)
-(* Native references                                                  *)
+(* Gates                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(** Native run that must complete; sweeps compare against it. *)
-let native_checked (w : Workloads.Workload.t) : Workloads.Workload.run_result =
-  let r = Workloads.Workload.run_native w in
-  if not r.Workloads.Workload.ok then
-    failwith (w.Workloads.Workload.name ^ ": native failed");
-  r
+type rel = At_most | At_least | Below | Above
+
+(** One pass/fail criterion: a measured value against a fixed bound. *)
+type gate = { name : string; value : float; rel : rel; bound : float }
+
+let gate rel name ~bound value = { name; value; rel; bound }
+let at_most = gate At_most
+let at_least = gate At_least
+let below = gate Below
+let above = gate Above
+
+(** A yes/no criterion, as the value 1 (holds) against the bound 1. *)
+let holds name b = at_least name ~bound:1.0 (if b then 1.0 else 0.0)
+
+let passes g =
+  match g.rel with
+  | At_most -> g.value <= g.bound
+  | At_least -> g.value >= g.bound
+  | Below -> g.value < g.bound
+  | Above -> g.value > g.bound
+
+let num x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.6g" x
+
+let total = ref 0
+let failed = ref []
+
+(** Print an experiment's gates on stderr as they are decided. *)
+let print_gates exp gates =
+  flush stdout;
+  List.iter
+    (fun g ->
+      incr total;
+      let ok = passes g in
+      if not ok then failed := (exp, g) :: !failed;
+      Printf.eprintf "%s %-12s %s: %s %s %s\n%!"
+        (if ok then "PASS" else "FAIL")
+        exp g.name (num g.value)
+        (match g.rel with
+        | At_most -> "<="
+        | At_least -> ">="
+        | Below -> "<"
+        | Above -> ">")
+        (num g.bound))
+    gates
+
+(** Sum up every gate printed: exit 1, listing the failures again, if
+    any failed. *)
+let finish () =
+  match List.rev !failed with
+  | [] -> if !total > 0 then Printf.eprintf "all %d gates passed\n%!" !total
+  | fs ->
+      Printf.eprintf "%d of %d gates FAILED:\n" (List.length fs) !total;
+      List.iter (fun (exp, g) -> Printf.eprintf "  %s: %s\n" exp g.name) fs;
+      flush stderr;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
-(* JSON                                                               *)
+(* The native-checked run                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* Native references, each computed once per process.  The entry label
+   is part of the key because a serving variant keeps its workload's
+   name but not its program. *)
+let natives : (string * string * int list, Workload.run_result) Hashtbl.t =
+  Hashtbl.create 64
+
+(** The native run of [w] on its input, which must complete. *)
+let native (w : Workload.t) : Workload.run_result =
+  let key = (w.Workload.name, w.Workload.program.Asm.Ast.entry, w.Workload.input) in
+  match Hashtbl.find_opt natives key with
+  | Some r -> r
+  | None ->
+      let r = Workload.run_native w in
+      if not r.Workload.ok then failwith (w.Workload.name ^ ": native failed");
+      Hashtbl.replace natives key r;
+      r
+
+(* How many runs the current experiment compared with native, and how
+   many of them differed.  [run_row] turns these into a gate. *)
+let checked = ref 0
+let diverged = ref 0
+
+(** Count one comparison with native; [same] is its verdict. *)
+let tally same =
+  incr checked;
+  if not same then incr diverged;
+  same
+
+(** Whether a run of [w] stopped cleanly ([ok]) with native's output;
+    a difference is reported and counted. *)
+let check ?(label = "") (w : Workload.t) ~ok output =
+  let same = tally (ok && output = (native w).Workload.output) in
+  if not same then
+    pr "!! %s%s diverged from native\n%!" w.Workload.name
+      (if label = "" then "" else " under " ^ label);
+  same
+
+type run = {
+  res : Workload.run_result;
+  rt : Rio.t;
+  ratio : float;  (** simulated cycles over native's *)
+  same : bool;    (** exited cleanly with native's output *)
+}
+
+(** A RIO run of [w], compared with its native run. *)
+let run ?label ?opts ?client (w : Workload.t) : run =
+  let res, rt = Workload.run_rio ?opts ?client w in
+  let same = check ?label w ~ok:res.Workload.ok res.Workload.output in
+  {
+    res;
+    rt;
+    ratio =
+      float_of_int res.Workload.cycles
+      /. float_of_int (native w).Workload.cycles;
+    same;
+  }
+
+(** The gate every experiment that compared runs with native carries. *)
+let divergence_gate () =
+  if !checked = 0 then []
+  else
+    [
+      at_most
+        (Printf.sprintf "runs diverged from native (of %d)" !checked)
+        ~bound:0.0 (float_of_int !diverged);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Hang backstop and JSON                                             *)
+(* ------------------------------------------------------------------ *)
+
+(** Run [f] under a whole-process alarm: a deadlocked experiment must
+    not look like a quiet CI timeout, so it exits with status 3. *)
+let with_alarm ~name secs f =
+  Sys.set_signal Sys.sigalrm
+    (Sys.Signal_handle
+       (fun _ ->
+         prerr_endline ("!! " ^ name ^ ": HANG — alarm fired before completion");
+         exit 3));
+  ignore (Unix.alarm secs);
+  Fun.protect ~finally:(fun () -> ignore (Unix.alarm 0)) f
 
 (** Write a sweep's JSON datapoint and report the path. *)
 let write_json ~path (v : Rio.Json.t) : unit =
@@ -67,7 +180,7 @@ let write_json ~path (v : Rio.Json.t) : unit =
   pr "wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
-(* Pool scaffolding (parsweep, chaossweep)                            *)
+(* Pool scaffolding (parsweep, servesweep, chaossweep, autotune)      *)
 (* ------------------------------------------------------------------ *)
 
 (** Boot table for a workload mix: one boot per workload, image
@@ -75,14 +188,12 @@ let write_json ~path (v : Rio.Json.t) : unit =
     [opts_for] maps a workload name to its engine options — this is
     where a bundle's per-workload opt-level overrides reach the pool
     (default: [opts] for every workload). *)
-let pool_boots ?(client = fun () -> Rio.Types.null_client) ?cache_dir
-    ?opts_for ~opts (wls : Workloads.Workload.t list) :
-    (string * Rio.Pool.boot) list =
+let pool_boots ?(client = fun () -> Rio.Types.null_client) ?opts_for ~opts (wls : Workload.t list) : (string * Rio.Pool.boot) list =
   let opts_for = match opts_for with Some f -> f | None -> fun _ -> opts in
   List.map
     (fun w ->
-      let image = Asm.Assemble.assemble w.Workloads.Workload.program in
-      let name = w.Workloads.Workload.name in
+      let image = Asm.Assemble.assemble w.Workload.program in
+      let name = w.Workload.name in
       ( name,
         {
           Rio.Pool.boot_machine =
@@ -96,46 +207,27 @@ let pool_boots ?(client = fun () -> Rio.Types.null_client) ?cache_dir
           boot_opts = opts_for name;
           boot_client = client;
           boot_image_digest = Asm.Image.digest image;
-          boot_cache =
-            Option.map
-              (fun dir ->
-                Filename.concat dir (Rio.Pool.cache_file_name name))
-              cache_dir;
+          boot_cache = None;
         } ))
     wls
 
-(** Request maker over a workload mix, with a native-reference cache:
-    request [i] round-robins the mix at seed [seed_base + i]; each
-    (workload, seed) native output is computed once and reused across
-    passes and pools. *)
-let request_maker (wls : Workloads.Workload.t list) :
+(** Request maker over a workload mix: request [i] round-robins the
+    mix at seed [seed_base + i] and expects its native output. *)
+let request_maker (wls : Workload.t list) :
     seed_base:int -> int -> Rio.Pool.request list =
-  let refs : (string * int, int list) Hashtbl.t = Hashtbl.create 64 in
-  let native_ref (w : Workloads.Workload.t) seed =
-    match Hashtbl.find_opt refs (w.Workloads.Workload.name, seed) with
-    | Some out -> out
-    | None ->
-        let input =
-          Workloads.Workload.request_input ~seed @ w.Workloads.Workload.input
-        in
-        let r = native_checked (Workloads.Workload.with_input w input) in
-        Hashtbl.replace refs
-          (w.Workloads.Workload.name, seed)
-          r.Workloads.Workload.output;
-        r.Workloads.Workload.output
-  in
   let nwl = List.length wls in
   fun ~seed_base n ->
     List.init n (fun i ->
         let w = List.nth wls (i mod nwl) in
         let seed = seed_base + i in
+        let input = Workload.request_input ~seed @ w.Workload.input in
         {
           Rio.Pool.req_id = i;
-          req_key = w.Workloads.Workload.name;
+          req_key = w.Workload.name;
           req_seed = seed;
-          req_input =
-            Workloads.Workload.request_input ~seed @ w.Workloads.Workload.input;
-          req_expect = Some (native_ref w seed);
+          req_input = input;
+          req_expect =
+            Some (native (Workload.with_input w input)).Workload.output;
         })
 
 (** Submit that treats a rejection as a sweep bug. *)
@@ -148,14 +240,13 @@ let submit_exn pool (r : Rio.Pool.request) : unit =
            r.Rio.Pool.req_seed
            (Rio.Pool.reject_to_string e))
 
-(** Count and report results that did not come back ok. *)
-let check_pass ~divergences tag (results : Rio.Pool.result list) : unit =
+(** Count, and report, results that did not come back ok (exited and
+    matched their native [req_expect]). *)
+let check_pass tag (results : Rio.Pool.result list) : unit =
   List.iter
     (fun r ->
-      if not r.Rio.Pool.res_ok then begin
-        incr divergences;
+      if not (tally r.Rio.Pool.res_ok) then
         pr "!! %s: %s seed %d on domain %d diverged (%s)\n%!" tag
           r.Rio.Pool.res_key r.Rio.Pool.res_seed r.Rio.Pool.res_worker
-          (Rio.Engine.stop_reason_to_string r.Rio.Pool.res_reason)
-      end)
+          (Rio.Engine.stop_reason_to_string r.Rio.Pool.res_reason))
     results

@@ -398,10 +398,8 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
       snap.Rio.Pool.snap_steals snap.Rio.Pool.snap_warm_hits
       snap.Rio.Pool.snap_cold_boots;
     if load_cache || snap.Rio.Pool.snap_cache_loads > 0 then
-      Printf.printf
-        "  persistent cache: loads %d  refused %d  prewarms %d  publishes %d\n"
-        snap.Rio.Pool.snap_cache_loads snap.Rio.Pool.snap_cache_refused
-        snap.Rio.Pool.snap_prewarms snap.Rio.Pool.snap_profile_publishes;
+      Printf.printf "  persistent cache: loads %d  refused %d\n"
+        snap.Rio.Pool.snap_cache_loads snap.Rio.Pool.snap_cache_refused;
     Printf.printf
       "  block builds per request: %.1f warm vs %.1f cold (%d/%d requests warm)\n"
       (avg_blocks warm) (avg_blocks cold) (List.length warm)

@@ -319,35 +319,6 @@ let load_image (rt : t) ~(image_digest : int) ~(path : string) :
     (Persist.summary, Persist.error) result =
   Persist.load rt ~image_digest ~path
 
-(** Seed a new instance's per-tid index with application knowledge
-    harvested from another worker — trace-head counters, successor
-    profiles, despeculation verdicts — so its first requests build
-    traces (and skip doomed speculations) immediately instead of
-    re-learning.  Entries are [(tag, head, profile, nospec)]; profile
-    records are copied, never shared across instances.  Must run
-    before the instance's first request for a brand-new tid. *)
-let prewarm (rt : t) ~(tid : int)
-    (entries : (int * int * Fragindex.profile option * bool) list) : unit =
-  if entries <> [] then begin
-    let fresh = not (List.exists (fun ts -> ts.ts_tid = tid) rt.thread_states) in
-    let ts = Persist.thread_state_for rt tid in
-    List.iter
-      (fun (tag, head, prof, nospec) ->
-        let e = Fragindex.ensure ts.index tag in
-        e.Fragindex.head <- max e.Fragindex.head head;
-        if nospec then e.Fragindex.nospec <- true;
-        match (prof, e.Fragindex.prof) with
-        | Some p, None -> e.Fragindex.prof <- Some (Fragindex.copy_profile p)
-        | Some p, Some mine ->
-            (* seeded on top of a loaded image: fold, don't clobber *)
-            Fragindex.merge_profile ~src:p mine
-        | None, _ -> ())
-      entries;
-    (* drop any thread fabricated just to mint the tid; the state (and
-       its seeded index) re-attaches on the first real request *)
-    if fresh then Vm.Machine.reset_for_run rt.machine
-  end
-
 let stop_reason_to_string = function
   | All_exited -> "all threads exited"
   | App_fault f -> "application fault: " ^ f

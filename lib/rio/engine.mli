@@ -76,17 +76,6 @@ val load_image :
 (** Warm-boot a freshly created instance from a saved image; see
     {!Persist.load}.  Must run before the first request. *)
 
-val prewarm :
-  t ->
-  tid:int -> (int * int * Fragindex.profile option * bool) list -> unit
-(** Seed a new instance's per-tid index with application knowledge
-    harvested from another worker — trace-head counters, successor
-    profiles, despeculation verdicts — so its first requests build
-    traces (and skip doomed speculations) immediately instead of
-    re-learning.  Entries are [(tag, head, profile, nospec)]; profile
-    records are copied, never shared across instances.  Must run
-    before the instance's first request for a brand-new tid. *)
-
 val stop_reason_to_string : stop_reason -> string
 
 (** Test hooks: not part of the runtime's interface. *)

@@ -34,7 +34,7 @@ type 'a entry = {
          not re-speculate on observed constants here.  Like head
          counters and profiles this describes the application, not a
          cached fragment — it survives flushes, warm resets, and (via
-         the pool's shared profile store) travels between workers *)
+         a saved cache image) travels to the next instance *)
 }
 
 type 'a cell = Empty | Entry of 'a entry
@@ -237,16 +237,16 @@ let copy_profile (p : profile) : profile =
 (* Merging two 2-slot histograms: pool the four (target, count) slots
    taking the per-target MAXIMUM, keep the two heaviest (ties broken
    by target so the result is order-independent), and spill the rest
-   into [p_other].  Max, not sum: publishers carry *cumulative*
-   histograms (an instance that was itself seeded from the store
-   re-publishes everything it was given plus its own samples), so
-   summing would double-count shared ancestry on every publish.
-   Per-target max is idempotent under re-publish, never moves a count
-   backward, and for genuinely disjoint targets degenerates to the
-   union.  The anonymous [p_other] bucket gets the same treatment —
-   max over both inputs' buckets and the slot spill — rather than an
-   addition, because spilled targets would otherwise re-add on every
-   re-publish of the same cumulative histogram.  [p_total] is
+   into [p_other].  Max, not sum: histograms are *cumulative* (an
+   image saved by an instance that was itself warm-booted from an
+   earlier image carries everything it loaded plus its own samples),
+   so summing would double-count shared ancestry on every load.
+   Per-target max is idempotent under reloading the same history,
+   never moves a count backward, and for genuinely disjoint targets
+   degenerates to the union.  The anonymous [p_other] bucket gets the
+   same treatment — max over both inputs' buckets and the slot spill —
+   rather than an addition, because spilled targets would otherwise
+   re-add on every merge of the same cumulative histogram.  [p_total] is
    recomputed as n1 + n2 + other, keeping the invariant the recorder
    maintains. *)
 let merge_profile ~(src : profile) (dst : profile) : unit =
@@ -336,4 +336,5 @@ let trace_count t =
 module For_testing = struct
   let clear_ibl = clear_ibl
   let count = count
+  let copy_profile = copy_profile
 end

@@ -51,8 +51,7 @@ type 'a entry = {
       (** despeculation verdict: a constant-load guard at this site was
           already cut once, so trace building must not fold observed
           constants here again.  Application knowledge, like [prof] —
-          survives flushes and is shared through the pool's profile
-          store *)
+          survives flushes and travels in saved cache images *)
 }
 
 type 'a t
@@ -101,22 +100,18 @@ val record_successor : 'a t -> int -> int -> unit
 val successor_profile : 'a t -> int -> profile option
 (** The site's successor profile, if any samples were recorded. *)
 
-val copy_profile : profile -> profile
-(** Fresh, unshared copy of a profile record. *)
-
 val merge_profile : src:profile -> profile -> unit
 (** [merge_profile ~src dst] folds [src]'s histogram into [dst]:
-    per-target counts combine by maximum (publishers carry cumulative
-    histograms, so summing would double-count shared ancestry; max is
-    idempotent under re-publish and a union for disjoint targets), the
+    per-target counts combine by maximum (histograms are cumulative, so
+    summing would double-count shared ancestry; max is idempotent under
+    re-merging the same history and a union for disjoint targets), the
     two heaviest targets keep the slots (ties broken by target, so
     merge order does not matter), the rest spill into [p_other] — which
-    itself combines by maximum over both buckets and the spill, so a
-    re-publish of the same cumulative histogram is a no-op — and
+    itself combines by maximum over both buckets and the spill, so
+    merging the same cumulative histogram again is a no-op — and
     [p_total] is recomputed to match.  [src] is not modified.  This is
-    how the pool's shared store and the persistent-image loader
-    combine profiles from multiple runs instead of letting one run
-    clobber another. *)
+    how the persistent-image loader folds a saved profile into what
+    the instance already learned instead of clobbering it. *)
 
 val flush_fragments : 'a t -> unit
 (** Invalidate every bb/trace/ibl slot in O(1) (generation bump);
@@ -125,8 +120,8 @@ val flush_fragments : 'a t -> unit
 val iter_entries : 'a t -> ('a entry -> unit) -> unit
 (** Iterate every live entry (fragment slots may be stale — check
     against the accessors, or use the typed iterators below).  The
-    persistence and profile-sharing layers use this to harvest head
-    counters, profiles, and verdicts in one walk. *)
+    persistence layer uses this to save head counters, profiles, and
+    verdicts in one walk. *)
 
 val iter_bbs : 'a t -> (int -> 'a -> unit) -> unit
 val iter_traces : 'a t -> (int -> 'a -> unit) -> unit
@@ -141,4 +136,7 @@ module For_testing : sig
 
   val count : 'a t -> int
   (** Live keys in the table. *)
+
+  val copy_profile : profile -> profile
+  (** Fresh, unshared copy of a profile record. *)
 end

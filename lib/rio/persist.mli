@@ -21,15 +21,11 @@ val error_to_string : error -> string
     not fit the loading runtime's (possibly smaller) cache region. *)
 type summary = { threads : int; fragments : int; skipped : int }
 
-exception Fail of error
-
 val save : Types.runtime -> image_digest:int -> path:string -> int
 (** Serialize the runtime's warm state to [path] (written atomically
     via a temporary file).  [image_digest] is the {!Asm.Image.digest}
     of the program the cache was built over; load refuses anything
     else.  Returns the number of fragments persisted. *)
-
-val thread_state_for : Types.runtime -> int -> Types.thread_state
 
 val load :
   Types.runtime ->

@@ -32,12 +32,17 @@
       consecutive final failures: new submits for the key are rejected
       until a single probe request is let through and succeeds.
 
+    A fresh instance starts from one source only: its key's saved
+    cache image when the boot carries one ([boot_cache]),
+    otherwise cold (DESIGN.md §6.8).
+
     All queues and counters sit behind one pool mutex: requests are
     coarse (each runs a whole workload to completion, millions of
     simulated cycles), so queue operations are a vanishing fraction of
-    the work and a single lock keeps the invariants easy to audit.
-    Lock-ordering discipline: the pool mutex is never held while a
-    request executes. *)
+    the work and a single lock keeps the invariants easy to audit.  The
+    two image-load counters are atomics instead, because a cold retry
+    boots its instance with no lock held.  Lock-ordering discipline:
+    the pool mutex is never held while a request executes. *)
 
 (* ------------------------------------------------------------------ *)
 (* Deques                                                             *)
@@ -248,42 +253,13 @@ type snapshot = {
   snap_quarantine_closes : int;  (** breakers closed by a successful request *)
   snap_probes : int;             (** probe requests admitted through open breakers *)
   snap_quarantined_now : int;    (** keys whose breaker is open right now *)
-  (* --- persistent cache + shared profile store (DESIGN.md §6.8) --- *)
+  (* --- persistent cache images (DESIGN.md §6.8) --- *)
   snap_cache_loads : int;        (** instances warm-booted from a saved image *)
   snap_cache_refused : int;      (** image loads refused (fell back to cold) *)
-  snap_profile_publishes : int;  (** successful requests that published to the store *)
-  snap_prewarms : int;           (** instances seeded from the shared store *)
   (* --- serving front-end (DESIGN.md §6.10) --- *)
   snap_shed : int;               (** {!try_submit} rejections for overload *)
   snap_batch_hits : int;         (** same-key dequeue picks by the batcher *)
   snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* Fleet-wide shared profile store (DESIGN.md §6.8)                   *)
-(* ------------------------------------------------------------------ *)
-
-(** One tag's application knowledge in the shared store: what a worker
-    learned about the program, detached from any code cache. *)
-type profile_entry = {
-  pe_head : int;                         (** trace-head counter *)
-  pe_prof : Fragindex.profile option;    (** successor profile (a private copy) *)
-  pe_nospec : bool;                      (** despeculation verdict *)
-}
-
-(* The store has its own mutex so workers can publish and prewarm
-   without touching the pool mutex mid-request (which would violate the
-   "never held while a request executes" discipline).  Lock order:
-   pool.mu may be held when taking st_mu (drain_and_reload's rebuild),
-   never the reverse. *)
-type store = {
-  st_mu : Mutex.t;
-  st_entries : (string, (int, profile_entry) Hashtbl.t) Hashtbl.t;
-      (* workload key -> tag -> merged knowledge *)
-  mutable st_publishes : int;
-  mutable st_prewarms : int;
-  mutable st_cache_loads : int;
-  mutable st_cache_refused : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -349,7 +325,9 @@ type t = {
   mutable quarantine_closes : int;
   mutable probes : int;
   quar : (string, quar) Hashtbl.t;
-  store : store;                  (* fleet-wide profile knowledge *)
+  cache_loads : int Atomic.t;     (* image loads; bumped by whichever
+                                     domain boots the instance *)
+  cache_refused : int Atomic.t;
   mutable pool_stats : Stats.t;   (* serving counters + latency histogram *)
   mutable results : result list;  (* reversed completion order *)
   mutable notify : unit -> unit;  (* completion hook: results went
@@ -378,111 +356,39 @@ let note_progress pool =
   if pool.reloading && pool.active = 0 then Condition.broadcast pool.done_cv
 
 (* ------------------------------------------------------------------ *)
-(* Shared profile store: publish and prewarm                          *)
+(* Booting an instance                                                *)
 (* ------------------------------------------------------------------ *)
 
-let copy_profile = Fragindex.copy_profile
-
-(* After a successful request, fold what this instance knows about the
-   application — trace-head counters, successor profiles, despec
-   verdicts — into the fleet store, so the next worker to boot this key
-   (fresh domain, respawn after a crash, post-reload rebuild) starts
-   with the knowledge instead of re-learning it request by request.
-   Called by the owning worker with no pool lock held. *)
-let publish_profiles pool key (rt : Engine.t) : unit =
-  match
-    List.find_opt (fun ts -> ts.Types.ts_tid = 0) rt.Types.thread_states
-  with
-  | None -> ()
-  | Some ts ->
-      let harvested = ref [] in
-      Fragindex.iter_entries ts.Types.index (fun e ->
-          if
-            e.Fragindex.head >= 0 || e.Fragindex.nospec
-            || e.Fragindex.prof <> None
-          then
-            harvested :=
-              ( e.Fragindex.key,
-                {
-                  pe_head = e.Fragindex.head;
-                  pe_prof = Option.map copy_profile e.Fragindex.prof;
-                  pe_nospec = e.Fragindex.nospec;
-                } )
-              :: !harvested);
-      if !harvested <> [] then begin
-        let st = pool.store in
-        Mutex.lock st.st_mu;
-        let tbl =
-          match Hashtbl.find_opt st.st_entries key with
-          | Some tbl -> tbl
-          | None ->
-              let tbl = Hashtbl.create 64 in
-              Hashtbl.replace st.st_entries key tbl;
-              tbl
-        in
-        List.iter
-          (fun (tag, pe) ->
-            match Hashtbl.find_opt tbl tag with
-            | None -> Hashtbl.replace tbl tag pe
-            | Some old ->
-                (* merge, don't clobber: head counters race upward,
-                   verdicts stick, and successor histograms fold
-                   together (Fragindex.merge_profile) so knowledge from
-                   every publisher accumulates *)
-                let merged_prof =
-                  match (old.pe_prof, pe.pe_prof) with
-                  | None, p | p, None -> p
-                  | Some dst, Some src ->
-                      Fragindex.merge_profile ~src dst;
-                      Some dst
-                in
-                Hashtbl.replace tbl tag
-                  {
-                    pe_head = max old.pe_head pe.pe_head;
-                    pe_prof = merged_prof;
-                    pe_nospec = old.pe_nospec || pe.pe_nospec;
-                  })
-          !harvested;
-        st.st_publishes <- st.st_publishes + 1;
-        Mutex.unlock st.st_mu
-      end
-
-(* Boot-time warm-up for a freshly created instance, before its first
-   request: replay the saved cache image if the boot carries one (a
-   refusal is recorded and falls back to cold), then seed the index
-   from the fleet store.  Caller owns [rt]; takes only st_mu. *)
-let warm_boot_instance pool (boot : boot) key (rt : Engine.t) : unit =
-  let st = pool.store in
+(* Build a fresh instance of [key] and install it in [w]'s warm table:
+   a cold-loaded machine and engine, warm-booted from the key's saved
+   image when the boot carries one (a refusal is counted and the
+   instance serves cold).  Every instance the pool ever builds comes
+   from here — pre-warm, reload rebuild, cold retry and respawn alike.
+   Caller owns [w]'s warm table; takes no lock. *)
+let boot_instance pool (w : worker) key (boot : boot) : Engine.t =
+  let rt =
+    Engine.create ~opts:boot.boot_opts ~client:(boot.boot_client ())
+      (boot.boot_machine ())
+  in
   (match boot.boot_cache with
   | None -> ()
   | Some path -> (
-      match
-        Engine.load_image rt ~image_digest:boot.boot_image_digest ~path
-      with
-      | Ok _ ->
-          Mutex.lock st.st_mu;
-          st.st_cache_loads <- st.st_cache_loads + 1;
-          Mutex.unlock st.st_mu
-      | Error _ ->
-          Mutex.lock st.st_mu;
-          st.st_cache_refused <- st.st_cache_refused + 1;
-          Mutex.unlock st.st_mu));
-  let entries =
-    Mutex.lock st.st_mu;
-    let es =
-      match Hashtbl.find_opt st.st_entries key with
-      | None -> []
-      | Some tbl ->
-          Hashtbl.fold
-            (fun tag pe acc ->
-              (tag, pe.pe_head, pe.pe_prof, pe.pe_nospec) :: acc)
-            tbl []
-    in
-    if es <> [] then st.st_prewarms <- st.st_prewarms + 1;
-    Mutex.unlock st.st_mu;
-    es
-  in
-  Engine.prewarm rt ~tid:0 entries
+      match Engine.load_image rt ~image_digest:boot.boot_image_digest ~path with
+      | Ok _ -> Atomic.incr pool.cache_loads
+      | Error _ -> Atomic.incr pool.cache_refused));
+  Hashtbl.replace w.w_warm key rt;
+  rt
+
+(* Build every key's instance on [w] before it serves anything
+   ([prewarm] at create, [drain_and_reload ~rebuild]).  Call before the
+   domains exist or with the pool mutex held and service quiescent. *)
+let prewarm_worker pool (w : worker) : unit =
+  List.iter
+    (fun (key, boot) ->
+      ignore (boot_instance pool w key boot);
+      pool.pool_stats.Stats.prewarm_boots <-
+        pool.pool_stats.Stats.prewarm_boots + 1)
+    pool.boots
 
 (* ------------------------------------------------------------------ *)
 (* Serving one attempt (no pool lock held)                            *)
@@ -528,14 +434,7 @@ let serve pool (w : worker) (j : job) ~home ~stolen : result =
     | Some rt ->
         Engine.reset_for_reuse rt ~restore:boot.boot_restore;
         (true, rt)
-    | None ->
-        let m = boot.boot_machine () in
-        let rt =
-          Engine.create ~opts:boot.boot_opts ~client:(boot.boot_client ()) m
-        in
-        warm_boot_instance pool boot r.req_key rt;
-        Hashtbl.replace w.w_warm r.req_key rt;
-        (false, rt)
+    | None -> (false, boot_instance pool w r.req_key boot)
   in
   let m = Engine.machine rt in
   (match chaos with
@@ -598,7 +497,6 @@ let serve pool (w : worker) (j : job) ~home ~stolen : result =
     o.Engine.reason = Engine.All_exited
     && match r.req_expect with None -> true | Some e -> output = e
   in
-  if ok then publish_profiles pool r.req_key rt;
   {
     res_id = r.req_id;
     res_key = r.req_key;
@@ -909,16 +807,9 @@ let create ?(cfg = Options.default_pool) ?chaos
       quarantine_closes = 0;
       probes = 0;
       quar = Hashtbl.create 8;
+      cache_loads = Atomic.make 0;
+      cache_refused = Atomic.make 0;
       pool_stats = Stats.create ();
-      store =
-        {
-          st_mu = Mutex.create ();
-          st_entries = Hashtbl.create 8;
-          st_publishes = 0;
-          st_prewarms = 0;
-          st_cache_loads = 0;
-          st_cache_refused = 0;
-        };
       results = [];
       notify = ignore;
       stopping = false;
@@ -928,27 +819,11 @@ let create ?(cfg = Options.default_pool) ?chaos
       sup_handle = None;
     }
   in
-  (* pre-warm before any domain exists: build every (worker, key)
-     instance — image replay plus store seeding — so the first request
-     of every key on every domain is already warm.  Everything built
-     here happens-before Domain.spawn, so the workers see it without
+  (* pre-warm before any domain exists, so the first request of every
+     key on every domain is already warm.  Everything built here
+     happens-before Domain.spawn, so the workers see it without
      synchronization. *)
-  if cfg.Options.prewarm then
-    Array.iter
-      (fun w ->
-        List.iter
-          (fun (key, boot) ->
-            let m = boot.boot_machine () in
-            let rt =
-              Engine.create ~opts:boot.boot_opts
-                ~client:(boot.boot_client ()) m
-            in
-            warm_boot_instance pool boot key rt;
-            Hashtbl.replace w.w_warm key rt;
-            pool.pool_stats.Stats.prewarm_boots <-
-              pool.pool_stats.Stats.prewarm_boots + 1)
-          pool.boots)
-      workers;
+  if cfg.Options.prewarm then Array.iter (prewarm_worker pool) workers;
   pool.handles <-
     Array.to_list
       (Array.map (fun w -> Domain.spawn (fun () -> worker_body pool w)) workers);
@@ -1076,21 +951,7 @@ let drain_and_reload ?(rebuild = false) pool : unit =
   Array.iter
     (fun w ->
       Hashtbl.reset w.w_warm;
-      if rebuild then
-        List.iter
-          (fun (key, boot) ->
-            let m = boot.boot_machine () in
-            let rt =
-              Engine.create ~opts:boot.boot_opts
-                ~client:(boot.boot_client ()) m
-            in
-            (* rebuilt instances start with everything the fleet has
-               learned: the saved image (if any) and the shared store *)
-            warm_boot_instance pool boot key rt;
-            Hashtbl.replace w.w_warm key rt;
-            pool.pool_stats.Stats.prewarm_boots <-
-              pool.pool_stats.Stats.prewarm_boots + 1)
-          pool.boots)
+      if rebuild then prewarm_worker pool w)
     pool.workers;
   Hashtbl.reset pool.quar;
   pool.reloads <- pool.reloads + 1;
@@ -1125,15 +986,8 @@ let reset_counters pool : unit =
   pool.results <- [];
   pool.pool_stats <- Stats.create ();
   Array.iter (fun w -> w.w_busy_cycles <- 0) pool.workers;
-  (* zero the store's counters but keep its knowledge: profiles are
-     what the next measurement pass is usually trying to exploit *)
-  let st = pool.store in
-  Mutex.lock st.st_mu;
-  st.st_publishes <- 0;
-  st.st_prewarms <- 0;
-  st.st_cache_loads <- 0;
-  st.st_cache_refused <- 0;
-  Mutex.unlock st.st_mu;
+  Atomic.set pool.cache_loads 0;
+  Atomic.set pool.cache_refused 0;
   Mutex.unlock pool.mu
 
 (** Every live warm instance as [(worker_id, key, engine)].  Like
@@ -1200,10 +1054,8 @@ let stats pool : snapshot =
       snap_quarantine_closes = pool.quarantine_closes;
       snap_probes = pool.probes;
       snap_quarantined_now = quarantined_now;
-      snap_cache_loads = pool.store.st_cache_loads;
-      snap_cache_refused = pool.store.st_cache_refused;
-      snap_profile_publishes = pool.store.st_publishes;
-      snap_prewarms = pool.store.st_prewarms;
+      snap_cache_loads = Atomic.get pool.cache_loads;
+      snap_cache_refused = Atomic.get pool.cache_refused;
       snap_shed = pool.pool_stats.Stats.requests_shed;
       snap_batch_hits = pool.pool_stats.Stats.requests_batched;
       snap_prewarm_boots = pool.pool_stats.Stats.prewarm_boots;

@@ -24,9 +24,11 @@ type boot = {
           and validates loaded ones *)
   boot_cache : string option;
       (** path of a saved cache image ({!Persist}) to warm-boot every
-          new instance of this key from; a refused load (different
-          program or options, corruption, truncation) falls back to a
-          plain cold boot *)
+          new instance of this key from — pre-warmed, rebuilt on
+          reload, cold-retried or respawned alike; a refused load
+          (different program or options, corruption, truncation) falls
+          back to a plain cold boot.  Without it every new instance
+          starts cold. *)
 }
 
 type request = {
@@ -93,9 +95,6 @@ type snapshot = {
   snap_quarantined_now : int;    (** keys whose breaker is open right now *)
   snap_cache_loads : int;        (** instances warm-booted from a saved image *)
   snap_cache_refused : int;      (** image loads refused (fell back to cold) *)
-  snap_profile_publishes : int;  (** successful requests that published learned
-                                     profiles to the shared store *)
-  snap_prewarms : int;           (** instances seeded from the shared store *)
   snap_shed : int;               (** {!try_submit} rejections for overload *)
   snap_batch_hits : int;         (** same-key dequeue picks by the batcher *)
   snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)

@@ -118,9 +118,9 @@ let stitch_block (rt : runtime) (ts : thread_state) (tg : tracegen) tag : unit =
   if
     rt.opts.Options.opt_level >= 3
     && tg.tg_tags <> []
-    (* a despeculation verdict for this site (learned here or imported
-       from the pool's shared profile store) means a constant guard
-       already died once — don't rebuild it *)
+    (* a despeculation verdict for this site (learned here or loaded
+       from a saved cache image) means a constant guard already died
+       once — don't rebuild it *)
     && not (Fragindex.nospec ts.index tag)
   then begin
     let mem = Vm.Machine.mem rt.machine in

@@ -299,13 +299,13 @@ let test_merge_idempotent () =
   let dst = mk_prof ~t1:10 ~n1:5 ~t2:20 ~n2:3 ~other:1 () in
   let src = mk_prof ~t1:20 ~n1:9 ~t2:30 ~n2:4 ~other:2 () in
   FI.merge_profile ~src dst;
-  let once = FI.copy_profile dst in
+  let once = FI.For_testing.copy_profile dst in
   FI.merge_profile ~src dst;
   prof_eq "second merge is a no-op" once dst;
   (* and merging a profile into itself never moves it *)
   let self = mk_prof ~t1:7 ~n1:6 ~t2:8 ~n2:2 ~other:3 () in
-  let before = FI.copy_profile self in
-  FI.merge_profile ~src:(FI.copy_profile self) self;
+  let before = FI.For_testing.copy_profile self in
+  FI.merge_profile ~src:(FI.For_testing.copy_profile self) self;
   prof_eq "self-merge is a no-op" before self
 
 let test_merge_disjoint () =

@@ -586,6 +586,98 @@ let reload_case () =
     (before @ after);
   Alcotest.(check int) "reload counted" 1 snap.Rio.Pool.snap_reloads
 
+(* A fresh pool instance has one warm source: its key's saved image.
+   Every instance the pool builds — pre-warmed at create, rebuilt on
+   reload, cold-booted by retry rungs 2 and 3 — loads it, and a damaged
+   image is refused by every one of them without changing an answer. *)
+let image_boot_case () =
+  let warm = warm_server ~opts:default_opts () in
+  let image name f =
+    let _, rt = warm (name, 1) in
+    let s = List.assoc name sites in
+    let path = Filename.temp_file ("rio_pool_" ^ name) ".riocache" in
+    ignore
+      (Rio.Engine.save_image rt ~image_digest:(Asm.Image.digest s.image) ~path);
+    f path;
+    path
+  in
+  let truncate path =
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc (String.sub s 0 (String.length s / 2)))
+  in
+  let keys = List.length sites in
+  (* create and the reload each build one instance per (domain, key);
+     the failing request's rungs 2 and 3 build one each *)
+  let built = (2 * 2 * keys) + 2 in
+  let reqs = pool_requests 8 in
+  let bad = List.hd reqs in
+  let run_fleet ~label paths =
+    let boots =
+      List.map
+        (fun (name, b) ->
+          (name, { b with Rio.Pool.boot_cache = Some (List.assoc name paths) }))
+        (pool_boots ~opts:default_opts)
+    in
+    let pool =
+      Rio.Pool.create
+        ~cfg:{ Rio.Options.default_pool with domains = 2; prewarm = true }
+        ~boots ()
+    in
+    List.iter (submit_ok pool) reqs;
+    let before = Rio.Pool.drain pool in
+    Rio.Pool.drain_and_reload ~rebuild:true pool;
+    List.iter (submit_ok pool) reqs;
+    let after = Rio.Pool.drain pool in
+    submit_ok pool { bad with req_id = 99; req_expect = Some [ -1 ] };
+    let wrong = Rio.Pool.drain pool in
+    let snap = Rio.Pool.stats pool in
+    Rio.Pool.shutdown pool;
+    List.iter
+      (fun r ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s seed %d matches native" label
+             r.Rio.Pool.res_key r.Rio.Pool.res_seed)
+          true r.Rio.Pool.res_ok)
+      (before @ after);
+    (match wrong with
+    | [ r ] ->
+        Alcotest.(check int) (label ^ ": wrong expectation climbs the ladder")
+          4 r.Rio.Pool.res_attempts;
+        Alcotest.(check bool) (label ^ ": wrong expectation fails") false
+          r.Rio.Pool.res_ok;
+        Alcotest.(check bool) (label ^ ": its output still matches native")
+          true
+          (Some r.Rio.Pool.res_output = bad.Rio.Pool.req_expect)
+    | rs -> Alcotest.failf "%s: %d results for one request" label (List.length rs));
+    Alcotest.(check int) (label ^ ": instances built eagerly")
+      (built - 2) snap.Rio.Pool.snap_prewarm_boots;
+    Alcotest.(check int) (label ^ ": all but the last attempt warm")
+      (2 * List.length reqs) snap.Rio.Pool.snap_warm_hits;
+    (snap, List.fold_left (fun n r -> n + r.Rio.Pool.res_blocks_built) 0 before)
+  in
+  let good = List.map (fun (name, _) -> (name, image name ignore)) sites in
+  let bad_images = List.map (fun (name, _) -> (name, image name truncate)) sites in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (_, p) -> try Sys.remove p with Sys_error _ -> ())
+        (good @ bad_images))
+    (fun () ->
+      let snap, warm_blocks = run_fleet ~label:"image" good in
+      Alcotest.(check int) "every instance loaded the image" built
+        snap.Rio.Pool.snap_cache_loads;
+      Alcotest.(check int) "no load refused" 0 snap.Rio.Pool.snap_cache_refused;
+      let snap, cold_blocks = run_fleet ~label:"truncated image" bad_images in
+      Alcotest.(check int) "no truncated image loaded" 0
+        snap.Rio.Pool.snap_cache_loads;
+      Alcotest.(check int) "every load of a truncated image refused" built
+        snap.Rio.Pool.snap_cache_refused;
+      Alcotest.(check bool)
+        (Printf.sprintf "loaded images spare block builds (%d < %d)"
+           warm_blocks cold_blocks)
+        true (warm_blocks < cold_blocks))
+
 (* qcheck: a client hook that raises inside a pooled request (forced
    via hook-raise fault injection at period 1) never hangs drain and
    never loses a result, across warm and cold instances. *)
@@ -920,6 +1012,8 @@ let () =
             quarantine_case;
           Alcotest.test_case "drain_and_reload keeps serving" `Slow
             reload_case;
+          Alcotest.test_case "every new instance boots from the saved image"
+            `Slow image_boot_case;
           QCheck_alcotest.to_alcotest hook_raise_never_hangs;
           QCheck_alcotest.to_alcotest interleavings_agree;
         ] );

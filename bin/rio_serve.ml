@@ -151,7 +151,14 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
       in
       let fd = Rio.Server.connect addr in
       let t0 = Unix.gettimeofday () in
-      let resps = Rio.Server.client_run fd reqs in
+      let resps =
+        try Rio.Server.client_run fd reqs
+        with Rio.Codec.Error e ->
+          Printf.eprintf "rio_serve: malformed response from %s: %s\n"
+            (Rio.Server.addr_to_string addr)
+            (Rio.Codec.error_to_string e);
+          exit 1
+      in
       let wall = Unix.gettimeofday () -. t0 in
       if send_quit then Rio.Wire.send_msg fd Rio.Wire.Quit;
       Unix.close fd;

@@ -178,21 +178,13 @@ let payload (b : t) : (string * Json.t) list =
     );
   ]
 
-(* FNV-1a, matching Options.digest's mixing. *)
-let fnv32 (s : string) : int =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0xffff_ffff)
-    s;
-  !h
-
 (** Stable identity of a bundle: FNV-1a over the canonical printed
     payload.  Reordering fields in the file, re-indenting it, or
     editing provenance leaves the digest unchanged; changing any knob
     or override changes it. *)
-let digest (b : t) : int = fnv32 (Json.to_string (Json.Obj (payload b)))
+let digest (b : t) : int =
+  let s = Json.to_string (Json.Obj (payload b)) in
+  Codec.fnv32 s ~pos:0 ~len:(String.length s)
 
 let to_json (b : t) : Json.t =
   Json.Obj

@@ -640,13 +640,7 @@ let pool_ranges = check_ranges pool_table
     marshalling is deterministic within one program version. *)
 let digest (t : t) : int =
   let s = Marshal.to_string t [] in
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0xffff_ffff)
-    s;
-  !h
+  Codec.fnv32 s ~pos:0 ~len:(String.length s)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                         *)

@@ -108,37 +108,42 @@ let pull (c : conn) : bool =
    pending tail moves to the front once the consumed prefix outweighs
    it, so each received byte is copied O(1) times however many reads a
    frame arrives in. *)
-let take_frames (buf : Buffer.t) (pos : int) : string list * int =
+let take_frames (buf : Buffer.t) (pos : int) :
+    (string list * int, Codec.error) result =
   let total = Buffer.length buf in
-  let byte i = Char.code (Buffer.nth buf i) in
+  let compact pos =
+    if pos = total then begin
+      Buffer.clear buf;
+      0
+    end
+    else if pos > total - pos then begin
+      let rest = Buffer.sub buf pos (total - pos) in
+      Buffer.clear buf;
+      Buffer.add_string buf rest;
+      0
+    end
+    else pos
+  in
   let rec peel pos acc =
-    if total - pos < 4 then (List.rev acc, pos)
+    if total - pos < 4 then Ok (List.rev acc, compact pos)
     else
       let len =
-        byte pos lor (byte (pos + 1) lsl 8) lor (byte (pos + 2) lsl 16)
-        lor (byte (pos + 3) lsl 24)
+        Int32.to_int (String.get_int32_le (Buffer.sub buf pos 4) 0)
+        land 0xffff_ffff
       in
-      if len > Wire.max_frame then failwith "Server: bad frame length"
-      else if total - pos - 4 < len then (List.rev acc, pos)
+      if len > Wire.max_frame then
+        Error (Codec.Out_of_range { field = "frame length"; value = len })
+      else if total - pos - 4 < len then Ok (List.rev acc, compact pos)
       else peel (pos + 4 + len) (Buffer.sub buf (pos + 4) len :: acc)
   in
-  let out, pos = peel pos [] in
-  if pos = total then begin
-    Buffer.clear buf;
-    (out, 0)
-  end
-  else if pos > total - pos then begin
-    let rest = Buffer.sub buf pos (total - pos) in
-    Buffer.clear buf;
-    Buffer.add_string buf rest;
-    (out, 0)
-  end
-  else (out, pos)
+  peel pos []
 
-let frames (c : conn) : string list =
-  let out, pos = take_frames c.c_buf c.c_pos in
-  c.c_pos <- pos;
-  out
+let frames (c : conn) : (string list, Codec.error) result =
+  Result.map
+    (fun (out, pos) ->
+      c.c_pos <- pos;
+      out)
+    (take_frames c.c_buf c.c_pos)
 
 (* ------------------------------------------------------------------ *)
 (* Serving loop                                                       *)
@@ -262,14 +267,18 @@ let run (pool : Pool.t) (listeners : Unix.file_descr list) : stats =
   let serve_conn (c : conn) : unit =
     match pull c with
     | false -> close_conn c
-    | true -> (
-        try
-          List.iter
-            (fun payload -> handle_msg c (Wire.decode_client_msg payload))
-            (frames c)
-        with Failure _ ->
-          (* malformed frame: drop the connection, keep serving *)
-          close_conn c)
+    | true ->
+        (* a malformed frame drops its connection; the loop keeps serving *)
+        let rec handle = function
+          | [] -> ()
+          | payload :: rest -> (
+              match Wire.decode_client_msg payload with
+              | Ok m ->
+                  handle_msg c m;
+                  handle rest
+              | Error _ -> close_conn c)
+        in
+        (match frames c with Ok payloads -> handle payloads | Error _ -> close_conn c)
     | exception Unix.Unix_error _ -> close_conn c
   in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in

@@ -46,10 +46,11 @@ val client_run :
 
 (** Test hooks: not part of the runtime's interface. *)
 module For_testing : sig
-  val take_frames : Buffer.t -> int -> string list * int
+  val take_frames :
+    Buffer.t -> int -> (string list * int, Codec.error) result
   (** [take_frames buf pos] peels the complete length-prefixed frames
       held in [buf] from offset [pos] on.  It returns their payloads
       and the offset where the unframed bytes now start; it may move
-      those bytes to the front of [buf].
-      @raise Failure on a length prefix above {!Wire.max_frame}. *)
+      those bytes to the front of [buf].  A length prefix above
+      {!Wire.max_frame} is an [Out_of_range] error. *)
 end

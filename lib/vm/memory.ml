@@ -84,7 +84,8 @@ let note_write m addr n =
   then m.dirty <- (addr, addr + n) :: m.dirty
 
 let check m addr n write =
-  if addr < 0 || addr + n > m.size then raise (Fault { addr; size = n; write });
+  (* [addr + n] would wrap for an address near max_int *)
+  if addr < 0 || addr > m.size - n then raise (Fault { addr; size = n; write });
   if write then note_write m addr n
 
 let read_u8 m addr =
@@ -172,7 +173,7 @@ let blit_bytes m ~src ~src_pos ~dst ~len =
     link patching and compaction moves, which invalidate the decodes
     they overwrite themselves and must not raise SMC traps. *)
 let blit_bytes_raw m ~src ~src_pos ~dst ~len =
-  if dst < 0 || dst + len > m.size then
+  if dst < 0 || dst > m.size - len then
     raise (Fault { addr = dst; size = len; write = true });
   let b = m.bytes in
   for i = 0 to len - 1 do
@@ -206,7 +207,7 @@ let zero_touched m ~below =
 
 (** Byte-equality of [a] and [b] over [addr, addr+len). *)
 let equal_range (a : t) (b : t) ~addr ~len =
-  if addr < 0 || addr + len > a.size || addr + len > b.size then
+  if addr < 0 || addr > a.size - len || addr > b.size - len then
     raise (Fault { addr; size = len; write = false });
   let ba = a.bytes and bb = b.bytes in
   let rec go i =

@@ -412,12 +412,37 @@ let effects_cases =
     ("opcode sets", test_sets_pinned);
   ]
 
+(* A jump past the end of memory: the builder cannot fetch the target
+   block, so the runtime interprets it and faults exactly as native
+   execution does, instead of letting the fetch fault escape. *)
+let test_wild_jump () =
+  let image =
+    Asm.Assemble.assemble
+      (program ~name:"wild" ~entry:"main"
+         ~text:[ label "main"; mov eax (i 0x7fff_fff0); jmp_ind eax; hlt ]
+         ())
+  in
+  let native =
+    let m = Vm.Machine.create () in
+    ignore (Asm.Image.load m image);
+    match (Vm.Sched.run ~emulate:false m).Vm.Sched.stop with
+    | Vm.Interp.Fault f -> f
+    | _ -> Alcotest.fail "native run did not fault"
+  in
+  let m = Vm.Machine.create () in
+  ignore (Asm.Image.load m image);
+  match (Rio.run (Rio.create m)).Rio.reason with
+  | Rio.App_fault f -> Alcotest.(check string) "the native fault" native f
+  | r -> Alcotest.fail ("cached run: " ^ Rio.stop_reason_to_string r)
+
 let () =
   let to_tc (name, f) = Alcotest.test_case name `Quick f in
   Alcotest.run "opcodes"
     [
       ("integer", List.map to_tc integer_cases);
-      ("control", List.map to_tc control_cases);
+      ( "control",
+        List.map to_tc control_cases
+        @ [ Alcotest.test_case "jump off the end of memory" `Quick test_wild_jump ] );
       ("floating point", List.map to_tc fp_cases);
       ("static effects", List.map to_tc effects_cases);
     ]

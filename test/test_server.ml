@@ -289,7 +289,7 @@ let roundtrip =
   QCheck.Test.make ~count:500 ~name:"decode . encode = id (requests, responses)"
     QCheck.(pair (make gen_client_msg) (make gen_response))
     (fun (m, r) ->
-      Rio.Wire.decode_client_msg (Rio.Wire.encode_client_msg m) = m
+      Rio.Wire.decode_client_msg (Rio.Wire.encode_client_msg m) = Ok m
       && Rio.Wire.decode_response (Rio.Wire.encode_response r) = r)
 
 (* A valid payload of either direction, then byte overwrites and an
@@ -315,21 +315,23 @@ let gen_mangled : string QCheck.Gen.t =
     let s = Bytes.to_string b in
     return (match cut with Some k -> String.sub s 0 k | None -> s))
 
-(* The server loop catches [Failure] from the decoder and drops the
-   connection; any other exception would kill it. *)
+(* The server loop drops a connection whose payload decodes to [Error];
+   an exception would kill the loop.  The client-side decoder may raise
+   the codec's typed exception, and nothing else. *)
 let decodes_or_fails =
   QCheck.Test.make ~count:2000
-    ~name:"mangled payloads decode or raise Failure, nothing else"
+    ~name:"mangled payloads decode or fail typed, nothing else"
     (QCheck.make ~print:(Printf.sprintf "%S") gen_mangled)
     (fun s ->
-      let ok what f =
-        match f s with
-        | _ | (exception Failure _) -> true
-        | exception e ->
-            QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+      let raised what e =
+        QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
       in
-      ok "decode_client_msg" (fun s -> ignore (Rio.Wire.decode_client_msg s))
-      && ok "decode_response" (fun s -> ignore (Rio.Wire.decode_response s)))
+      (match Rio.Wire.decode_client_msg s with
+      | Ok _ | Error _ -> ()
+      | exception e -> raised "decode_client_msg" e);
+      match Rio.Wire.decode_response s with
+      | _ | (exception Rio.Codec.Error _) -> true
+      | exception e -> raised "decode_response" e)
 
 (* The server's frame peeler against every way the kernel might split a
    stream into reads: random read sizes, and one byte at a time. *)
@@ -358,7 +360,9 @@ let reads_yield_frames =
           incr k;
           Buffer.add_substring buf s !off n;
           off := !off + n;
-          let fs, p = Rio.Server.For_testing.take_frames buf !pos in
+          let fs, p =
+            Result.get_ok (Rio.Server.For_testing.take_frames buf !pos)
+          in
           pos := p;
           got := List.rev_append fs !got
         done;

@@ -15,9 +15,12 @@
     makespan measures exactly what the work-stealing dispatcher
     controls: how evenly the stream spreads over d workers.
 
-    A second gate measures what warm reuse buys: host seconds to serve
-    the one-domain measured pass on warm instances vs. serving the
-    same requests with a fresh machine + runtime per request. *)
+    A second gate measures what warm reuse buys: the simulated cycles
+    of the one-domain measured pass on warm instances against the same
+    requests served with a fresh machine + runtime each.  At one domain
+    both sums are deterministic, so the gate is too; the host seconds
+    of both passes are reported but not gated, because two ~0.1 s wall
+    times made a ratio that failed on healthy code. *)
 
 open Workloads
 
@@ -61,6 +64,7 @@ let run { Sweep.quick; _ } =
   pr "%8s %9s %14s %14s %8s %8s %7s %6s\n" "domains" "requests" "total-Mcyc"
     "makespan-Mcyc" "eff-par" "host-s" "steals" "warm";
   let warm_1domain_secs = ref 0.0 in
+  let warm_1domain_cycles = ref 0 in
   let warmup_cold = ref 0 in
   let measured_1domain = ref [] in
   let rows =
@@ -96,6 +100,7 @@ let run { Sweep.quick; _ } =
         let eff = float_of_int total /. float_of_int (max 1 makespan) in
         if d = 1 then begin
           warm_1domain_secs := host_s;
+          warm_1domain_cycles := total;
           measured_1domain := reqs
         end;
         pr "%8d %9d %14.2f %14.2f %8.2f %8.3f %7d %6d\n%!" d n
@@ -120,6 +125,7 @@ let run { Sweep.quick; _ } =
   (* serve the one-domain measured request list again, this time with a
      fresh machine + runtime per request (no cache carry-over) *)
   let boots1 = boots ~opts:default_opts in
+  let fresh_cycles = ref 0 in
   let t0 = Sweep.time_now () in
   List.iter
     (fun (r : Rio.Pool.request) ->
@@ -131,6 +137,7 @@ let run { Sweep.quick; _ } =
            ~stack_top:boot.Rio.Pool.boot_stack_top);
       Vm.Machine.set_input m r.Rio.Pool.req_input;
       let o = Rio.run rt in
+      fresh_cycles := !fresh_cycles + o.Rio.cycles;
       let out = Vm.Machine.output m in
       if
         not
@@ -142,8 +149,14 @@ let run { Sweep.quick; _ } =
     !measured_1domain;
   let fresh_secs = Sweep.time_now () -. t0 in
   let warm_speedup = fresh_secs /. !warm_1domain_secs in
-  pr "warm reuse at 1 domain: %.3fs warm vs %.3fs fresh-per-request (%.2fx)\n%!"
-    !warm_1domain_secs fresh_secs warm_speedup;
+  let cycle_ratio =
+    float_of_int !fresh_cycles /. float_of_int (max 1 !warm_1domain_cycles)
+  in
+  pr
+    "warm reuse at 1 domain: %d warm vs %d fresh-per-request simulated cycles \
+     (%.3fx); host %.3fs vs %.3fs (%.2fx)\n%!"
+    !warm_1domain_cycles !fresh_cycles cycle_ratio !warm_1domain_secs fresh_secs
+    warm_speedup;
 
   (* ---------------- fault-injection correctness pass ---------------- *)
   let fd = 2 in
@@ -200,7 +213,10 @@ let run { Sweep.quick; _ } =
              rows) );
       ( "warm_reuse",
         Obj
-          [ ("warm_seconds", Float !warm_1domain_secs);
+          [ ("warm_sim_cycles", Int !warm_1domain_cycles);
+            ("fresh_sim_cycles", Int !fresh_cycles);
+            ("sim_cycle_ratio", Float cycle_ratio);
+            ("warm_seconds", Float !warm_1domain_secs);
             ("fresh_seconds", Float fresh_secs);
             ("speedup", Float warm_speedup) ] );
       ( "faults",
@@ -214,15 +230,20 @@ let run { Sweep.quick; _ } =
     @ Option.to_list
         (Option.map (fun e -> ("effective_parallelism_at_4", Float e)) eff4),
     (* pre-warming builds every (worker, key) instance at boot, so no
-       request — at any domain count — may ever pay a cold boot;
-       scaling and warm reuse are gated in full mode only (quick mode
-       runs a 2-domain smoke) *)
+       request — at any domain count — may ever pay a cold boot.  Warm
+       reuse must save at least ~10% less than it measured (quick 1.306,
+       full 1.913 at one domain); a pool that served every request cold
+       reads 1.0.  Scaling is gated in full mode only (quick mode runs
+       a 2-domain smoke). *)
     [
       Sweep.at_most "cold boots in pre-warmed warm-up passes" ~bound:0.0
         (float_of_int !warmup_cold);
       Sweep.at_most "cold boots in pre-warmed measured passes" ~bound:0.0
         (float_of_int
            (List.fold_left (fun a r -> a + r.pw_cold_boots) 0 rows));
+      Sweep.at_least "warm-reuse simulated-cycle ratio at 1 domain"
+        ~bound:(if quick then 1.15 else 1.7)
+        cycle_ratio;
     ]
     @
     if quick then []
@@ -230,6 +251,4 @@ let run { Sweep.quick; _ } =
       Option.to_list
         (Option.map
            (Sweep.at_least "effective parallelism at 4 domains" ~bound:3.0)
-           eff4)
-      @ [ Sweep.at_least "warm-reuse speedup at 1 domain" ~bound:1.3 warm_speedup ]
-  )
+           eff4) )

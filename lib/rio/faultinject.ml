@@ -14,7 +14,7 @@
     - {b link}: re-patch a linked exit branch to a bogus target,
       without updating the link bookkeeping;
     - {b hook}: arm {!Types.runtime.fi_hook_pending} so the next client
-      hook raises ({!Guard.Fault_injected}) after doing its work;
+      hook raises (inside {!Guard}'s barrier) after doing its work;
     - {b signal}: queue a pending signal whose handler address lies
       outside application space.
 

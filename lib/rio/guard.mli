@@ -1,8 +1,5 @@
 (** Client-hook exception barrier (S34). *)
 
-exception Fault_injected
-(** The failure injected into a client hook by the fault injector. *)
-
 val protect : Types.runtime -> hook:string -> (unit -> unit) -> unit
 (** Barrier for hooks with no IL to protect (init, thread events,
     fragment-deleted, clean calls).  A raise is swallowed. *)

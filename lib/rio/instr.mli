@@ -47,10 +47,9 @@ val of_decoded : addr:int -> raw:Bytes.t -> Insn.t -> t
 
 val level : t -> Level.t
 
-(** {2 Level transitions} *)
+(** {2 Level transitions}
 
-exception Is_bundle
-(** Per-instruction detail requested from an L0 bundle; split it first
+    Raising an L0 bundle fails: split it first
     ({!Instrlist.split_bundles}). *)
 
 exception Bad_raw_bits of { addr : int; msg : string }

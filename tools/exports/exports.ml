@@ -1,10 +1,12 @@
-(* Export scanner: every value a library module exports has a caller in
-   another compilation unit, every library module has an interface, and
-   a value that only tests call lives in a [For_testing] submodule.
+(* Export scanner: every value and exception a library module exports
+   has a user in another compilation unit, every library module has an
+   interface, and a value or exception that only tests use lives in a
+   [For_testing] submodule.
 
    It reads the .cmt/.cmti files the compiler writes with -bin-annot,
    resolves each value identifier (module aliases, opens and binding
-   operators included) to the unit that defines it, and prints every
+   operators included) and each exception constructor, raised or
+   matched, to the unit that defines it, and prints every
    finding that [allow.txt] does not list.  Exit status 1 on any such
    finding, on an allow-list entry without a reason, or on one that
    matches nothing.
@@ -55,6 +57,9 @@ let rec alias_target me =
 let iterator kind =
   let open Tast_iterator in
   let use p = Option.iter (fun k -> Hashtbl.add refs k kind) (key p) in
+  (* an exception (or other extension) constructor, built or matched *)
+  let constr (cd : Types.constructor_description) =
+    match cd.cstr_tag with Cstr_extension (p, _) -> use p | _ -> () in
   let alias id me = match id, alias_target me with
     | Some id, Some p -> Hashtbl.replace local_aliases id p; true
     | _ -> false in
@@ -66,7 +71,13 @@ let iterator kind =
           List.iter (fun b -> use b.bop_op_path) (let_ :: ands);
           default_iterator.expr it e
       | Texp_letmodule (id, _, _, me, body) when alias id me -> it.expr it body
+      | Texp_construct (_, cd, _) ->
+          constr cd;
+          default_iterator.expr it e
       | _ -> default_iterator.expr it e);
+    pat = (fun (type k) it (p : k general_pattern) ->
+      (match p.pat_desc with Tpat_construct (_, cd, _, _) -> constr cd | _ -> ());
+      default_iterator.pat it p);
     module_binding = (fun it mb ->
       if not (alias mb.mb_id mb.mb_expr) then default_iterator.module_binding it mb);
     open_declaration = (fun it od ->
@@ -77,10 +88,12 @@ let iterator kind =
        | _ -> ());
       default_iterator.module_expr it me) }
 
-(* every value a signature exports, with its path under the unit *)
+(* every value and exception a signature exports, with its path under
+   the unit *)
 let rec exports prefix (s : Types.signature) =
   List.concat_map (function
     | Types.Sig_value (id, vd, _) -> [ (prefix ^ "." ^ Ident.name id, vd.Types.val_loc) ]
+    | Sig_typext (id, ext, Text_exception, _) -> [ (prefix ^ "." ^ Ident.name id, ext.Types.ext_loc) ]
     | Sig_module (id, _, { md_type = Mty_signature s; _ }, _, _) ->
         exports (prefix ^ "." ^ Ident.name id) s
     | _ -> []) s

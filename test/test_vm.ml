@@ -258,6 +258,26 @@ let test_fault_oob () =
   | Vm.Interp.Fault _ -> ()
   | s -> Alcotest.failf "expected fault, got %s" (Vm.Interp.stop_to_string s)
 
+(* Addresses near max_int fault like any other out-of-range address:
+   [addr + size] must not wrap past the bounds check (an image-loaded
+   exit target can hold such an address). *)
+let test_fault_near_max_int () =
+  let mem = Vm.Memory.create 4096 in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s: no fault" what
+      | exception Vm.Memory.Fault _ -> ())
+    [
+      ("read_u8", fun () -> ignore (Vm.Memory.read_u8 mem max_int));
+      ("read_u32", fun () -> ignore (Vm.Memory.read_u32 mem (max_int - 2)));
+      ("write_u8", fun () -> Vm.Memory.write_u8 mem max_int 0);
+      ( "blit_bytes_raw",
+        fun () ->
+          Vm.Memory.blit_bytes_raw mem ~src:(Bytes.make 4 'x') ~src_pos:0
+            ~dst:(max_int - 1) ~len:4 );
+    ]
+
 (* Write-watching: every store the application makes into a watched
    page is recorded dirty, so self-modification traps; a raw blit (the
    runtime's own code writes, image restores) is not. *)
@@ -497,6 +517,7 @@ let () =
           Alcotest.test_case "floating point" `Quick test_fp;
           Alcotest.test_case "input port" `Quick test_in_port;
           Alcotest.test_case "oob fault" `Quick test_fault_oob;
+          Alcotest.test_case "fault near max_int" `Quick test_fault_near_max_int;
           Alcotest.test_case "div by zero" `Quick test_div_by_zero;
           Alcotest.test_case "write watch" `Quick test_write_watch;
         ] );

@@ -139,11 +139,11 @@ let outcome_str = function
 
     The measurement pool runs on ONE domain regardless of the bundle's
     [domains]: the objective is simulated cycles, which worker count
-    cannot change — but multi-domain work stealing makes each key's
-    warm/cold request pattern scheduling-dependent, which would smear
-    every per-workload number by up to tens of percent between
-    identical trials.  Serialized, the whole sweep is deterministic
-    and the shipped numbers are reproducible; [rio_serve --bundle]
+    cannot change — but on several domains, which worker claims which
+    request makes each key's warm/cold request pattern
+    scheduling-dependent, which would smear every per-workload number
+    by up to tens of percent between identical trials.  Serialized,
+    the whole sweep is deterministic and the shipped numbers are reproducible; [rio_serve --bundle]
     then serves the same bundle at its full domain count and must
     agree within scheduling noise. *)
 let measure ~wls ~mk ~reqs_per_wl (b : Rio.Bundle.t) : outcome =

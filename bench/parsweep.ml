@@ -10,10 +10,10 @@
 
     Scaling is gated on {e simulated-cycle makespan}: the longest
     per-worker sum of served cycles.  Host wall-clock is reported but
-    informational — CI machines (and this one) may expose a single
-    core, where real parallel speedup is physically impossible, while
-    makespan measures exactly what the work-stealing dispatcher
-    controls: how evenly the stream spreads over d workers.
+    informational — CI machines may expose a single core, where real
+    parallel speedup is physically impossible, while makespan measures
+    exactly what the pool's one run queue controls: how evenly the
+    stream spreads over d workers.
 
     A second gate measures what warm reuse buys: the simulated cycles
     of the one-domain measured pass on warm instances against the same
@@ -39,7 +39,6 @@ type pass_row = {
   pw_makespan_sim : int;    (* max per-worker simulated busy cycles *)
   pw_eff_par : float;       (* total / makespan: effective parallelism *)
   pw_host_s : float;
-  pw_steals : int;
   pw_warm_hits : int;
   pw_cold_boots : int;
 }
@@ -61,8 +60,8 @@ let run { Sweep.quick; _ } =
   let default_opts = { Rio.Options.default with max_cycles = max_int / 2 } in
 
   (* ---------------- scaling ladder ---------------- *)
-  pr "%8s %9s %14s %14s %8s %8s %7s %6s\n" "domains" "requests" "total-Mcyc"
-    "makespan-Mcyc" "eff-par" "host-s" "steals" "warm";
+  pr "%8s %9s %14s %14s %8s %8s %6s\n" "domains" "requests" "total-Mcyc"
+    "makespan-Mcyc" "eff-par" "host-s" "warm";
   let warm_1domain_secs = ref 0.0 in
   let warm_1domain_cycles = ref 0 in
   let warmup_cold = ref 0 in
@@ -103,10 +102,10 @@ let run { Sweep.quick; _ } =
           warm_1domain_cycles := total;
           measured_1domain := reqs
         end;
-        pr "%8d %9d %14.2f %14.2f %8.2f %8.3f %7d %6d\n%!" d n
+        pr "%8d %9d %14.2f %14.2f %8.2f %8.3f %6d\n%!" d n
           (float_of_int total /. 1e6)
           (float_of_int makespan /. 1e6)
-          eff host_s snap.Rio.Pool.snap_steals snap.Rio.Pool.snap_warm_hits;
+          eff host_s snap.Rio.Pool.snap_warm_hits;
         {
           pw_domains = d;
           pw_requests = n;
@@ -114,7 +113,6 @@ let run { Sweep.quick; _ } =
           pw_makespan_sim = makespan;
           pw_eff_par = eff;
           pw_host_s = host_s;
-          pw_steals = snap.Rio.Pool.snap_steals;
           pw_warm_hits = snap.Rio.Pool.snap_warm_hits;
           pw_cold_boots = snap.Rio.Pool.snap_cold_boots;
         })
@@ -207,7 +205,6 @@ let run { Sweep.quick; _ } =
                    ("makespan_sim_cycles", Int r.pw_makespan_sim);
                    ("effective_parallelism", Float r.pw_eff_par);
                    ("host_seconds", Float r.pw_host_s);
-                   ("steals", Int r.pw_steals);
                    ("warm_hits", Int r.pw_warm_hits);
                    ("cold_boots", Int r.pw_cold_boots) ])
              rows) );

@@ -10,10 +10,10 @@
        native, zero cold boots in either pass (pre-warming builds every
        (worker, key) instance before the first request), zero shed.
        The empirical service-time distribution for section 2 is then
-       re-measured on a {e single-domain} pre-warmed pool: with no
-       work stealing, which request meets which warm instance — and so
-       every per-request cycle count — is a deterministic function of
-       the request list alone (the same determinism trick autotune
+       re-measured on a {e single-domain} pre-warmed pool: with one
+       worker, which request meets which warm instance — and so every
+       per-request cycle count — is a deterministic function of the
+       request list alone (the same determinism trick autotune
        uses, DESIGN.md §6.9), so the open-loop gates are exact
        replays, not statistics over scheduler noise.}
     {- {b Open loop}: a deterministic d-server bounded-queue model
@@ -184,12 +184,12 @@ let run { Sweep.quick; _ } =
   Rio.Pool.shutdown pool;
   ignore results;
   (* service-time measurement: the same request list through a
-     single-domain pre-warmed pool.  One domain means no work stealing,
-     so which request meets which warm instance — and therefore every
-     res_cycles sample — is deterministic; the multi-domain pool above
-     keeps the cold-boot/divergence gates, but its per-request cycles
-     shift run-to-run with steal order, which would make the open-loop
-     p99 gate flaky. *)
+     single-domain pre-warmed pool.  One domain means one worker claims
+     every request, so which request meets which warm instance — and
+     therefore every res_cycles sample — is deterministic; the
+     multi-domain pool above keeps the cold-boot/divergence gates, but
+     its per-request cycles shift run-to-run with which worker claims
+     which request, which would make the open-loop p99 gate flaky. *)
   let mpool =
     Rio.Pool.create
       ~cfg:{ Rio.Options.default_pool with domains = 1; prewarm = true }

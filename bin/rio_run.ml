@@ -52,10 +52,16 @@ let run list workload_name file clients mode family engine faults fault_period
       | Some path -> (
           (* run a textual assembly file instead of a built-in workload *)
           match Asm.Parse.program_of_file path with
-          | prog ->
-              Some
-                (Workload.make ~name:(Filename.basename path) ~spec_name:"(file)"
-                   ~fp:false ~description:"assembly file" prog)
+          | prog -> (
+              match Asm.Assemble.assemble prog with
+              | _ ->
+                  Some
+                    (Workload.make ~name:(Filename.basename path)
+                       ~spec_name:"(file)" ~fp:false
+                       ~description:"assembly file" prog)
+              | exception Asm.Assemble.Assembly_error msg ->
+                  Printf.eprintf "%s: %s\n" path msg;
+                  exit 1)
           | exception Asm.Parse.Parse_error { line; msg } ->
               Printf.eprintf "%s:%d: %s\n" path line msg;
               exit 1)

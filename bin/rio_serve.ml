@@ -1,6 +1,6 @@
-(** Domain-parallel serving driver: shard a request stream across a
-    pool of worker domains with warm code-cache reuse and
-    work-stealing dispatch — as a one-shot batch harness, a resident
+(** Domain-parallel serving driver: serve a request stream from one
+    run queue on a pool of worker domains with warm code-cache reuse —
+    as a one-shot batch harness, a resident
     socket server, or a client driving one (DESIGN.md §6.10).
 
     {v
@@ -263,7 +263,6 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
            typed reject(s)\n"
           sst.Rio.Server.sv_requests sst.Rio.Server.sv_accepted
           sst.Rio.Server.sv_responses sst.Rio.Server.sv_rejects;
-        let s = snap.Rio.Pool.snap_stats in
         Printf.printf
           "  warm hits %d  cold boots %d  prewarm boots %d  shed %d  \
            batched %d\n"
@@ -271,8 +270,8 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
           snap.Rio.Pool.snap_prewarm_boots snap.Rio.Pool.snap_shed
           snap.Rio.Pool.snap_batch_hits;
         Printf.printf "  sim-latency p50 %d  p99 %d cycles\n"
-          (Rio.Stats.hist_percentile s.Rio.Stats.serve_lat 50)
-          (Rio.Stats.hist_percentile s.Rio.Stats.serve_lat 99)
+          (Rio.Stats.hist_percentile snap.Rio.Pool.snap_serve_lat 50)
+          (Rio.Stats.hist_percentile snap.Rio.Pool.snap_serve_lat 99)
       end;
       0
   | None ->
@@ -401,9 +400,8 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
       (1e3 *. percentile lat 0.50)
       (1e3 *. percentile lat 0.95)
       (1e3 *. percentile lat 0.99);
-    Printf.printf "  steals %d  warm hits %d  cold boots %d\n"
-      snap.Rio.Pool.snap_steals snap.Rio.Pool.snap_warm_hits
-      snap.Rio.Pool.snap_cold_boots;
+    Printf.printf "  warm hits %d  cold boots %d\n"
+      snap.Rio.Pool.snap_warm_hits snap.Rio.Pool.snap_cold_boots;
     if load_cache || snap.Rio.Pool.snap_cache_loads > 0 then
       Printf.printf "  persistent cache: loads %d  refused %d\n"
         snap.Rio.Pool.snap_cache_loads snap.Rio.Pool.snap_cache_refused;

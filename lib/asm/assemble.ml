@@ -67,6 +67,9 @@ let assemble ?(text_base = Image.default_text_base)
             else env name
           in
           li.size <- item_size env ~addr:!addr li.item;
+          if li.size < 0 || li.size > Image.app_space_end - !addr then
+            err "item at 0x%x (%d bytes) does not fit below 0x%x" !addr li.size
+              Image.app_space_end;
           addr := !addr + li.size)
         items
     in

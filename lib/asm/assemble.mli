@@ -5,5 +5,6 @@
 exception Assembly_error of string
 
 val assemble : ?text_base:int -> ?data_base:int -> Ast.program -> Image.t
-(** @raise Assembly_error on encoding failures or non-convergence;
+(** @raise Assembly_error on encoding failures, non-convergence, or an
+    item that does not fit below {!Image.app_space_end};
     @raise Ast.Unknown_label / Ast.Duplicate_label for label errors. *)

@@ -43,19 +43,32 @@ let perr line fmt = Printf.ksprintf (fun msg -> raise (Parse_error { line; msg }
 (* Tokenizing one line                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* cut at the first [#] or [;] outside a string literal *)
 let strip_comment s =
-  let cut =
-    match (String.index_opt s '#', String.index_opt s ';') with
-    | Some a, Some b -> Some (min a b)
-    | Some a, None -> Some a
-    | None, Some b -> Some b
-    | None, None -> None
+  let n = String.length s in
+  let rec go i quoted =
+    if i >= n then s
+    else
+      match s.[i] with
+      | '"' -> go (i + 1) (not quoted)
+      | '\\' when quoted -> go (i + 2) quoted
+      | ('#' | ';') when not quoted -> String.sub s 0 i
+      | _ -> go (i + 1) quoted
   in
-  match cut with Some i -> String.sub s 0 i | None -> s
+  go 0 false
 
 let is_ident_char c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
   || c = '_' || c = '.'
+
+(* label syntax, for definitions and references alike: identifier
+   characters, not starting with a digit (that is an address) or a dot
+   (that is a directive) *)
+let is_label l =
+  l <> "" && String.for_all is_ident_char l
+  && not ((l.[0] >= '0' && l.[0] <= '9') || l.[0] = '.')
+
+let check_label line l = if not (is_label l) then perr line "bad label %S" l
 
 (* split "mov %eax, $42" into the mnemonic and raw operand strings *)
 let split_stmt line (s : string) : string * string list =
@@ -121,12 +134,16 @@ let freg_of_name _line (s : string) : Reg.F.t option =
 
 (* a label reference with optional +off/-off *)
 let parse_label_ref line (s : string) : string * int =
-  match (String.index_opt s '+', String.index_opt s '-') with
-  | Some i, _ ->
-      (String.sub s 0 i, parse_int line (String.sub s (i + 1) (String.length s - i - 1)))
-  | None, Some i when i > 0 ->
-      (String.sub s 0 i, -parse_int line (String.sub s (i + 1) (String.length s - i - 1)))
-  | _ -> (s, 0)
+  let l, off =
+    match (String.index_opt s '+', String.index_opt s '-') with
+    | Some i, _ ->
+        (String.sub s 0 i, parse_int line (String.sub s (i + 1) (String.length s - i - 1)))
+    | None, Some i when i > 0 ->
+        (String.sub s 0 i, -parse_int line (String.sub s (i + 1) (String.length s - i - 1)))
+    | _ -> (s, 0)
+  in
+  check_label line l;
+  (l, off)
 
 (* Operand grammar:
      %reg | %fN | $imm | @label(+off)? | disp? ( base? , index , scale )? *)
@@ -251,8 +268,7 @@ let parse_branch line (mnemonic : string) (ops : string list) :
     | [ l ] when is_numeric l ->
         let a = parse_int line l in
         fun (_ : Ast.env) -> a
-    | [ l ] when l <> "" && (is_ident_char l.[0] || l.[0] = '_') ->
-        fun env -> env l
+    | [ l ] when is_label l -> fun env -> env l
     | _ -> perr line "%s expects a label" mnemonic
   in
   match mnemonic with
@@ -289,20 +305,64 @@ let parse_string_lit line (s : string) : string =
   let s = String.trim s in
   if String.length s < 2 || s.[0] <> '"' || s.[String.length s - 1] <> '"' then
     perr line "expected a double-quoted string";
-  Scanf.unescaped (String.sub s 1 (String.length s - 2))
+  try Scanf.unescaped (String.sub s 1 (String.length s - 2))
+  with Scanf.Scan_failure msg -> perr line "bad string literal: %s" msg
+
+(* Label checks, after the last line: every label is defined once,
+   every reference and the entry name a defined label.  [lined] holds
+   each item with its source line.  Evaluating an item with a label
+   environment that notes undefined names finds its references. *)
+let check_labels ~entry ~entry_line (lined : (int * Ast.item) list) : unit =
+  let defs = Hashtbl.create 16 and problems = ref [] in
+  let note line fmt =
+    Printf.ksprintf (fun msg -> problems := (line, msg) :: !problems) fmt
+  in
+  List.iter
+    (fun (line, item) ->
+      match item with
+      | Ast.Label l -> (
+          match Hashtbl.find_opt defs l with
+          | Some first -> note line "label %S already defined on line %d" l first
+          | None -> Hashtbl.replace defs l line)
+      | _ -> ())
+    lined;
+  let env line l =
+    if not (Hashtbl.mem defs l) then note line "undefined label %S" l;
+    0
+  in
+  List.iter
+    (fun (line, item) ->
+      match item with
+      | Ast.Ins f -> ignore (f (env line))
+      | Ast.Word32 ws -> List.iter (fun w -> ignore (w (env line))) ws
+      | _ -> ())
+    lined;
+  if not (Hashtbl.mem defs entry) then
+    note entry_line "entry label %S undefined" entry;
+  match List.sort compare !problems with
+  | (line, msg) :: _ -> raise (Parse_error { line; msg })
+  | [] -> ()
 
 (** Parse a whole program from source text. *)
 let program ?(name = "asmfile") (source : string) : Ast.program =
-  let entry = ref "main" in
-  let text = ref [] and data = ref [] in
+  let lines = String.split_on_char '\n' source in
+  let entry = ref "main" and entry_line = ref (List.length lines) in
+  let text = ref [] and data = ref [] and lined = ref [] in
   let current = ref text in
-  let push item = !current := item :: !(!current) in
+  let push line item =
+    !current := item :: !(!current);
+    lined := (line, item) :: !lined
+  in
   List.iteri
     (fun idx raw_line ->
       let line = idx + 1 in
       let s = String.trim (strip_comment raw_line) in
       if s <> "" then
-        if s.[0] = '.' then begin
+        if s = ".ascii" || String.starts_with ~prefix:".ascii " s then
+          (* the rest of the line is one literal, commas and all *)
+          push line
+            (Ast.Bytes_lit (parse_string_lit line (String.sub s 6 (String.length s - 6))))
+        else if s.[0] = '.' then begin
           (* directive *)
           let d, rest = split_stmt line s in
           match d with
@@ -310,7 +370,9 @@ let program ?(name = "asmfile") (source : string) : Ast.program =
           | ".data" -> current := data
           | ".entry" -> (
               match rest with
-              | [ l ] -> entry := l
+              | [ l ] when is_label l ->
+                  entry := l;
+                  entry_line := line
               | _ -> perr line ".entry expects a label")
           | ".word" ->
               let words =
@@ -326,9 +388,9 @@ let program ?(name = "asmfile") (source : string) : Ast.program =
                       fun _ -> v)
                   rest
               in
-              push (Ast.Word32 words)
+              push line (Ast.Word32 words)
           | ".float" ->
-              push
+              push line
                 (Ast.Float64
                    (List.map
                       (fun w ->
@@ -337,20 +399,19 @@ let program ?(name = "asmfile") (source : string) : Ast.program =
                       rest))
           | ".space" -> (
               match rest with
-              | [ n ] -> push (Ast.Space (parse_int line n))
+              | [ n ] -> push line (Ast.Space (parse_int line n))
               | _ -> perr line ".space expects a size")
           | ".align" -> (
               match rest with
-              | [ n ] -> push (Ast.Align (parse_int line n))
+              | [ n ] -> push line (Ast.Align (parse_int line n))
               | _ -> perr line ".align expects a value")
-          | ".ascii" ->
-              (* re-join: the string literal may contain commas *)
-              let payload = String.concat ", " rest in
-              push (Ast.Bytes_lit (parse_string_lit line payload))
           | _ -> perr line "unknown directive %S" d
         end
-        else if String.length s > 1 && s.[String.length s - 1] = ':' then
-          push (Ast.Label (String.sub s 0 (String.length s - 1)))
+        else if String.length s > 1 && s.[String.length s - 1] = ':' then begin
+          let l = String.sub s 0 (String.length s - 1) in
+          check_label line l;
+          push line (Ast.Label l)
+        end
         else begin
           let s, prefixes =
             if String.length s > 5 && String.sub s 0 5 = "lock " then
@@ -360,12 +421,13 @@ let program ?(name = "asmfile") (source : string) : Ast.program =
           let with_prefix f env = { (f env) with Insn.prefixes } in
           let mnemonic, ops = split_stmt line s in
           match parse_branch line mnemonic ops with
-          | Some f -> push (Ast.Ins (with_prefix f))
+          | Some f -> push line (Ast.Ins (with_prefix f))
           | None ->
               let raw_ops = List.map (parse_operand line) ops in
-              push (Ast.Ins (with_prefix (parse_instr line mnemonic raw_ops)))
+              push line (Ast.Ins (with_prefix (parse_instr line mnemonic raw_ops)))
         end)
-    (String.split_on_char '\n' source);
+    lines;
+  check_labels ~entry:!entry ~entry_line:!entry_line (List.rev !lined);
   Ast.program ~name ~entry:!entry ~text:(List.rev !text) ~data:(List.rev !data) ()
 
 let program_of_file (path : string) : Ast.program =

@@ -23,15 +23,20 @@
         hlt
     v}
 
-    Comments start with [#] or [;]. *)
+    Comments start with [#] or [;] outside a string literal.  A label
+    is identifier characters ([A-Za-z0-9_.]), not starting with a digit
+    or a dot, in definitions and references alike. *)
 
 exception Parse_error of { line : int; msg : string }
 
 val program_of_file : string -> Ast.program
+(** Parse an assembly file.  @raise Parse_error with a line number on
+    malformed input, including a reference to an undefined label, a
+    label defined twice and an undefined [.entry]: a program it returns
+    names only labels it defines. *)
 
 (** Test hooks: not part of the runtime's interface. *)
 module For_testing : sig
   val program : ?name:string -> string -> Ast.program
-  (** Parse assembly source text.  @raise Parse_error with a line number
-      on malformed input. *)
+  (** {!program_of_file} over source text. *)
 end

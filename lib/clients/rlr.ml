@@ -28,7 +28,7 @@ open Rio.Types
 
 (** Decode the trace to Level 3, so no undecoded bundle hides a load,
     and run the load pass over it. *)
-let optimize_il (c : Rio.Opt.counters) (il : Rio.Instrlist.t) =
+let optimize_il (c : Rio.Stats.t) (il : Rio.Instrlist.t) =
   Rio.Instrlist.decode_to il Rio.Level.L3;
   Rio.Opt.remove_redundant_loads ~consts:false c il
 
@@ -37,19 +37,19 @@ let optimize_il (c : Rio.Opt.counters) (il : Rio.Instrlist.t) =
     trace hook is registered: like most client optimizations, RLR
     restricts itself to hot code (§3.3). *)
 let make () : client =
-  let c = Rio.Opt.fresh_counters () in
+  let c = Rio.Stats.create () in
   {
     null_client with
     name = "rlr";
     init =
       (fun _ ->
-        c.loads_removed <- 0;
-        c.loads_rewritten <- 0);
+        c.opt_loads_removed <- 0;
+        c.opt_loads_rewritten <- 0);
     trace_hook = Some (fun _ctx ~tag:_ il -> optimize_il c il);
     exit_hook =
       (fun rt ->
         Rio.Api.printf rt "rlr: removed %d loads, rewrote %d to register moves\n"
-          c.loads_removed c.loads_rewritten);
+          c.opt_loads_removed c.opt_loads_rewritten);
   }
 
 module For_testing = struct

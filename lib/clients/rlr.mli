@@ -8,7 +8,7 @@ val make : unit -> Rio.Types.client
 
 (** Test hooks: not part of the runtime's interface. *)
 module For_testing : sig
-  val optimize_il : Rio.Opt.counters -> Rio.Instrlist.t -> unit
+  val optimize_il : Rio.Stats.t -> Rio.Instrlist.t -> unit
   (** Decode the trace to Level 3, so no undecoded bundle hides a load,
       and run the load pass over it. *)
 end

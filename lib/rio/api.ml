@@ -188,9 +188,9 @@ let replace_fragment (ctx : context) (tag : int) (il : Instrlist.t) : bool =
    the IL and returns how many rewrites it applied. *)
 
 let opt_strength_reduce (rt : runtime) (il : Instrlist.t) : int =
-  let c = Opt.fresh_counters () in
+  let c = Stats.create () in
   Opt.strength_reduce ~family:(proc_get_family rt) c il;
-  c.Opt.strength
+  c.Stats.opt_strength_reduced
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)

@@ -21,31 +21,9 @@ open Isa
 open Types
 module FA = Flags_analysis
 
-(** Per-run pass counters; folded into {!Stats.t} by {!run}. *)
-type counters = {
-  mutable copies : int;            (* register copies propagated *)
-  mutable consts : int;            (* constants propagated *)
-  mutable strength : int;          (* inc→add / dec→sub conversions *)
-  mutable loads_removed : int;     (* redundant loads deleted *)
-  mutable loads_rewritten : int;   (* loads turned into reg moves / consts *)
-  mutable stores_removed : int;    (* dead stores deleted *)
-  mutable dead_removed : int;      (* dead register/flag writes deleted *)
-  mutable checks_simplified : int; (* exit-check peepholes applied *)
-  mutable flag_saves_elided : int; (* save/restore brackets removed *)
-}
-
-let fresh_counters () =
-  {
-    copies = 0;
-    consts = 0;
-    strength = 0;
-    loads_removed = 0;
-    loads_rewritten = 0;
-    stores_removed = 0;
-    dead_removed = 0;
-    checks_simplified = 0;
-    flag_saves_elided = 0;
-  }
+(* Kept for the benchmark's pass replay ([perf/layers.ml]): the passes
+   count into a {!Stats.t}. *)
+let fresh_counters = Stats.create
 
 (* ------------------------------------------------------------------ *)
 (* Copy / constant propagation                                        *)
@@ -58,7 +36,7 @@ let fresh_counters () =
    collapses to its root and redefinition kills are a single scan. *)
 type cp_fact = C_none | C_copy of Reg.t | C_const of int
 
-let copy_prop (c : counters) (il : Instrlist.t) : unit =
+let copy_prop (c : Stats.t) (il : Instrlist.t) : unit =
   let facts = Array.make 8 C_none in
   let kill (r : Reg.t) =
     facts.(Reg.number r) <- C_none;
@@ -140,7 +118,9 @@ let copy_prop (c : counters) (il : Instrlist.t) : unit =
             if
               try_commit i
                 (Insn.make ~prefixes:insn.Insn.prefixes op ~srcs ~dsts)
-            then c.copies <- c.copies + !mem_changed;
+            then
+              c.Stats.opt_copies_propagated <-
+                c.Stats.opt_copies_propagated + !mem_changed;
           (* stage 2: substitute plain register sources, one at a time;
              positions mirrored in the destination array (alu dst, push's
              esp, idiv's eax) are structural and must stay untouched *)
@@ -165,10 +145,12 @@ let copy_prop (c : counters) (il : Instrlist.t) : unit =
                   match facts.(Reg.number r) with
                   | C_copy r' when not (Reg.equal r' r) ->
                       commit (Operand.Reg r') (fun () ->
-                          c.copies <- c.copies + 1)
+                          c.Stats.opt_copies_propagated <-
+                            c.Stats.opt_copies_propagated + 1)
                   | C_const k' ->
                       commit (Operand.Imm k') (fun () ->
-                          c.consts <- c.consts + 1)
+                          c.Stats.opt_consts_propagated <-
+                            c.Stats.opt_consts_propagated + 1)
                   | _ -> ())
               | _ -> ())
             insn.Insn.srcs
@@ -209,7 +191,7 @@ let copy_prop (c : counters) (il : Instrlist.t) : unit =
    on the Pentium 3 the original forms are already optimal.  The
    conversion is flag-correct exactly when CF is dead after the
    instruction — [add] clobbers it (paper §4.2, Figure 3). *)
-let strength_reduce ~(family : Vm.Cost.family) (c : counters)
+let strength_reduce ~(family : Vm.Cost.family) (c : Stats.t)
     (il : Instrlist.t) : unit =
   if family = Vm.Cost.Pentium4 then
     Instrlist.iter il (fun i ->
@@ -227,7 +209,7 @@ let strength_reduce ~(family : Vm.Cost.family) (c : counters)
               let prefixes = Instr.get_prefixes i in
               Instr.set_insn i repl;
               Instr.set_prefixes i prefixes;
-              c.strength <- c.strength + 1
+              c.Stats.opt_strength_reduced <- c.Stats.opt_strength_reduced + 1
           | _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -246,7 +228,7 @@ type rl_fact =
   | Fpr_holds of Reg.F.t * Operand.mem * int
   | Mem_const of Operand.mem * int * int  (* mem, value, width *)
 
-let remove_redundant_loads ~consts (c : counters) (il : Instrlist.t) : unit =
+let remove_redundant_loads ~consts (c : Stats.t) (il : Instrlist.t) : unit =
   let facts = ref [] in
   let fact_mem = function
     | Gpr_holds (_, m, w) -> (m, w)
@@ -328,7 +310,7 @@ let remove_redundant_loads ~consts (c : counters) (il : Instrlist.t) : unit =
             match find_gpr m 4 with
             | Some r' when Reg.equal r r' ->
                 Instrlist.remove il i;
-                c.loads_removed <- c.loads_removed + 1
+                c.Stats.opt_loads_removed <- c.Stats.opt_loads_removed + 1
             | held ->
                 let src =
                   match held with
@@ -338,7 +320,7 @@ let remove_redundant_loads ~consts (c : counters) (il : Instrlist.t) : unit =
                 Option.iter
                   (fun s ->
                     Instr.set_insn i (Insn.mk_mov (Operand.Reg r) s);
-                    c.loads_rewritten <- c.loads_rewritten + 1)
+                    c.Stats.opt_loads_rewritten <- c.Stats.opt_loads_rewritten + 1)
                   src;
                 kill_reg r;
                 (* a load whose address uses its own destination cannot
@@ -357,12 +339,12 @@ let remove_redundant_loads ~consts (c : counters) (il : Instrlist.t) : unit =
             match find_fpr m with
             | Some f' when Reg.F.equal f f' ->
                 Instrlist.remove il i;
-                c.loads_removed <- c.loads_removed + 1
+                c.Stats.opt_loads_removed <- c.Stats.opt_loads_removed + 1
             | held ->
                 Option.iter
                   (fun f' ->
                     Instr.set_insn i (Insn.mk_fmov f f');
-                    c.loads_rewritten <- c.loads_rewritten + 1)
+                    c.Stats.opt_loads_rewritten <- c.Stats.opt_loads_rewritten + 1)
                   held;
                 kill_freg f;
                 add_fact (Fpr_holds (f, m, 8)))
@@ -377,7 +359,7 @@ let remove_redundant_loads ~consts (c : counters) (il : Instrlist.t) : unit =
 (* ------------------------------------------------------------------ *)
 
 (* one backward-liveness round of dead register/flag-write removal *)
-let dead_writes_round (c : counters) (il : Instrlist.t) : bool =
+let dead_writes_round (c : Stats.t) (il : Instrlist.t) : bool =
   let changed = ref false in
   List.iter
     (fun ((i : Instr.t), (after : FA.live)) ->
@@ -401,7 +383,7 @@ let dead_writes_round (c : counters) (il : Instrlist.t) : bool =
              || flag_writes <> 0 || op = Opcode.Nop)
         then begin
           Instrlist.remove il i;
-          c.dead_removed <- c.dead_removed + 1;
+          c.Stats.opt_dead_removed <- c.Stats.opt_dead_removed + 1;
           changed := true
         end
       end)
@@ -409,7 +391,7 @@ let dead_writes_round (c : counters) (il : Instrlist.t) : bool =
   !changed
 
 (* one forward round of dead-store removal *)
-let dead_stores_round (c : counters) (il : Instrlist.t) : bool =
+let dead_stores_round (c : Stats.t) (il : Instrlist.t) : bool =
   let changed = ref false in
   Instrlist.iter il (fun i ->
       if not (Instr.is_bundle i) then
@@ -418,12 +400,12 @@ let dead_stores_round (c : counters) (il : Instrlist.t) : bool =
         | Opcode.Mov, [| Operand.Mem m |], [| (Operand.Reg _ | Operand.Imm _) |]
           when FA.store_dead_after ~mem:m ~width:4 i.Instr.next ->
             Instrlist.remove il i;
-            c.stores_removed <- c.stores_removed + 1;
+            c.Stats.opt_stores_removed <- c.Stats.opt_stores_removed + 1;
             changed := true
         | Opcode.Fst, [| Operand.Mem m |], [| Operand.Freg _ |]
           when FA.store_dead_after ~mem:m ~width:8 i.Instr.next ->
             Instrlist.remove il i;
-            c.stores_removed <- c.stores_removed + 1;
+            c.Stats.opt_stores_removed <- c.Stats.opt_stores_removed + 1;
             changed := true
         | _ -> ());
   !changed
@@ -431,7 +413,7 @@ let dead_stores_round (c : counters) (il : Instrlist.t) : bool =
 (* Each removal can expose more dead code upstream (a store's source
    becomes unused, a flag producer loses its reader), so iterate to a
    fixpoint, bounded to keep the pass linear in practice. *)
-let eliminate_dead (c : counters) (il : Instrlist.t) : unit =
+let eliminate_dead (c : Stats.t) (il : Instrlist.t) : unit =
   let rec go rounds =
     if rounds > 0 then begin
       let a = dead_writes_round c il in
@@ -456,7 +438,7 @@ let eliminate_dead (c : counters) (il : Instrlist.t) : unit =
    (b) [jcc T; jmp T] — both arms leave for the same target: the
        conditional is unobservable and is removed (only when it carries
        no custom stub). *)
-let simplify_exit_checks (c : counters) (il : Instrlist.t) : unit =
+let simplify_exit_checks (c : Stats.t) (il : Instrlist.t) : unit =
   Instrlist.iter il (fun i ->
       if not (Instr.is_bundle i) then
         let insn = Instr.get_insn i in
@@ -470,7 +452,7 @@ let simplify_exit_checks (c : counters) (il : Instrlist.t) : unit =
                   when Operand.equal_mem m m' ->
                     Instr.set_insn j
                       (Insn.mk_cmp (Operand.Reg r) (Operand.Imm k));
-                    c.checks_simplified <- c.checks_simplified + 1
+                    c.Stats.opt_checks_simplified <- c.Stats.opt_checks_simplified + 1
                 | _ -> ())
             | _ -> ())
         | Opcode.Jcc _, _, [| Operand.Target t |] -> (
@@ -481,7 +463,7 @@ let simplify_exit_checks (c : counters) (il : Instrlist.t) : unit =
                 | Opcode.Jmp, [| Operand.Target t' |], Instr.No_note
                   when t = t' ->
                     Instrlist.remove il i;
-                    c.checks_simplified <- c.checks_simplified + 1
+                    c.Stats.opt_checks_simplified <- c.Stats.opt_checks_simplified + 1
                 | _ -> ())
             | _ -> ())
         | _ -> ())
@@ -501,7 +483,7 @@ let simplify_exit_checks (c : counters) (il : Instrlist.t) : unit =
    restore — is unobservable on the fall-through, the only path the
    system's flags analysis ever considered (the same criterion
    [fixup_check_flags] applies).  Runs last for exactly this reason. *)
-let elide_flag_saves (c : counters) (il : Instrlist.t) : unit =
+let elide_flag_saves (c : Stats.t) (il : Instrlist.t) : unit =
   let insn_of (i : Instr.t) =
     if Instr.is_bundle i then None else Some (Instr.get_insn i)
   in
@@ -562,8 +544,8 @@ let elide_flag_saves (c : counters) (il : Instrlist.t) : unit =
                                       Instrlist.remove il p5;
                                       Instrlist.remove il p6;
                                       p4.Instr.note <- Instr.No_note;
-                                      c.flag_saves_elided <-
-                                        c.flag_saves_elided + 1
+                                      c.Stats.opt_flag_saves_elided <-
+                                        c.Stats.opt_flag_saves_elided + 1
                                   | _ -> ())
                               | _ -> ())
                           | _ -> ())
@@ -577,7 +559,7 @@ let elide_flag_saves (c : counters) (il : Instrlist.t) : unit =
 (* Pass driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_pass ~(family : Vm.Cost.family) (c : counters) (il : Instrlist.t) :
+let run_pass ~(family : Vm.Cost.family) (c : Stats.t) (il : Instrlist.t) :
     Options.opt_pass -> unit = function
   | Options.Copy_prop -> copy_prop c il
   | Options.Strength -> strength_reduce ~family c il
@@ -589,7 +571,7 @@ let run_pass ~(family : Vm.Cost.family) (c : counters) (il : Instrlist.t) :
 (** Run [passes] in order over [il].  [always_save_flags] suppresses
     the flag-save elision (that ablation must keep every bracket). *)
 let run_passes ?(always_save_flags = false) ~(family : Vm.Cost.family)
-    (c : counters) (passes : Options.opt_pass list) (il : Instrlist.t) : unit =
+    (c : Stats.t) (passes : Options.opt_pass list) (il : Instrlist.t) : unit =
   List.iter
     (fun p ->
       match p with
@@ -597,38 +579,23 @@ let run_passes ?(always_save_flags = false) ~(family : Vm.Cost.family)
       | p -> run_pass ~family c il p)
     passes
 
-let fold_into_stats (s : Stats.t) (c : counters) : unit =
-  s.Stats.opt_copies_propagated <- s.Stats.opt_copies_propagated + c.copies;
-  s.Stats.opt_consts_propagated <- s.Stats.opt_consts_propagated + c.consts;
-  s.Stats.opt_strength_reduced <- s.Stats.opt_strength_reduced + c.strength;
-  s.Stats.opt_loads_removed <- s.Stats.opt_loads_removed + c.loads_removed;
-  s.Stats.opt_loads_rewritten <-
-    s.Stats.opt_loads_rewritten + c.loads_rewritten;
-  s.Stats.opt_stores_removed <- s.Stats.opt_stores_removed + c.stores_removed;
-  s.Stats.opt_dead_removed <- s.Stats.opt_dead_removed + c.dead_removed;
-  s.Stats.opt_checks_simplified <-
-    s.Stats.opt_checks_simplified + c.checks_simplified;
-  s.Stats.opt_flag_saves_elided <-
-    s.Stats.opt_flag_saves_elided + c.flag_saves_elided
-
 let family_of (rt : runtime) : Vm.Cost.family =
   (Vm.Machine.cost rt.machine).Vm.Cost.family
 
-(* run the configured pipeline over one IL, with cost charging and
-   stats folding shared by the finalize-time and re-optimization paths *)
+(* run the configured pipeline over one IL, counting into the runtime's
+   stats and charging the pass cost; shared by the finalize-time and
+   re-optimization paths *)
 let run_configured (rt : runtime) (il : Instrlist.t)
     (passes : Options.opt_pass list) : unit =
   let n0 = Instrlist.length il in
-  let c = fresh_counters () in
+  let s = rt.stats in
   run_passes ~always_save_flags:rt.opts.Options.always_save_flags
-    ~family:(family_of rt) c passes il;
+    ~family:(family_of rt) s passes il;
   charge_opt rt
     (n0 * List.length passes * rt.opts.Options.costs.Options.opt_per_insn_pass);
-  let s = rt.stats in
   s.Stats.opt_traces <- s.Stats.opt_traces + 1;
   s.Stats.opt_insns_removed <-
-    s.Stats.opt_insns_removed + (n0 - Instrlist.length il);
-  fold_into_stats s c
+    s.Stats.opt_insns_removed + (n0 - Instrlist.length il)
 
 (** Optimize a freshly finalized trace IL in place (called between the
     client's trace hook and mangling/emission).  No-op at [-O0]. *)

@@ -20,26 +20,15 @@
 
 open Types
 
-(** Per-run pass counters; folded into {!Stats.t} by {!run}. *)
-type counters = {
-  mutable copies : int;
-  mutable consts : int;
-  mutable strength : int;
-  mutable loads_removed : int;
-  mutable loads_rewritten : int;
-  mutable stores_removed : int;
-  mutable dead_removed : int;
-  mutable checks_simplified : int;
-  mutable flag_saves_elided : int;
-}
-
-val fresh_counters : unit -> counters
+val fresh_counters : unit -> Stats.t
+(** {!Stats.create}: zeroed counters for running passes outside an
+    engine. *)
 
 (** {2 Individual passes} — exported for clients, examples and tests;
-    each mutates the IL in place and bumps its counters. *)
+    each mutates the IL in place and bumps its [opt_*] counters. *)
 
-val strength_reduce : family:Vm.Cost.family -> counters -> Instrlist.t -> unit
-val remove_redundant_loads : consts:bool -> counters -> Instrlist.t -> unit
+val strength_reduce : family:Vm.Cost.family -> Stats.t -> Instrlist.t -> unit
+val remove_redundant_loads : consts:bool -> Stats.t -> Instrlist.t -> unit
 (** Redundant load removal (paper §4.1).  [~consts:true] also tracks
     constants stored to memory and folds their reloads, as [-O2] does;
     the RLR client runs it with [~consts:false]. *)
@@ -47,7 +36,7 @@ val remove_redundant_loads : consts:bool -> counters -> Instrlist.t -> unit
 val run_passes :
   ?always_save_flags:bool ->
   family:Vm.Cost.family ->
-  counters ->
+  Stats.t ->
   Options.opt_pass list ->
   Instrlist.t ->
   unit
@@ -56,7 +45,7 @@ val run_passes :
 
 val run : runtime -> Instrlist.t -> unit
 (** Optimize a trace IL in place, charging the modelled pass cost and
-    folding counters into the runtime's stats.  No-op when
+    counting into the runtime's stats.  No-op when
     {!Options.effective_passes} is empty ([-O0]). *)
 
 val despeculate : runtime -> thread_state -> fragment -> guard -> fragment
@@ -86,9 +75,9 @@ val maybe_reoptimize : runtime -> thread_state -> fragment -> fragment
 
 (** Test hooks: not part of the runtime's interface. *)
 module For_testing : sig
-  val eliminate_dead : counters -> Instrlist.t -> unit
+  val eliminate_dead : Stats.t -> Instrlist.t -> unit
 
-  val simplify_exit_checks : counters -> Instrlist.t -> unit
+  val simplify_exit_checks : Stats.t -> Instrlist.t -> unit
 
-  val elide_flag_saves : counters -> Instrlist.t -> unit
+  val elide_flag_saves : Stats.t -> Instrlist.t -> unit
 end

@@ -121,7 +121,7 @@ type pool_opts = {
   max_inflight : int;      (** submitted-but-incomplete cap (>= 1) *)
   retries : int;
       (** retry-ladder depth: failed requests are retried up to this
-          many times (warm → cold → migrate-cold), 0 disables retries *)
+          many times (warm → cold → cold), 0 disables retries *)
   quarantine_threshold : int;
       (** consecutive final failures of one workload key before its
           circuit breaker opens and new submits are rejected (>= 1) *)
@@ -490,8 +490,8 @@ let pool_table =
           "Bound on submitted-but-incomplete requests (backpressure).";
         knob "retries" Int ~range:(at_least 0) ~flag:([ "retries" ], "N")
           (fun p -> p.retries) (fun p v -> { p with retries = v })
-          "Retry-ladder depth per request: warm retry, cold retry, cold \
-           retry on another domain.";
+          "Retry-ladder depth per request: a warm retry, then cold \
+           retries.";
         knob "quarantine_threshold" Int ~range:(at_least 1)
           ~flag:([ "quarantine" ], "K")
           (fun p -> p.quarantine_threshold)

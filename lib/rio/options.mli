@@ -72,7 +72,7 @@ type pool_opts = {
   max_inflight : int;      (** submitted-but-incomplete cap (>= 1) *)
   retries : int;
       (** retry-ladder depth: failed requests are retried up to this
-          many times (warm → cold → migrate-cold), 0 disables retries *)
+          many times (warm → cold → cold), 0 disables retries *)
   quarantine_threshold : int;
       (** consecutive final failures of one workload key before its
           circuit breaker opens and new submits are rejected (>= 1) *)

@@ -6,13 +6,12 @@
     survive into the next, so steady-state requests skip almost all
     block building.  Instances never migrate between domains.
 
-    Requests are sharded round-robin to a home worker and pushed onto
-    that worker's deque.
-    An idle worker first drains its own deque in arrival order, then
-    steals from the {e back} of a victim's deque — the request farthest
-    from the victim's service horizon — so stealing disturbs the
-    victim's imminent work least.  A stolen request cold-boots (or
-    warms) an instance on the {e thief}'s domain.
+    Requests wait in one run queue, in arrival order.  An idle worker
+    claims the front request, except that the batcher lets a request
+    for the key the worker served last jump the line from within the
+    first [batch_window] queued requests, so the instance that is hot
+    right now stays hot.  A front request can be passed over at most
+    [batch_window] times before it is claimed.
 
     On top of that sits the fleet-level recovery machinery (§6.6):
 
@@ -25,9 +24,9 @@
       simulated-cycle budget and a wall-clock bound, preempting the
       engine at the next fragment boundary with
       {!Engine.Deadline_exceeded};
-    - failed requests climb a bounded {e retry ladder} — retry on the
-      warm instance after reset, retry on a cold-booted instance, retry
-      cold on another domain — before failing for good;
+    - failed requests climb a bounded {e retry ladder} on the worker
+      that served them — retry on the warm instance after reset, then
+      retry on cold-booted instances — before failing for good;
     - a per-workload-key {e quarantine} circuit breaker opens after K
       consecutive final failures: new submits for the key are rejected
       until a single probe request is let through and succeeds.
@@ -36,7 +35,7 @@
     cache image when the boot carries one ([boot_cache]),
     otherwise cold (DESIGN.md §6.8).
 
-    All queues and counters sit behind one pool mutex: requests are
+    The queue and all counters sit behind one pool mutex: requests are
     coarse (each runs a whole workload to completion, millions of
     simulated cycles), so queue operations are a vanishing fraction of
     the work and a single lock keeps the invariants easy to audit.  The
@@ -45,7 +44,7 @@
     the pool mutex is never held while a request executes. *)
 
 (* ------------------------------------------------------------------ *)
-(* Deques                                                             *)
+(* The run queue                                                      *)
 (* ------------------------------------------------------------------ *)
 
 module Deque = struct
@@ -73,15 +72,15 @@ module Deque = struct
     d.buf.((d.head + d.len) mod Array.length d.buf) <- Some x;
     d.len <- d.len + 1
 
-  (* owner end: requeued/retried requests jump the line so a crashed
-     request's latency does not also pay for the queue behind it *)
+  (* requeued requests jump the line so a crashed request's latency
+     does not also pay for the queue behind it *)
   let push_front d x =
     if d.len = Array.length d.buf then grow d;
     d.head <- (d.head - 1 + Array.length d.buf) mod Array.length d.buf;
     d.buf.(d.head) <- Some x;
     d.len <- d.len + 1
 
-  (* owner end: oldest request, preserving arrival order *)
+  (* oldest request, preserving arrival order *)
   let pop_front d =
     if d.len = 0 then None
     else begin
@@ -92,27 +91,14 @@ module Deque = struct
       x
     end
 
-  (* thief end: newest request *)
-  let pop_back d =
-    if d.len = 0 then None
-    else begin
-      let idx = (d.head + d.len - 1) mod Array.length d.buf in
-      let x = d.buf.(idx) in
-      d.buf.(idx) <- None;
-      d.len <- d.len - 1;
-      x
-    end
-
-  let length d = d.len
-
   (* logical index [i] from the front; [None] out of range *)
   let nth d i =
     if i < 0 || i >= d.len then None
     else d.buf.((d.head + i) mod Array.length d.buf)
 
   (* remove the element at logical index [i], closing the gap by
-     shifting whichever side is shorter; the batching scheduler uses
-     this to pull a same-key request out of the middle of a deque *)
+     shifting whichever side is shorter; the batcher uses this to pull
+     a same-key request out of the middle of the queue *)
   let remove_at d i =
     if i < 0 || i >= d.len then invalid_arg "Deque.remove_at";
     let n = Array.length d.buf in
@@ -145,19 +131,6 @@ module Deque = struct
         | _ -> go (i + 1)
     in
     go 0
-
-  (* first logical index within [window] of the back whose element
-     satisfies [pred], scanning backward from the newest element *)
-  let find_back d ~window pred =
-    let stop = max 0 (d.len - window) in
-    let rec go i =
-      if i < stop then None
-      else
-        match nth d i with
-        | Some x when pred x -> Some i
-        | _ -> go (i - 1)
-    in
-    go (d.len - 1)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -199,8 +172,6 @@ type result = {
   res_key : string;
   res_seed : int;
   res_worker : int;        (** domain that executed the final attempt *)
-  res_home : int;          (** domain the final attempt was dequeued from *)
-  res_stolen : bool;
   res_warm : bool;         (** final attempt served by an already-warm instance *)
   res_attempts : int;      (** total attempts, including the successful/last one *)
   res_output : int list;
@@ -235,16 +206,18 @@ type snapshot = {
   snap_submitted : int;
   snap_completed : int;
   snap_steals : int;
+      (** always 0: there is no work stealing; kept while [perf/] reads it *)
   snap_warm_hits : int;
   snap_cold_boots : int;
   snap_busy_cycles : int array;  (** per-worker simulated cycles served *)
   snap_stats : Stats.t;          (** merge over all live warm instances *)
+  snap_serve_lat : Stats.hist;   (** per-request service latency, sim cycles *)
   (* --- supervision (DESIGN.md §6.6) --- *)
   snap_crashes : int;            (** attempts that ended in [Crashed] *)
   snap_deadline_hits : int;      (** attempts preempted by the watchdog *)
   snap_retries : int;            (** retry-ladder activations *)
-  snap_requeues : int;           (** jobs pushed back onto a deque (migration
-                                     rung + supervisor recoveries) *)
+  snap_requeues : int;           (** jobs the supervisor pushed back onto
+                                     the queue after a worker died *)
   snap_respawns : int;           (** worker domains respawned by the supervisor *)
   snap_reloads : int;            (** {!drain_and_reload} cycles completed *)
   snap_rejected_unknown : int;
@@ -258,7 +231,7 @@ type snapshot = {
   snap_cache_refused : int;      (** image loads refused (fell back to cold) *)
   (* --- serving front-end (DESIGN.md §6.10) --- *)
   snap_shed : int;               (** {!try_submit} rejections for overload *)
-  snap_batch_hits : int;         (** same-key dequeue picks by the batcher *)
+  snap_batch_hits : int;         (** same-key claims by the batcher *)
   snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)
 }
 
@@ -271,11 +244,12 @@ type job = {
   jr : request;
   mutable j_attempt : int;      (* 0 on first service *)
   mutable j_force_cold : bool;  (* drop the warm instance before serving *)
+  mutable j_passed : int;       (* batcher picks that skipped this job
+                                   while it was at the front *)
 }
 
 type worker = {
   w_id : int;
-  w_deque : job Deque.t;                (* under pool mutex *)
   mutable w_busy_cycles : int;          (* under pool mutex *)
   mutable w_current : job option;       (* under pool mutex; what the
                                            domain dies holding *)
@@ -304,13 +278,12 @@ type t = {
   done_cv : Condition.t;    (* drainers/reloaders: completed caught up *)
   sup_cv : Condition.t;     (* supervisor: a worker domain died *)
   workers : worker array;
+  queue : job Deque.t;            (* admitted, unclaimed jobs *)
   boots : (string * boot) list;   (* immutable after create *)
   cfg : Options.pool_opts;
-  mutable next_home : int;
   mutable submitted : int;
   mutable completed : int;
   mutable active : int;           (* claimed-but-unfinished jobs *)
-  mutable steals : int;
   mutable warm_hits : int;
   mutable cold_boots : int;
   mutable crashes : int;
@@ -324,11 +297,14 @@ type t = {
   mutable quarantine_opens : int;
   mutable quarantine_closes : int;
   mutable probes : int;
+  mutable shed : int;             (* try_submit overload rejections *)
+  mutable batch_hits : int;       (* claims where the batcher reordered *)
+  mutable prewarm_boots : int;
+  mutable serve_lat : Stats.hist; (* final attempts' simulated cycles *)
   quar : (string, quar) Hashtbl.t;
   cache_loads : int Atomic.t;     (* image loads; bumped by whichever
                                      domain boots the instance *)
   cache_refused : int Atomic.t;
-  mutable pool_stats : Stats.t;   (* serving counters + latency histogram *)
   mutable results : result list;  (* reversed completion order *)
   mutable notify : unit -> unit;  (* completion hook: results went
                                      from empty to non-empty *)
@@ -338,8 +314,6 @@ type t = {
   mutable handles : unit Domain.t list;  (* every domain ever spawned *)
   mutable sup_handle : unit Domain.t option;
 }
-
-let domains pool = Array.length pool.workers
 
 let quar_state pool key : quar =
   match Hashtbl.find_opt pool.quar key with
@@ -386,15 +360,14 @@ let prewarm_worker pool (w : worker) : unit =
   List.iter
     (fun (key, boot) ->
       ignore (boot_instance pool w key boot);
-      pool.pool_stats.Stats.prewarm_boots <-
-        pool.pool_stats.Stats.prewarm_boots + 1)
+      pool.prewarm_boots <- pool.prewarm_boots + 1)
     pool.boots
 
 (* ------------------------------------------------------------------ *)
 (* Serving one attempt (no pool lock held)                            *)
 (* ------------------------------------------------------------------ *)
 
-let serve pool (w : worker) (j : job) ~home ~stolen : result =
+let serve pool (w : worker) (j : job) : result =
   let r = j.jr in
   let cfg = pool.cfg in
   let boot =
@@ -502,8 +475,6 @@ let serve pool (w : worker) (j : job) ~home ~stolen : result =
     res_key = r.req_key;
     res_seed = r.req_seed;
     res_worker = w.w_id;
-    res_home = home;
-    res_stolen = stolen;
     res_warm = warm;
     res_attempts = j.j_attempt + 1;
     res_output = output;
@@ -520,8 +491,8 @@ let serve pool (w : worker) (j : job) ~home ~stolen : result =
    of a dead worker domain.  {!Faultinject.Chaos_domain_kill} is the
    one deliberate exception: it exists to kill the domain so the
    supervisor path stays honest. *)
-let serve_barrier pool (w : worker) (j : job) ~home ~stolen : result =
-  try serve pool w j ~home ~stolen with
+let serve_barrier pool (w : worker) (j : job) : result =
+  try serve pool w j with
   | Faultinject.Chaos_domain_kill as e -> raise e
   | exn ->
       Hashtbl.remove w.w_warm j.jr.req_key;
@@ -530,8 +501,6 @@ let serve_barrier pool (w : worker) (j : job) ~home ~stolen : result =
         res_key = j.jr.req_key;
         res_seed = j.jr.req_seed;
         res_worker = w.w_id;
-        res_home = home;
-        res_stolen = stolen;
         res_warm = false;
         res_attempts = j.j_attempt + 1;
         res_output = [];
@@ -571,7 +540,7 @@ let record_final pool (w : worker) (j : job) (res : result) : unit =
       pool.quarantine_opens <- pool.quarantine_opens + 1
     end
   end;
-  Stats.hist_add pool.pool_stats.Stats.serve_lat res.res_cycles;
+  Stats.hist_add pool.serve_lat res.res_cycles;
   Condition.signal pool.space_cv;
   note_progress pool
 
@@ -579,13 +548,12 @@ let record_final pool (w : worker) (j : job) (res : result) : unit =
 (* Worker loop, retry ladder, supervisor                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Serve [j] to a final result, climbing the retry ladder on failures:
-   rung 1 retries on the warm instance (reset first), rung 2 cold-boots
-   on this worker, rung 3+ requeues cold on the next domain over.  The
-   ladder is bounded by [cfg.retries]; rungs past the configured depth
-   simply do not exist. *)
-let rec serve_with_retries pool (w : worker) (j : job) ~home ~stolen : unit =
-  let res = serve_barrier pool w j ~home ~stolen in
+(* Serve [j] to a final result on [w], climbing the retry ladder on
+   failures: rung 1 retries on the warm instance (reset first), rungs 2
+   and up cold-boot first.  The ladder is bounded by [cfg.retries];
+   rungs past the configured depth simply do not exist. *)
+let rec serve_with_retries pool (w : worker) (j : job) : unit =
+  let res = serve_barrier pool w j in
   Mutex.lock pool.mu;
   (match res.res_reason with
    | Engine.Crashed _ -> pool.crashes <- pool.crashes + 1
@@ -603,111 +571,43 @@ let rec serve_with_retries pool (w : worker) (j : job) ~home ~stolen : unit =
   else begin
     pool.retries <- pool.retries + 1;
     j.j_attempt <- j.j_attempt + 1;
-    let rung = j.j_attempt in
-    if rung >= 3 && domains pool > 1 then begin
-      (* rung 3: migrate — cold-boot on another domain *)
-      j.j_force_cold <- true;
-      Hashtbl.remove w.w_warm j.jr.req_key;
-      let target = pool.workers.((w.w_id + 1) mod domains pool) in
-      Deque.push_front target.w_deque j;
-      pool.requeues <- pool.requeues + 1;
-      w.w_current <- None;
-      pool.active <- pool.active - 1;
-      note_progress pool;
-      Condition.broadcast pool.work_cv;
-      Mutex.unlock pool.mu
-    end
-    else begin
-      (* rung 1: warm retry (reset_for_reuse happens inside serve);
-         rung 2+: cold retry on this worker *)
-      if rung >= 2 then j.j_force_cold <- true;
-      Mutex.unlock pool.mu;
-      serve_with_retries pool w j ~home ~stolen
-    end
+    if j.j_attempt >= 2 then j.j_force_cold <- true;
+    Mutex.unlock pool.mu;
+    serve_with_retries pool w j
   end
 
-(* How many requests from a deque's end the batcher scans for the
-   worker's last key. *)
+(* How many requests from the queue's front the batcher scans for the
+   worker's last key, and how many times it may pass over the front
+   request. *)
 let batch_window = 8
 
-(* Dequeue from the worker's own deque, letting the batcher reorder:
-   within [batch_window] of the front, a request for the key this
-   worker served last jumps the line, so the instance that is hot right
-   now stays hot.  Reordering is bounded by the window, so no request
-   starves.  Call with the pool mutex held. *)
-let claim_own pool (w : worker) : job option =
-  match w.w_last_key with
-  | Some key when Deque.length w.w_deque > 1 -> (
-      match
-        Deque.find_front w.w_deque ~window:batch_window (fun j ->
-            j.jr.req_key = key)
-      with
+(* Take the next job off the queue.  Within [batch_window] of the
+   front, a request for the key this worker served last jumps the line,
+   so the instance that is hot right now stays hot.  Each such pick
+   counts against the front request, and once it has been passed over
+   [batch_window] times it is taken next, so no request starves.  Call
+   with the pool mutex held. *)
+let claim pool (w : worker) : job option =
+  let q = pool.queue in
+  match (w.w_last_key, Deque.nth q 0) with
+  | Some key, Some front when front.j_passed < batch_window -> (
+      match Deque.find_front q ~window:batch_window (fun j -> j.jr.req_key = key) with
       | Some i when i > 0 ->
-          pool.pool_stats.Stats.requests_batched <-
-            pool.pool_stats.Stats.requests_batched + 1;
-          Deque.remove_at w.w_deque i
-      | _ -> Deque.pop_front w.w_deque)
-  | _ -> Deque.pop_front w.w_deque
-
-(* Steal from a victim's back, preferring — within the batch window —
-   a request for the thief's own hot key: stolen work then lands on an
-   already-warm instance instead of forcing a boot.  Call with the pool
-   mutex held. *)
-let claim_steal pool (w : worker) : (job * int) option =
-  let n = Array.length pool.workers in
-  let preferred =
-    match w.w_last_key with
-    | Some key ->
-        let rec scan k =
-          if k >= n - 1 then None
-          else
-            let victim = pool.workers.((w.w_id + 1 + k) mod n) in
-            match
-              Deque.find_back victim.w_deque ~window:batch_window (fun j ->
-                  j.jr.req_key = key)
-            with
-            | Some i ->
-                pool.pool_stats.Stats.requests_batched <-
-                  pool.pool_stats.Stats.requests_batched + 1;
-                Option.map
-                  (fun j -> (j, victim.w_id))
-                  (Deque.remove_at victim.w_deque i)
-            | None -> scan (k + 1)
-        in
-        scan 0
-    | _ -> None
-  in
-  match preferred with
-  | Some _ as r -> r
-  | None ->
-      let rec scan k =
-        if k >= n - 1 then None
-        else
-          let victim = pool.workers.((w.w_id + 1 + k) mod n) in
-          match Deque.pop_back victim.w_deque with
-          | Some j -> Some (j, victim.w_id)
-          | None -> scan (k + 1)
-      in
-      scan 0
+          front.j_passed <- front.j_passed + 1;
+          pool.batch_hits <- pool.batch_hits + 1;
+          Deque.remove_at q i
+      | _ -> Deque.pop_front q)
+  | _ -> Deque.pop_front q
 
 let rec worker_loop pool (w : worker) : unit =
   Mutex.lock pool.mu;
-  let job =
-    if pool.reloading then None
-    else
-      match claim_own pool w with
-      | Some j -> Some (j, w.w_id, false)
-      | None ->
-          Option.map (fun (j, home) -> (j, home, true)) (claim_steal pool w)
-  in
-  match job with
-  | Some (j, home, stolen) ->
-      if stolen then pool.steals <- pool.steals + 1;
+  match if pool.reloading then None else claim pool w with
+  | Some j ->
       w.w_current <- Some j;
       w.w_last_key <- Some j.jr.req_key;
       pool.active <- pool.active + 1;
       Mutex.unlock pool.mu;
-      serve_with_retries pool w j ~home ~stolen;
+      serve_with_retries pool w j;
       worker_loop pool w
   | None ->
       if pool.stopping then Mutex.unlock pool.mu
@@ -729,9 +629,9 @@ let worker_body pool (w : worker) : unit =
     Mutex.unlock pool.mu
 
 (* The supervisor: bury dead workers, requeue the request each died
-   serving (its warm instance died mid-run and cannot be trusted), and
-   spawn a replacement domain over the same worker record — the deque
-   and warm table survive, so queued requests are never lost. *)
+   serving at the front of the queue (its warm instance died mid-run
+   and cannot be trusted), and spawn a replacement domain over the same
+   worker record, whose warm table survives. *)
 let rec supervisor_loop pool : unit =
   Mutex.lock pool.mu;
   while pool.dead = [] && not pool.stopping do
@@ -746,7 +646,7 @@ let rec supervisor_loop pool : unit =
            Hashtbl.remove w.w_warm j.jr.req_key;
            j.j_attempt <- j.j_attempt + 1;
            j.j_force_cold <- true;
-           Deque.push_front w.w_deque j;
+           Deque.push_front pool.queue j;
            w.w_current <- None;
            pool.active <- pool.active - 1;
            pool.requeues <- pool.requeues + 1;
@@ -770,7 +670,6 @@ let create ?(cfg = Options.default_pool) ?chaos
     Array.init cfg.Options.domains (fun i ->
         {
           w_id = i;
-          w_deque = Deque.create ~capacity:16 ();
           w_busy_cycles = 0;
           w_current = None;
           w_last_key = None;
@@ -786,13 +685,12 @@ let create ?(cfg = Options.default_pool) ?chaos
       done_cv = Condition.create ();
       sup_cv = Condition.create ();
       workers;
+      queue = Deque.create ~capacity:16 ();
       boots;
       cfg;
-      next_home = 0;
       submitted = 0;
       completed = 0;
       active = 0;
-      steals = 0;
       warm_hits = 0;
       cold_boots = 0;
       crashes = 0;
@@ -806,10 +704,13 @@ let create ?(cfg = Options.default_pool) ?chaos
       quarantine_opens = 0;
       quarantine_closes = 0;
       probes = 0;
+      shed = 0;
+      batch_hits = 0;
+      prewarm_boots = 0;
+      serve_lat = Stats.hist_create ();
       quar = Hashtbl.create 8;
       cache_loads = Atomic.make 0;
       cache_refused = Atomic.make 0;
-      pool_stats = Stats.create ();
       results = [];
       notify = ignore;
       stopping = false;
@@ -848,8 +749,8 @@ let admission_check pool (r : request) : (quar, reject) Stdlib.result =
     else Ok q
   end
 
-(* Enqueue an admitted request on its home worker, chosen round-robin;
-   call with the pool mutex held. *)
+(* Enqueue an admitted request at the back of the queue; call with the
+   pool mutex held. *)
 let enqueue pool (r : request) (q : quar) : unit =
   (* half-open circuit breaker: exactly one probe request is let
      through an open breaker; its outcome closes or re-arms it *)
@@ -857,10 +758,8 @@ let enqueue pool (r : request) (q : quar) : unit =
     q.q_probe <- true;
     pool.probes <- pool.probes + 1
   end;
-  let home = pool.next_home in
-  pool.next_home <- (home + 1) mod domains pool;
-  Deque.push_back pool.workers.(home).w_deque
-    { jr = r; j_attempt = 0; j_force_cold = false };
+  Deque.push_back pool.queue
+    { jr = r; j_attempt = 0; j_force_cold = false; j_passed = 0 };
   pool.submitted <- pool.submitted + 1;
   Condition.broadcast pool.work_cv
 
@@ -892,8 +791,7 @@ let try_submit pool (r : request) : (unit, reject) Stdlib.result =
   | Ok q ->
       let admitted = pool.submitted - pool.completed in
       if admitted >= pool.cfg.Options.accept_queue then begin
-        pool.pool_stats.Stats.requests_shed <-
-          pool.pool_stats.Stats.requests_shed + 1;
+        pool.shed <- pool.shed + 1;
         Mutex.unlock pool.mu;
         Error (Overloaded (admitted, pool.cfg.Options.accept_queue))
       end
@@ -969,7 +867,6 @@ let reset_counters pool : unit =
   end;
   pool.submitted <- 0;
   pool.completed <- 0;
-  pool.steals <- 0;
   pool.warm_hits <- 0;
   pool.cold_boots <- 0;
   pool.crashes <- 0;
@@ -983,8 +880,11 @@ let reset_counters pool : unit =
   pool.quarantine_opens <- 0;
   pool.quarantine_closes <- 0;
   pool.probes <- 0;
+  pool.shed <- 0;
+  pool.batch_hits <- 0;
+  pool.prewarm_boots <- 0;
+  pool.serve_lat <- Stats.hist_create ();
   pool.results <- [];
-  pool.pool_stats <- Stats.create ();
   Array.iter (fun w -> w.w_busy_cycles <- 0) pool.workers;
   Atomic.set pool.cache_loads 0;
   Atomic.set pool.cache_refused 0;
@@ -1024,10 +924,7 @@ let stats pool : snapshot =
             Emit.refresh_cache_gauges rt;
             Stats.merge acc (Engine.stats rt))
           w.w_warm acc)
-      (* a merge with a zero record copies pool_stats, so the snapshot
-         never aliases the live mutable record *)
-      (Stats.merge (Stats.create ()) pool.pool_stats)
-      pool.workers
+      (Stats.create ()) pool.workers
   in
   let quarantined_now =
     Hashtbl.fold (fun _ q n -> if q.q_open then n + 1 else n) pool.quar 0
@@ -1037,11 +934,12 @@ let stats pool : snapshot =
       snap_domains = Array.length pool.workers;
       snap_submitted = pool.submitted;
       snap_completed = pool.completed;
-      snap_steals = pool.steals;
+      snap_steals = 0;
       snap_warm_hits = pool.warm_hits;
       snap_cold_boots = pool.cold_boots;
       snap_busy_cycles = Array.map (fun w -> w.w_busy_cycles) pool.workers;
       snap_stats;
+      snap_serve_lat = { Stats.counts = Array.copy pool.serve_lat.Stats.counts };
       snap_crashes = pool.crashes;
       snap_deadline_hits = pool.deadline_hits;
       snap_retries = pool.retries;
@@ -1056,9 +954,9 @@ let stats pool : snapshot =
       snap_quarantined_now = quarantined_now;
       snap_cache_loads = Atomic.get pool.cache_loads;
       snap_cache_refused = Atomic.get pool.cache_refused;
-      snap_shed = pool.pool_stats.Stats.requests_shed;
-      snap_batch_hits = pool.pool_stats.Stats.requests_batched;
-      snap_prewarm_boots = pool.pool_stats.Stats.prewarm_boots;
+      snap_shed = pool.shed;
+      snap_batch_hits = pool.batch_hits;
+      snap_prewarm_boots = pool.prewarm_boots;
     }
   in
   Mutex.unlock pool.mu;

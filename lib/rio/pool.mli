@@ -1,6 +1,6 @@
 (** Supervised domain-parallel serving pool: N worker domains, each
     holding warm long-lived {!Engine.t} instances whose code caches
-    survive across requests, with work-stealing dispatch and bounded
+    survive across requests, fed from one run queue with bounded
     in-flight backpressure (DESIGN.md §6.5) — wrapped in fleet-level
     recovery machinery (§6.6): a per-request exception barrier, a
     supervisor that respawns dead worker domains, per-request
@@ -44,8 +44,6 @@ type result = {
   res_key : string;
   res_seed : int;
   res_worker : int;        (** domain that executed the final attempt *)
-  res_home : int;          (** domain the final attempt was dequeued from *)
-  res_stolen : bool;
   res_warm : bool;         (** final attempt served by an already-warm instance *)
   res_attempts : int;      (** total attempts, including the successful/last one *)
   res_output : int list;
@@ -76,15 +74,17 @@ type snapshot = {
   snap_submitted : int;
   snap_completed : int;
   snap_steals : int;
+      (** always 0: there is no work stealing; kept while [perf/] reads it *)
   snap_warm_hits : int;
   snap_cold_boots : int;
   snap_busy_cycles : int array;  (** per-worker simulated cycles served *)
   snap_stats : Stats.t;          (** merge over all live warm instances *)
+  snap_serve_lat : Stats.hist;   (** per-request service latency, sim cycles *)
   snap_crashes : int;            (** attempts that ended in [Crashed] *)
   snap_deadline_hits : int;      (** attempts preempted by the watchdog *)
   snap_retries : int;            (** retry-ladder activations *)
-  snap_requeues : int;           (** jobs pushed back onto a deque (migration
-                                     rung + supervisor recoveries) *)
+  snap_requeues : int;           (** jobs the supervisor pushed back onto
+                                     the queue after a worker died *)
   snap_respawns : int;           (** worker domains respawned by the supervisor *)
   snap_reloads : int;            (** {!drain_and_reload} cycles completed *)
   snap_rejected_unknown : int;
@@ -96,7 +96,7 @@ type snapshot = {
   snap_cache_loads : int;        (** instances warm-booted from a saved image *)
   snap_cache_refused : int;      (** image loads refused (fell back to cold) *)
   snap_shed : int;               (** {!try_submit} rejections for overload *)
-  snap_batch_hits : int;         (** same-key dequeue picks by the batcher *)
+  snap_batch_hits : int;         (** same-key claims by the batcher *)
   snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)
 }
 
@@ -118,15 +118,13 @@ val create :
     @raise Options.Invalid_options on a rejected [cfg]. *)
 
 val submit : t -> request -> (unit, reject) Stdlib.result
-(** Validate and enqueue on the request's home worker; blocks while the
+(** Validate and enqueue at the back of the run queue; blocks while the
     in-flight cap is reached.  Returns [Error] — never raises — when
     the key has no registered boot, when the key's circuit breaker is
     open with a probe already in flight, or after {!shutdown}.  When
     the breaker is open and no probe is in flight, the request is
     admitted {e as} the probe: its success closes the breaker, its
-    failure re-arms it.  Home workers are assigned round-robin: the
-    [i]th admitted request of a fresh pool is homed on worker
-    [i mod domains]. *)
+    failure re-arms it. *)
 
 val try_submit : t -> request -> (unit, reject) Stdlib.result
 (** {!submit} without blocking: where [submit] would wait for in-flight
@@ -161,8 +159,8 @@ val drain_and_reload : ?rebuild:bool -> t -> unit
     @raise Invalid_argument if a reload is already in progress. *)
 
 val reset_counters : t -> unit
-(** Zero steal/warm/busy/supervision counters between measurement
-    passes.  Call only when drained. *)
+(** Zero the warm/busy/supervision/serving counters and the latency
+    histogram between measurement passes.  Call only when drained. *)
 
 val stats : t -> snapshot
 (** Counters plus runtime stats merged across all live warm instances.

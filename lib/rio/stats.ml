@@ -1,16 +1,15 @@
 (** Runtime statistics, kept per {!Rio} instance. *)
 
 (* ------------------------------------------------------------------ *)
-(* Latency histograms (serving layer, DESIGN.md §6.10)                *)
+(* Latency histograms (serving pool, DESIGN.md §6.10)                 *)
 (* ------------------------------------------------------------------ *)
 
 (** Power-of-two bucketed histogram for latency-style samples: bucket
     [i] counts samples whose value's bit width is [i] (bucket 0 holds
     samples <= 0, bucket 1 holds 1, bucket 2 holds 2..3, and so on).
-    Merging is elementwise addition, so pool workers can keep private
-    histograms and the aggregate is exact; percentile extraction
-    returns the selected bucket's inclusive upper bound, so quantiles
-    are conservative (never under-report) and deterministic. *)
+    Percentile extraction returns the selected bucket's inclusive upper
+    bound, so quantiles are conservative (never under-report) and
+    deterministic. *)
 
 let hist_buckets = 63
 
@@ -39,10 +38,6 @@ let hist_add h v =
   h.counts.(i) <- h.counts.(i) + 1
 
 let hist_count h = Array.fold_left ( + ) 0 h.counts
-
-(** Fresh histogram holding both argument's samples. *)
-let hist_merge a b =
-  { counts = Array.init hist_buckets (fun i -> a.counts.(i) + b.counts.(i)) }
 
 (** The [q]-th percentile (0..100) as a bucket upper bound: the value
     [v] such that at least [ceil (q/100 * n)] samples are <= [v].
@@ -156,13 +151,6 @@ type t = {
       (** image loads refused (bad magic/version/checksum/digest) *)
   mutable fragments_persisted : int; (** fragments written across all saves *)
   mutable fragments_preloaded : int; (** fragments re-materialized from images *)
-  (* --- serving front-end (DESIGN.md §6.10) --- *)
-  serve_lat : hist;                  (** per-request service latency, sim cycles *)
-  mutable requests_shed : int;       (** admissions rejected for overload *)
-  mutable requests_batched : int;
-      (** same-key requests coalesced onto the worker already holding
-          the warm instance (dequeue-time batch picks) *)
-  mutable prewarm_boots : int;       (** instances built eagerly at pool boot *)
 }
 
 let create () =
@@ -237,10 +225,6 @@ let create () =
     persist_load_failures = 0;
     fragments_persisted = 0;
     fragments_preloaded = 0;
-    serve_lat = hist_create ();
-    requests_shed = 0;
-    requests_batched = 0;
-    prewarm_boots = 0;
   }
 
 (** Total recovery-ladder activations, all rungs. *)
@@ -418,18 +402,12 @@ let rows : row list =
       (fun s -> s.fragments_persisted) (fun s v -> s.fragments_persisted <- v);
     row "fragments_preloaded" Unprinted
       (fun s -> s.fragments_preloaded) (fun s v -> s.fragments_preloaded <- v);
-    row "requests_shed" Unprinted
-      (fun s -> s.requests_shed) (fun s v -> s.requests_shed <- v);
-    row "requests_batched" Unprinted
-      (fun s -> s.requests_batched) (fun s v -> s.requests_batched <- v);
-    row "prewarm_boots" Unprinted
-      (fun s -> s.prewarm_boots) (fun s v -> s.prewarm_boots <- v);
   ]
 
 (** A fresh record combining two instances' counters, for pool-wide
-    reports: each row by its merge kind, the histogram bucket-wise. *)
+    reports: each row by its merge kind. *)
 let merge (a : t) (b : t) : t =
-  let s = { (create ()) with serve_lat = hist_merge a.serve_lat b.serve_lat } in
+  let s = create () in
   let combine r = match r.merge with Sum -> ( + ) | Max -> max in
   List.iter (fun r -> r.set s (combine r (r.get a) (r.get b))) rows;
   s
@@ -474,7 +452,6 @@ let pp_report (o : Options.t) ppf (s : t) =
 let keep_code_layout f = f 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19
 
 module For_testing = struct
-  let hist_create = hist_create
   let bucket_of = bucket_of
   let bucket_upper = bucket_upper
   let hist_count = hist_count

@@ -2,6 +2,7 @@
 
 type hist = { counts : int array }
 
+val hist_create : unit -> hist
 val hist_add : hist -> int -> unit
 
 val hist_percentile : hist -> int -> int
@@ -104,13 +105,6 @@ type t = {
       (** image loads refused (bad magic/version/checksum/digest) *)
   mutable fragments_persisted : int; (** fragments written across all saves *)
   mutable fragments_preloaded : int; (** fragments re-materialized from images *)
-  (* --- serving front-end (DESIGN.md §6.10) --- *)
-  serve_lat : hist;                  (** per-request service latency, sim cycles *)
-  mutable requests_shed : int;       (** admissions rejected for overload *)
-  mutable requests_batched : int;
-      (** same-key requests coalesced onto the worker already holding
-          the warm instance (dequeue-time batch picks) *)
-  mutable prewarm_boots : int;       (** instances built eagerly at pool boot *)
 }
 
 val create : unit -> t
@@ -137,7 +131,7 @@ type row = {
 
 val merge : t -> t -> t
 (** A fresh record combining two instances' counters, for pool-wide
-    reports: each row by its merge kind, the histogram bucket-wise. *)
+    reports: each row by its merge kind. *)
 
 val pp_report : Options.t -> Format.formatter -> t -> unit
 (** The [--stats] report: core and cache always, opt when any pass is on,
@@ -151,8 +145,6 @@ val keep_code_layout :
 
 (** Test hooks: not part of the runtime's interface. *)
 module For_testing : sig
-  val hist_create : unit -> hist
-
   val bucket_of : int -> int
   (** Bucket index of a sample: 0 for non-positive values, otherwise the
       position of the highest set bit plus one. *)

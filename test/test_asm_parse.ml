@@ -104,7 +104,7 @@ let test_fp_and_ascii () =
       vals:
           .float 1.5, 2.5
       msg:
-          .ascii "ok"
+          .ascii "ok;a,b#"           ; comment characters and commas are bytes
       .text
       main:
           fld   %f0, @vals
@@ -114,11 +114,17 @@ let test_fp_and_ascii () =
           li    %ebx, $@msg
           movzx8 %ecx, (%ebx)
           out   %ecx                 ; 'o' = 111
+          movzx8 %ecx, 2(%ebx)
+          out   %ecx                 ; ';' = 59
+          movzx8 %ecx, 5(%ebx)
+          out   %ecx                 ; 'b' = 98
+          movzx8 %ecx, 6(%ebx)
+          out   %ecx                 ; '#' = 35
           hlt
       |}
   in
   checkb "halted" true ok;
-  check_ilist "fp+ascii" [ 4; 111 ] out
+  check_ilist "fp+ascii" [ 4; 111; 59; 98; 35 ] out
 
 let test_equivalent_to_dsl () =
   (* the same program via the DSL and via text must behave identically,
@@ -163,16 +169,26 @@ let test_equivalent_to_dsl () =
   checkb "rio ok" true ok;
   check_ilist "text = dsl (cached)" dsl_out rio_out
 
-let expect_error src frag =
+let check_mentions frag msg =
+  checkb
+    (Printf.sprintf "error mentions %S (got %S)" frag msg)
+    true
+    (let fl = String.length frag and ml = String.length msg in
+     let rec go i = i + fl <= ml && (String.sub msg i fl = frag || go (i + 1)) in
+     go 0)
+
+let expect_error ?line src frag =
   match Asm.Parse.For_testing.program src with
-  | exception Asm.Parse.Parse_error { msg; _ } ->
-      checkb
-        (Printf.sprintf "error mentions %S (got %S)" frag msg)
-        true
-        (let fl = String.length frag and ml = String.length msg in
-         let rec go i = i + fl <= ml && (String.sub msg i fl = frag || go (i + 1)) in
-         go 0)
+  | exception Asm.Parse.Parse_error { line = got; msg } ->
+      check_mentions frag msg;
+      Option.iter (fun want -> Alcotest.(check int) (frag ^ ": line") want got) line
   | _ -> Alcotest.failf "expected a parse error (%s)" frag
+
+(* source that parses but that the assembler refuses *)
+let expect_assembly_error src frag =
+  match Asm.Assemble.assemble (Asm.Parse.For_testing.program src) with
+  | exception Asm.Assemble.Assembly_error msg -> check_mentions frag msg
+  | _ -> Alcotest.failf "expected an assembly error (%s)" frag
 
 let test_errors () =
   expect_error "main:\n  bogus %eax\n" "unknown mnemonic";
@@ -180,7 +196,18 @@ let test_errors () =
   expect_error "main:\n  mov %eax\n" "expects 2 operand";
   expect_error "main:\n  .word x\n" "bad integer";
   expect_error "main:\n  .bogus 3\n" "unknown directive";
-  expect_error "main:\n  jz\n" "expects a label"
+  expect_error "main:\n  jz\n" "expects a label";
+  (* label errors are found after the last line, at their own line *)
+  expect_error ~line:2 "main:\n  jmp nowhere\n  hlt\n" "undefined label \"nowhere\"";
+  expect_error ~line:2 "main:\n  li %eax, $@nowhere+4\n  hlt\n" "undefined label";
+  expect_error ~line:3 "main:\n  hlt\n  .word @nowhere\n" "undefined label";
+  expect_error ~line:3 "main:\n  hlt\nmain:\n  hlt\n" "already defined on line 1";
+  expect_error ~line:2 "main:\n  jmp x\nmain:\n" "undefined label \"x\"";
+  expect_error ~line:1 ".entry start\nmain:\n  hlt\n" "entry label \"start\" undefined";
+  expect_error ~line:2 "main:\n  jmp main now please\n" "expects a label";
+  expect_error ~line:1 "ma in:\n  hlt\n" "bad label";
+  expect_assembly_error "main:\n  imul %eax, $0x1fffffff3\n  hlt\n" "cannot encode";
+  expect_assembly_error "main:\n  .space -5\n  hlt\n" "does not fit"
 
 (* print/parse round trip: whatever the disassembler prints, the parser
    reads back to the same instruction (modulo the runtime-reserved

@@ -30,9 +30,13 @@ type rlr_counts = { removed : int; rewritten : int }
 
 let rlr_run list =
   let il = il_of list in
-  let c = Rio.Opt.fresh_counters () in
+  let c = Rio.Stats.create () in
   Clients.Rlr.For_testing.optimize_il c il;
-  (il, { removed = c.Rio.Opt.loads_removed; rewritten = c.Rio.Opt.loads_rewritten })
+  ( il,
+    {
+      removed = c.Rio.Stats.opt_loads_removed;
+      rewritten = c.Rio.Stats.opt_loads_rewritten;
+    } )
 
 let test_rlr_removes_same_reg_reload () =
   let il, st =

@@ -3,9 +3,12 @@
     ({!Rio.Persist}).  Their bytes are pinned here, so a change to the
     code that writes them cannot move a byte unnoticed; and one
     byte-mutation fuzzer drives both decoders, which must answer every
-    mutant with a result and never raise.  The fuzz cases run under a
-    [Unix.alarm] backstop, so a decoder that loops fails the run
-    instead of hanging it. *)
+    mutant with a result and never raise.  The same fuzzer drives the
+    third outside input, [.s] assembly sources, through the parser, the
+    assembler and the image loader, which may refuse a mutant only with
+    their documented errors.  The fuzz cases run under a [Unix.alarm]
+    backstop, so a decoder that loops fails the run instead of hanging
+    it. *)
 
 open Workloads
 
@@ -355,6 +358,111 @@ let fuzz_images seed =
           Hashtbl.replace tally v (n + 1);
           true)
 
+(* --- assembly sources --- *)
+
+(* [p] printed as [.s] source: direct branch targets by label name
+   where one names the address, every other operand as the
+   disassembler prints it. *)
+let print_program (p : Asm.Ast.program) : string =
+  let image = Asm.Assemble.assemble p in
+  let env = Asm.Image.label image in
+  let name_at = Hashtbl.create 64 in
+  List.iter (fun (l, a) -> Hashtbl.replace name_at a l) image.Asm.Image.labels;
+  let insn f =
+    let i = f env in
+    let text = Isa.Disasm.insn_to_string i in
+    match (i.Isa.Insn.opcode, String.split_on_char ' ' text) with
+    | (Isa.Opcode.Jmp | Isa.Opcode.Jcc _ | Isa.Opcode.Call), [ m; target ] -> (
+        match Option.bind (int_of_string_opt target) (Hashtbl.find_opt name_at) with
+        | Some l -> m ^ " " ^ l
+        | None -> text)
+    | _ -> text
+  in
+  let ints l = String.concat ", " (List.map string_of_int l) in
+  let item = function
+    | Asm.Ast.Label l -> l ^ ":"
+    | Ins f -> "  " ^ insn f
+    | Align n -> Printf.sprintf "  .align %d" n
+    | Bytes_lit b -> Printf.sprintf "  .ascii %S" b
+    | Word32 ws -> "  .word " ^ ints (List.map (fun w -> w env) ws)
+    | Float64 fs ->
+        "  .float " ^ String.concat ", " (List.map (Printf.sprintf "%.17g") fs)
+    | Space n -> Printf.sprintf "  .space %d" n
+  in
+  String.concat "\n"
+    ((".entry " ^ p.Asm.Ast.entry) :: ".text" :: List.map item p.text
+    @ (".data" :: List.map item p.data))
+
+(* suite programs printed back to text for the source fuzzer *)
+let printed = [ "gzip"; "parser"; "crafty" ]
+
+let suite_program name = (Option.get (Suite.by_name name)).Workload.program
+
+(* (name, source text) *)
+let asm_sources =
+  lazy
+    (("collatz.s", read_file "../examples/collatz.s")
+    :: List.map (fun name -> (name, print_program (suite_program name))) printed)
+
+(* The unmutated sources are well-formed: each printed program
+   assembles to its original's bytes. *)
+let test_printed_sources () =
+  List.iter
+    (fun name ->
+      let p = suite_program name in
+      let reparsed = Asm.Parse.For_testing.program (print_program p) in
+      let a = Asm.Assemble.assemble p and b = Asm.Assemble.assemble reparsed in
+      Alcotest.(check bool) (name ^ " text") true (Bytes.equal a.text b.text);
+      Alcotest.(check bool) (name ^ " data") true (Bytes.equal a.data b.data))
+    printed;
+  ignore
+    (Asm.Assemble.assemble
+       (Asm.Parse.For_testing.program (read_file "../examples/collatz.s")))
+
+(* outcomes of the current source fuzz case: refused by the parser, by
+   the assembler, or loaded *)
+let source_tally = Array.make 3 0
+
+let report_source_tally () =
+  if Array.exists (( < ) 0) source_tally then
+    Printf.printf "parse errors %d, assembly errors %d, loaded %d\n"
+      source_tally.(0) source_tally.(1) source_tally.(2);
+  Array.fill source_tally 0 3 0
+
+(* Parse, assemble and load each mutant into one reused machine; only
+   [Parse_error] and [Assembly_error] may stop it. *)
+let fuzz_sources seed =
+  let m = lazy (Vm.Machine.create ()) in
+  let gen =
+    QCheck.Gen.(
+      oneofl (Lazy.force asm_sources) >>= fun src ->
+      map (fun mu -> (src, mu)) (gen_mutation (snd src)))
+  in
+  QCheck.Test.make ~count:2000
+    ~name:(Printf.sprintf "mutated .s sources load or fail typed, seed %d" seed)
+    (QCheck.make
+       ~print:(fun ((name, _), mu) -> name ^ ": " ^ mutation_to_string mu)
+       gen)
+    (fun ((_, s), mu) ->
+      let raised what e =
+        QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+      in
+      let count k =
+        source_tally.(k) <- source_tally.(k) + 1;
+        true
+      in
+      match Asm.Parse.For_testing.program (apply ~varints:false s mu) with
+      | exception Asm.Parse.Parse_error _ -> count 0
+      | exception e -> raised "parse" e
+      | prog -> (
+          match Asm.Assemble.assemble prog with
+          | exception Asm.Assemble.Assembly_error _ -> count 1
+          | exception e -> raised "assemble" e
+          | image -> (
+              match Asm.Image.load (Lazy.force m) image with
+              | _ -> count 2
+              | exception e -> raised "load" e)))
+
 (* A loaded mutant's output is tallied, not checked: the checksum is
    the format's only integrity check, and the fuzzer re-stamps it, so
    a rewritten code byte or exit target loads and runs differently. *)
@@ -382,7 +490,13 @@ let () =
             Alcotest.test_case name speed
               (guarded (fun () ->
                    f ();
-                   report_tally ())))
+                   report_tally ();
+                   report_source_tally ())))
           ((1, fuzz_frames)
-          :: List.map (fun seed -> (seed, fuzz_images seed)) [ 1; 2; 3 ]) );
+          :: List.map (fun seed -> (seed, fuzz_images seed)) [ 1; 2; 3 ]
+          @ List.map (fun seed -> (seed, fuzz_sources seed)) [ 1; 2; 3 ])
+        @ [
+            Alcotest.test_case "printed sources reassemble" `Quick
+              test_printed_sources;
+          ] );
     ]

@@ -121,8 +121,8 @@ let diff_final (a : final) (b : final) : string option =
 (* The differential property                                          *)
 (* ------------------------------------------------------------------ *)
 
-let optimize_at level (il : Rio.Instrlist.t) : Rio.Opt.counters =
-  let c = Rio.Opt.fresh_counters () in
+let optimize_at level (il : Rio.Instrlist.t) : Rio.Stats.t =
+  let c = Rio.Stats.create () in
   Rio.Opt.run_passes ~family:Vm.Cost.Pentium4 c
     (Rio.Options.passes_at_level level)
     il;
@@ -205,16 +205,16 @@ let mov_imm r k = Insn.mk_mov (Operand.Reg r) (Operand.Imm k)
    after it proves the write dead, so it must survive. *)
 let test_end_of_list_conservative () =
   let il = il_of_insns [ mov_imm Reg.Eax 5 ] in
-  let c = Rio.Opt.fresh_counters () in
+  let c = Rio.Stats.create () in
   Rio.Opt.For_testing.eliminate_dead c il;
   check "trailing write kept" 1 (Rio.Instrlist.length il);
-  check "no removals" 0 c.Rio.Opt.dead_removed;
+  check "no removals" 0 c.Rio.Stats.opt_dead_removed;
   (* ... while the same write is removed when provably overwritten *)
   let il2 = il_of_insns [ mov_imm Reg.Eax 5; mov_imm Reg.Eax 6 ] in
-  let c2 = Rio.Opt.fresh_counters () in
+  let c2 = Rio.Stats.create () in
   Rio.Opt.For_testing.eliminate_dead c2 il2;
   check "overwritten write removed" 1 (Rio.Instrlist.length il2);
-  check "one removal" 1 c2.Rio.Opt.dead_removed
+  check "one removal" 1 c2.Rio.Stats.opt_dead_removed
 
 (* An undecoded bundle may read anything: every fact must die at its
    boundary, so the overwrite on the far side proves nothing. *)
@@ -224,10 +224,10 @@ let test_bundle_boundary_conservative () =
   Rio.Instrlist.append il (Rio.Create.of_insn (mov_imm Reg.Eax 5));
   Rio.Instrlist.append il (Rio.Instr.of_bundle ~addr:0x2000 nop_raw);
   Rio.Instrlist.append il (Rio.Create.of_insn (mov_imm Reg.Eax 6));
-  let c = Rio.Opt.fresh_counters () in
+  let c = Rio.Stats.create () in
   Rio.Opt.For_testing.eliminate_dead c il;
   check "bundle blocks dead-write removal" 3 (Rio.Instrlist.length il);
-  check "no removals across bundle" 0 c.Rio.Opt.dead_removed
+  check "no removals across bundle" 0 c.Rio.Stats.opt_dead_removed
 
 (* Exit CTIs are full liveness boundaries: an inc whose carry flag is
    only clobbered on the far side of a conditional exit must not be
@@ -237,21 +237,21 @@ let test_exit_cti_conservative () =
   let kill_flags = Insn.mk_add (Operand.Reg Reg.Ebx) (Operand.Imm 1) in
   (* straight line: the add rewrites CF before anything reads it *)
   let il_ok = il_of_insns [ inc_eax; kill_flags ] in
-  let c_ok = Rio.Opt.fresh_counters () in
+  let c_ok = Rio.Stats.create () in
   Rio.Opt.strength_reduce ~family:Vm.Cost.Pentium4 c_ok il_ok;
-  check "inc converted on straight line" 1 c_ok.Rio.Opt.strength;
+  check "inc converted on straight line" 1 c_ok.Rio.Stats.opt_strength_reduced;
   (* same add, but behind a conditional exit *)
   let il_cti =
     il_of_insns [ inc_eax; Insn.mk_jcc Cond.NZ 0x4000; kill_flags ]
   in
-  let c_cti = Rio.Opt.fresh_counters () in
+  let c_cti = Rio.Stats.create () in
   Rio.Opt.strength_reduce ~family:Vm.Cost.Pentium4 c_cti il_cti;
-  check "inc kept before exit CTI" 0 c_cti.Rio.Opt.strength;
+  check "inc kept before exit CTI" 0 c_cti.Rio.Stats.opt_strength_reduced;
   (* and the whole transformation is gated on the processor family *)
   let il_p3 = il_of_insns [ inc_eax; kill_flags ] in
-  let c_p3 = Rio.Opt.fresh_counters () in
+  let c_p3 = Rio.Stats.create () in
   Rio.Opt.strength_reduce ~family:Vm.Cost.Pentium3 c_p3 il_p3;
-  check "inc kept on P3" 0 c_p3.Rio.Opt.strength
+  check "inc kept on P3" 0 c_p3.Rio.Stats.opt_strength_reduced
 
 (* A push writes [esp-4], and a slot addressed off another base may be
    that very word: here [ebp] is a copy of [esp].  The reload after the
@@ -279,7 +279,7 @@ let test_push_kills_other_base_facts () =
   List.iter
     (fun consts ->
       let il = il_of_insns push_alias_insns in
-      Rio.Opt.remove_redundant_loads ~consts (Rio.Opt.fresh_counters ()) il;
+      Rio.Opt.remove_redundant_loads ~consts (Rio.Stats.create ()) il;
       same (Printf.sprintf "load removal, consts %b" consts) il)
     [ true; false ];
   let il = il_of_insns push_alias_insns in
@@ -307,7 +307,7 @@ let test_pop_kills_esp_holder () =
   List.iter
     (fun consts ->
       let il = il_of_insns insns in
-      Rio.Opt.remove_redundant_loads ~consts (Rio.Opt.fresh_counters ()) il;
+      Rio.Opt.remove_redundant_loads ~consts (Rio.Stats.create ()) il;
       match diff_final native (run_code (encode_il il)) with
       | None -> ()
       | Some d -> Alcotest.failf "load removal, consts %b: %s" consts d)
@@ -326,9 +326,9 @@ let test_exit_check_peephole () =
         Insn.mk_cmp (Operand.Mem slot) (Operand.Imm 7);
       ]
   in
-  let c = Rio.Opt.fresh_counters () in
+  let c = Rio.Stats.create () in
   Rio.Opt.For_testing.simplify_exit_checks c il;
-  check "check simplified" 1 c.Rio.Opt.checks_simplified;
+  check "check simplified" 1 c.Rio.Stats.opt_checks_simplified;
   check "store kept" 2 (Rio.Instrlist.length il);
   (match Rio.Instrlist.last il with
   | Some i ->
@@ -339,7 +339,7 @@ let test_exit_check_peephole () =
   | None -> Alcotest.fail "empty IL");
   (* jcc T; jmp T — the conditional is unobservable *)
   let il2 = il_of_insns [ Insn.mk_jcc Cond.NZ 0x4000; Insn.mk_jmp 0x4000 ] in
-  let c2 = Rio.Opt.fresh_counters () in
+  let c2 = Rio.Stats.create () in
   Rio.Opt.For_testing.simplify_exit_checks c2 il2;
   check "same-target jcc removed" 1 (Rio.Instrlist.length il2)
 
@@ -371,9 +371,9 @@ let test_flag_elide_fires () =
   let dead_tail = [ Insn.mk_cmp (Operand.Reg Reg.Eax) (Operand.Imm 0) ] in
   let il, jcc = flag_bracket ~tail:dead_tail in
   let before = Rio.Instrlist.length il in
-  let c = Rio.Opt.fresh_counters () in
+  let c = Rio.Stats.create () in
   Rio.Opt.For_testing.elide_flag_saves c il;
-  check "bracket elided" 1 c.Rio.Opt.flag_saves_elided;
+  check "bracket elided" 1 c.Rio.Stats.opt_flag_saves_elided;
   check "four instructions gone" (before - 4) (Rio.Instrlist.length il);
   Alcotest.(check bool)
     "custom stub note cleared" true
@@ -381,10 +381,10 @@ let test_flag_elide_fires () =
   (* without the flag-killing tail the flags are live-out: keep it *)
   let il2, _ = flag_bracket ~tail:[] in
   let before2 = Rio.Instrlist.length il2 in
-  let c2 = Rio.Opt.fresh_counters () in
+  let c2 = Rio.Stats.create () in
   Rio.Opt.For_testing.elide_flag_saves c2 il2;
   check "live flags keep the bracket" before2 (Rio.Instrlist.length il2);
-  check "no elisions" 0 c2.Rio.Opt.flag_saves_elided
+  check "no elisions" 0 c2.Rio.Stats.opt_flag_saves_elided
 
 (* ------------------------------------------------------------------ *)
 (* Speculation and mid-trace deoptimization (DESIGN.md §6.7)          *)

@@ -31,7 +31,7 @@ let () =
     (float_of_int opt.cycles /. float_of_int native.cycles)
     s.Rio.Stats.traces_built s.Rio.Stats.ibl_lookups;
   Printf.printf "call sites marked as trace heads: %d\n"
-    t.Clients.Ctraces.heads_marked;
+    (Clients.Ctraces.heads_marked t);
   Printf.printf "returns removed under the calling-convention assumption: %d\n"
-    t.Clients.Ctraces.returns_elided;
+    (Clients.Ctraces.returns_elided t);
   Printf.printf "%s" (Rio.Api.client_output rt)

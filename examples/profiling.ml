@@ -13,7 +13,7 @@ let () =
 
   Printf.printf "gzip-like workload under the edge-profiling client\n\n";
   Printf.printf "distinct control-flow edges observed: %d\n"
-    (Hashtbl.length t.Clients.Edgeprof.edges);
+    (Clients.Edgeprof.edge_count t);
   Printf.printf "hottest edges (block -> block : executions):\n";
   List.iter
     (fun (a, b, c) -> Printf.printf "  0x%04x -> 0x%04x : %7d\n" a b c)

@@ -105,5 +105,8 @@ let make ?(dynamic = false) () : client * counts =
     c )
 
 module For_testing = struct
+  let static_insns c = c.static_insns
+  let dynamic_blocks c = c.dynamic_blocks
+  let executions c tag = Option.value (Hashtbl.find_opt c.executions tag) ~default:0
   let make_emitted = make_emitted
 end

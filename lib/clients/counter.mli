@@ -1,16 +1,18 @@
 (** Instrumentation example: basic-block and instruction counting. *)
 
-type counts = {
-  mutable blocks_seen : int;
-  mutable static_insns : int;
-  mutable dynamic_blocks : int;
-  executions : (int, int) Hashtbl.t;  (* tag -> executions (dynamic mode) *)
-}
+type counts
 
 val make : ?dynamic:bool -> unit -> Rio.Types.client * counts
 
 (** Test hooks: not part of the runtime's interface. *)
 module For_testing : sig
+  val static_insns : counts -> int
+
+  val dynamic_blocks : counts -> int
+
+  val executions : counts -> int -> int
+  (** Executions of one block tag (dynamic mode). *)
+
   val make_emitted : unit -> Rio.Types.client * (unit -> (int * int) list)
   (** Low-overhead execution counting: instead of a clean call (a full
       context save around a host callback), emit an [inc] on a counter in

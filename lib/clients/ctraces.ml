@@ -259,3 +259,6 @@ let make ?(max_blocks = 12) () : client * t =
             t.heads_marked t.returns_elided);
     },
     t )
+
+let heads_marked t = t.heads_marked
+let returns_elided t = t.returns_elided

@@ -21,6 +21,8 @@ let record (t : t) ~tid ~tag =
    | None -> ());
   t.last <- (tid, tag) :: List.remove_assoc tid t.last
 
+let edge_count t = Hashtbl.length t.edges
+
 (** The [n] hottest edges, descending. *)
 let hot_edges (t : t) n =
   Hashtbl.fold (fun e c acc -> (c, e) :: acc) t.edges []

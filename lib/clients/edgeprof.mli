@@ -4,10 +4,10 @@
     the paper's "profiling, statistics gathering" use cases; its output
     identifies the hot paths traces should capture. *)
 
-type t = {
-  edges : (int * int, int) Hashtbl.t;
-  mutable last : (int * int) list;  (* per tid: last tag executed *)
-}
+type t
+
+val edge_count : t -> int
+(** Distinct edges recorded. *)
 
 val hot_edges : t -> int -> (int * int * int) list
 (** The [n] hottest edges, descending. *)

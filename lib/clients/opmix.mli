@@ -1,14 +1,6 @@
 (** Dynamic opcode-mix statistics (§7's "statistics gathering"). *)
 
-open Isa
-
-open Rio.Types
-
-type t = {
-  (* per-tag: execution counter address + static opcode histogram *)
-  blocks : (int, int * (Opcode.t * int) list) Hashtbl.t;
-  mutable rt : runtime option;
-}
+type t
 
 val make : unit -> Rio.Types.client * t
 

@@ -1,11 +1,8 @@
 (** Program shepherding (paper §1/§7; Kiriansky, Bruening &
     Amarasinghe, USENIX Security 2002 — the paper's reference [23]). *)
 
-type policy = {
-  code_lo : int;  (** approved executable region: [code_lo, code_hi) *)
-  code_hi : int;
-  check_returns : bool;
-}
+type policy
+(** The approved executable region and whether returns are checked. *)
 
 val policy_of_image : ?check_returns:bool -> Asm.Image.t -> policy
 (** Approve exactly the program image's text segment. *)

@@ -14,81 +14,13 @@
     the trace builder and the cost model use are field reads of that
     row or derived from it. *)
 
-type t =
-  (* data movement *)
-  | Mov
-  | Movzx8            (** load 8 bits, zero-extend *)
-  | Movzx16           (** load 16 bits, zero-extend *)
-  | Lea
-  | Push
-  | Pop
-  | Xchg
-  | Pushf             (** push eflags *)
-  | Popf              (** pop eflags *)
-  (* integer arithmetic *)
-  | Add
-  | Adc
-  | Sub
-  | Sbb
-  | Inc
-  | Dec
-  | Neg
-  | Cmp
-  | Imul              (** two-operand: dst = dst * src *)
-  | Idiv              (** eax = eax / src, edx = eax mod src (signed) *)
-  (* logic *)
-  | And
-  | Or
-  | Xor
-  | Not
-  | Test
-  (* shifts *)
-  | Shl
-  | Shr
-  | Sar
-  (* control transfer *)
-  | Jmp               (** direct unconditional *)
-  | JmpInd            (** indirect through register/memory *)
-  | Jcc of Cond.t
-  | Call              (** direct call *)
-  | CallInd
-  | Ret
-  (* floating point (64-bit IEEE double) *)
-  | Fld               (** freg <- mem *)
-  | Fst               (** mem <- freg *)
-  | Fmov              (** freg <- freg *)
-  | Fadd
-  | Fsub
-  | Fmul
-  | Fdiv
-  | Fabs
-  | Fneg
-  | Fsqrt
-  | Fcmp              (** compare, sets ZF/PF/CF like comisd *)
-  | Cvtsi             (** freg <- signed gpr *)
-  | Cvtfi             (** gpr <- freg, truncating *)
-  (* system *)
-  | Nop
-  | Hlt
-  | Out               (** write gpr to output port (the VM's "syscall") *)
-  | In                (** read next value from input port into gpr *)
-  | Ccall             (** runtime-reserved: clean call into the host *)
+include Opcode_t
 
 let equal (a : t) (b : t) = a = b
 
 (* ------------------------------------------------------------------ *)
 (* Effects                                                            *)
 (* ------------------------------------------------------------------ *)
-
-type cti_kind =
-  | Not_cti
-  | Cti_direct_jmp
-  | Cti_cond          (** conditional direct branch *)
-  | Cti_ind_jmp
-  | Cti_direct_call
-  | Cti_ind_call
-  | Cti_return
-  | Cti_halt
 
 (* Memory an opcode reads or writes at [%esp] beyond its Mem operands. *)
 type stack = No_stack | Stack_read | Stack_write

@@ -5,58 +5,7 @@
     runtime (clean calls emitted into code caches); application code
     never contains it. *)
 
-type t =
-  | Mov
-  | Movzx8
-  | Movzx16
-  | Lea
-  | Push
-  | Pop
-  | Xchg
-  | Pushf
-  | Popf
-  | Add
-  | Adc
-  | Sub
-  | Sbb
-  | Inc
-  | Dec
-  | Neg
-  | Cmp
-  | Imul
-  | Idiv
-  | And
-  | Or
-  | Xor
-  | Not
-  | Test
-  | Shl
-  | Shr
-  | Sar
-  | Jmp
-  | JmpInd
-  | Jcc of Cond.t
-  | Call
-  | CallInd
-  | Ret
-  | Fld
-  | Fst
-  | Fmov
-  | Fadd
-  | Fsub
-  | Fmul
-  | Fdiv
-  | Fabs
-  | Fneg
-  | Fsqrt
-  | Fcmp
-  | Cvtsi
-  | Cvtfi
-  | Nop
-  | Hlt
-  | Out
-  | In
-  | Ccall
+include module type of struct include Opcode_t end
 
 val equal : t -> t -> bool
 
@@ -77,16 +26,6 @@ val pp : Format.formatter -> t -> unit
 val eflags : t -> Eflags.mask
 (** Read/write effects on the flags register.  Flags IA-32 leaves
     undefined are defined as written, deterministically. *)
-
-type cti_kind =
-  | Not_cti
-  | Cti_direct_jmp
-  | Cti_cond
-  | Cti_ind_jmp
-  | Cti_direct_call
-  | Cti_ind_call
-  | Cti_return
-  | Cti_halt
 
 val mem_width : t -> int
 (** Bytes a memory operand moves: 8 for the FP opcodes, 4 otherwise. *)

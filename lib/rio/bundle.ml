@@ -24,37 +24,14 @@
 (* Types                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(** Where a bundle came from.  Informational only: excluded from
-    {!digest} so re-stamping provenance never changes identity. *)
-type provenance = {
-  pv_created_by : string;  (** producer, e.g. ["autotune"] or ["hand"] *)
-  pv_created_at : string;  (** timestamp or build tag, free-form *)
-  pv_objective : string;   (** objective the bundle was tuned against *)
-  pv_note : string;
-}
+include Bundle_t
 
 let default_provenance =
   { pv_created_by = "hand"; pv_created_at = ""; pv_objective = ""; pv_note = "" }
 
-type t = {
-  b_opts : Options.t;                (** engine knobs, incl. cost model *)
-  b_pool : Options.pool_opts;        (** pool sizing / supervision *)
-  b_overrides : (string * int) list;
-      (** per-workload-key opt-level overrides, kept sorted by key *)
-  b_provenance : provenance;
-}
-
 (** Current serialization format.  Bump on incompatible schema change;
     older files are refused with {!Stale_version}. *)
 let format_version = 1
-
-type error =
-  | Io_error of string         (** file could not be read/written *)
-  | Parse_error of string      (** malformed JSON *)
-  | Unknown_key of string      (** object key not in the schema, path-qualified *)
-  | Bad_value of string * string  (** field path, what is wrong with it *)
-  | Stale_version of int       (** [bundle_version] ≠ {!format_version} *)
-  | Invalid_bundle of string   (** rejected by options/pool validation *)
 
 let error_to_string = function
   | Io_error m -> "bundle i/o error: " ^ m
@@ -351,3 +328,10 @@ let save (path : string) (b : t) : (unit, error) result =
   with
   | exception Sys_error m -> Error (Io_error m)
   | () -> Ok ()
+
+module For_testing = struct
+  let to_json = to_json
+  let of_json = of_json
+  let to_string = to_string
+  let of_string = of_string
+end

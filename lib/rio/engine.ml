@@ -10,22 +10,7 @@ open Types
 
 type t = runtime
 
-type stop_reason =
-  | All_exited
-  | App_fault of string
-  | Cycle_limit
-  | Deadline_exceeded
-      (** the per-request watchdog (see {!set_watchdog}) fired: the run
-          was preempted at a fragment boundary *)
-  | Crashed of string
-      (** produced only by {!Pool}'s exception barrier, never by
-          {!run}: an uncaught exception escaped the engine *)
-
-type outcome = {
-  reason : stop_reason;
-  cycles : int;
-  insns : int;
-}
+include Engine_t
 
 let stats (rt : t) = rt.stats
 let machine (rt : t) = rt.machine

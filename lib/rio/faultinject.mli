@@ -35,7 +35,7 @@ val default_chaos : chaos_opts
     stream (seed mixed with the worker id), so concurrent workers never
     race on injector state and a (seed, worker, request-order) triple
     replays deterministically. *)
-type chaos_state = { mutable cs_lcg : int; cs_opts : chaos_opts }
+type chaos_state
 
 val chaos_make : chaos_opts -> salt:int -> chaos_state
 

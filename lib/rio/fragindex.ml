@@ -9,33 +9,7 @@
     the table's generation; {!flush_fragments} bumps the generation,
     invalidating every slot at once without walking the table. *)
 
-type profile = {
-  mutable p_t1 : int;
-  mutable p_n1 : int;
-  mutable p_t2 : int;
-  mutable p_n2 : int;
-  mutable p_other : int;
-  mutable p_total : int;
-}
-
-type 'a entry = {
-  key : int;
-  mutable fgen : int;
-  mutable bb : 'a option;
-  mutable trace : 'a option;
-  mutable ibl : 'a option;
-  mutable head : int;
-  mutable marked : bool;
-  mutable prof : profile option;
-  mutable head_cycles : int;
-  mutable nospec : bool;
-      (* despeculation verdict: a constant-load guard at this site
-         already died once (Opt.despec cut it), so trace building must
-         not re-speculate on observed constants here.  Like head
-         counters and profiles this describes the application, not a
-         cached fragment — it survives flushes, warm resets, and (via
-         a saved cache image) travels to the next instance *)
-}
+include Fragindex_t
 
 type 'a cell = Empty | Entry of 'a entry
 

@@ -13,32 +13,7 @@
 
 open Isa
 
-type payload =
-  | Bundle of { raw : Bytes.t; addr : int }
-      (** L0: one or more un-decoded instructions; only the end is a
-          known boundary.  [addr] is the original address of the bytes. *)
-  | Raw of { raw : Bytes.t; addr : int }
-      (** L1: one un-decoded instruction. *)
-  | RawOp of { raw : Bytes.t; addr : int; opcode : Opcode.t }
-      (** L2: opcode + eflags known. *)
-  | Full of { raw : Bytes.t option; raw_valid : bool; addr : int; insn : Insn.t }
-      (** L3 when [raw_valid] (bytes usable for encoding), L4 otherwise.
-          Like DynamoRIO, invalidation keeps the raw-bits field (and its
-          storage) and merely marks it unusable. *)
-
-type t = {
-  mutable payload : payload;
-  mutable note : note;
-  mutable prev : t option;
-  mutable next : t option;
-  mutable owner : int;  (** id of the containing list, 0 = none *)
-}
-
-and note = No_note | Int_note of int | Any_note of exn
-
-(* Clients attach arbitrary annotations by declaring an exception
-   constructor carrying their payload — the classic OCaml universal
-   type.  [Int_note] covers the common case cheaply. *)
+include Instr_t
 
 let make payload = { payload; note = No_note; prev = None; next = None; owner = 0 }
 

@@ -11,29 +11,7 @@
 
 open Isa
 
-type payload =
-  | Bundle of { raw : Bytes.t; addr : int }
-      (** L0: one or more un-decoded instructions. *)
-  | Raw of { raw : Bytes.t; addr : int }
-      (** L1: one un-decoded instruction. *)
-  | RawOp of { raw : Bytes.t; addr : int; opcode : Opcode.t }
-      (** L2: opcode + eflags known. *)
-  | Full of { raw : Bytes.t option; raw_valid : bool; addr : int; insn : Insn.t }
-      (** L3 when [raw_valid]; L4 otherwise (storage kept, like
-          DynamoRIO, but unusable for encoding). *)
-
-type t = {
-  mutable payload : payload;
-  mutable note : note;
-  mutable prev : t option;
-  mutable next : t option;
-  mutable owner : int;
-}
-
-and note = No_note | Int_note of int | Any_note of exn
-    (** Client annotation slot (paper §3.2).  [Any_note] carries an
-        arbitrary payload via an exception constructor — the classic
-        OCaml universal type. *)
+include module type of struct include Instr_t end
 
 (** {2 Construction} *)
 

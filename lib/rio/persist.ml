@@ -80,7 +80,7 @@ let error_to_string = function
 
 (** What a successful load did: fragments skipped are those that did
     not fit the loading runtime's (possibly smaller) cache region. *)
-type summary = { threads : int; fragments : int; skipped : int }
+type summary = { fragments : int; skipped : int }
 
 (* ------------------------------------------------------------------ *)
 (* Tag tables                                                         *)
@@ -561,7 +561,7 @@ let load (rt : runtime) ~(image_digest : int) ~(path : string) :
     (* drop the fabricated threads; per-tid state (the warm cache)
        survives and re-attaches on the first request *)
     Vm.Machine.reset_for_run rt.machine;
-    { threads = List.length sections; fragments = !fragments; skipped = !skipped }
+    { fragments = !fragments; skipped = !skipped }
   in
   let header c =
     let m = Codec.raw c (String.length magic) in

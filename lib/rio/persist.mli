@@ -20,7 +20,7 @@ val error_to_string : error -> string
 
 (** What a successful load did: fragments skipped are those that did
     not fit the loading runtime's (possibly smaller) cache region. *)
-type summary = { threads : int; fragments : int; skipped : int }
+type summary = { fragments : int; skipped : int }
 
 val save : Types.runtime -> image_digest:int -> path:string -> int
 (** Serialize the runtime's warm state to [path] (written atomically

@@ -137,62 +137,7 @@ end
 (* Requests and results                                               *)
 (* ------------------------------------------------------------------ *)
 
-type boot = {
-  boot_machine : unit -> Vm.Machine.t;
-      (** create a machine with the program image cold-loaded
-          (see {!Asm.Image.load_cold}); no thread yet *)
-  boot_entry : int;
-  boot_stack_top : int;
-  boot_restore : Vm.Machine.t -> zeroed:(int * int) list -> (int * int) list;
-      (** re-blit image slices over just-zeroed pages
-          (see {!Asm.Image.restore}) *)
-  boot_opts : Options.t;
-  boot_client : unit -> Types.client;
-      (** fresh client per instance: client state must be per-domain *)
-  boot_image_digest : int;
-      (** {!Asm.Image.digest} of the program: stamps saved cache images
-          and validates loaded ones *)
-  boot_cache : string option;
-      (** path of a saved cache image ({!Persist}) to warm-boot every
-          new instance of this key from; a refused load (different
-          program or options, corruption, truncation) falls back to a
-          plain cold boot *)
-}
-
-type request = {
-  req_id : int;            (** caller-chosen correlation id, echoed in the result *)
-  req_key : string;        (** workload key; selects the boot and the warm instance *)
-  req_seed : int;
-  req_input : int list;    (** full input stream for this request *)
-  req_expect : int list option;  (** expected output (native reference), if known *)
-}
-
-type result = {
-  res_id : int;            (** the request's [req_id] *)
-  res_key : string;
-  res_seed : int;
-  res_worker : int;        (** domain that executed the final attempt *)
-  res_warm : bool;         (** final attempt served by an already-warm instance *)
-  res_attempts : int;      (** total attempts, including the successful/last one *)
-  res_output : int list;
-  res_reason : Engine.stop_reason;
-  res_cycles : int;        (** simulated cycles of the final attempt *)
-  res_insns : int;
-  res_blocks_built : int;  (** basic blocks built during the final attempt *)
-  res_secs : float;        (** host wall-clock seconds of the final attempt *)
-  res_ok : bool;           (** exited normally and matched [req_expect] *)
-}
-
-(** Why {!submit} or {!try_submit} refused a request. *)
-type reject =
-  | Unknown_key of string  (** no boot registered for this workload key *)
-  | Quarantined of string  (** the key's circuit breaker is open and a
-                               probe is already in flight *)
-  | Overloaded of int * int
-      (** admission bound hit: [(admitted, accept_queue)] — the
-          non-blocking {!try_submit} path sheds instead of queueing
-          without bound *)
-  | Pool_stopping
+include Pool_t
 
 let reject_to_string = function
   | Unknown_key k -> Printf.sprintf "no boot registered for key %S" k
@@ -200,40 +145,6 @@ let reject_to_string = function
   | Overloaded (n, cap) ->
       Printf.sprintf "pool overloaded: %d requests admitted (bound %d)" n cap
   | Pool_stopping -> "pool is shut down"
-
-type snapshot = {
-  snap_domains : int;
-  snap_submitted : int;
-  snap_completed : int;
-  snap_steals : int;
-      (** always 0: there is no work stealing; kept while [perf/] reads it *)
-  snap_warm_hits : int;
-  snap_cold_boots : int;
-  snap_busy_cycles : int array;  (** per-worker simulated cycles served *)
-  snap_stats : Stats.t;          (** merge over all live warm instances *)
-  snap_serve_lat : Stats.hist;   (** per-request service latency, sim cycles *)
-  (* --- supervision (DESIGN.md §6.6) --- *)
-  snap_crashes : int;            (** attempts that ended in [Crashed] *)
-  snap_deadline_hits : int;      (** attempts preempted by the watchdog *)
-  snap_retries : int;            (** retry-ladder activations *)
-  snap_requeues : int;           (** jobs the supervisor pushed back onto
-                                     the queue after a worker died *)
-  snap_respawns : int;           (** worker domains respawned by the supervisor *)
-  snap_reloads : int;            (** {!drain_and_reload} cycles completed *)
-  snap_rejected_unknown : int;
-  snap_rejected_quarantined : int;
-  snap_quarantine_opens : int;   (** circuit breakers opened *)
-  snap_quarantine_closes : int;  (** breakers closed by a successful request *)
-  snap_probes : int;             (** probe requests admitted through open breakers *)
-  snap_quarantined_now : int;    (** keys whose breaker is open right now *)
-  (* --- persistent cache images (DESIGN.md §6.8) --- *)
-  snap_cache_loads : int;        (** instances warm-booted from a saved image *)
-  snap_cache_refused : int;      (** image loads refused (fell back to cold) *)
-  (* --- serving front-end (DESIGN.md §6.10) --- *)
-  snap_shed : int;               (** {!try_submit} rejections for overload *)
-  snap_batch_hits : int;         (** same-key claims by the batcher *)
-  snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)
-}
 
 (* ------------------------------------------------------------------ *)
 
@@ -271,19 +182,11 @@ type quar = {
   mutable q_probe : bool;  (* a probe request is in flight *)
 }
 
-type t = {
-  mu : Mutex.t;
-  work_cv : Condition.t;    (* workers: new work or shutdown *)
-  space_cv : Condition.t;   (* submitters: in-flight fell below cap *)
-  done_cv : Condition.t;    (* drainers/reloaders: completed caught up *)
-  sup_cv : Condition.t;     (* supervisor: a worker domain died *)
-  workers : worker array;
-  queue : job Deque.t;            (* admitted, unclaimed jobs *)
-  boots : (string * boot) list;   (* immutable after create *)
-  cfg : Options.pool_opts;
+(* The pool's throughput and supervision counters, all under the pool
+   mutex; [stats] copies them into a {!snapshot}. *)
+type counts = {
   mutable submitted : int;
   mutable completed : int;
-  mutable active : int;           (* claimed-but-unfinished jobs *)
   mutable warm_hits : int;
   mutable cold_boots : int;
   mutable crashes : int;
@@ -300,6 +203,42 @@ type t = {
   mutable shed : int;             (* try_submit overload rejections *)
   mutable batch_hits : int;       (* claims where the batcher reordered *)
   mutable prewarm_boots : int;
+}
+
+let fresh () =
+  {
+    submitted = 0;
+    completed = 0;
+    warm_hits = 0;
+    cold_boots = 0;
+    crashes = 0;
+    deadline_hits = 0;
+    retries = 0;
+    requeues = 0;
+    respawns = 0;
+    reloads = 0;
+    rejected_unknown = 0;
+    rejected_quarantined = 0;
+    quarantine_opens = 0;
+    quarantine_closes = 0;
+    probes = 0;
+    shed = 0;
+    batch_hits = 0;
+    prewarm_boots = 0;
+  }
+
+type t = {
+  mu : Mutex.t;
+  work_cv : Condition.t;    (* workers: new work or shutdown *)
+  space_cv : Condition.t;   (* submitters: in-flight fell below cap *)
+  done_cv : Condition.t;    (* drainers/reloaders: completed caught up *)
+  sup_cv : Condition.t;     (* supervisor: a worker domain died *)
+  workers : worker array;
+  queue : job Deque.t;            (* admitted, unclaimed jobs *)
+  boots : (string * boot) list;   (* immutable after create *)
+  cfg : Options.pool_opts;
+  mutable counts : counts;       (* zeroed by reset_counters *)
+  mutable active : int;           (* claimed-but-unfinished jobs *)
   mutable serve_lat : Stats.hist; (* final attempts' simulated cycles *)
   quar : (string, quar) Hashtbl.t;
   cache_loads : int Atomic.t;     (* image loads; bumped by whichever
@@ -326,7 +265,7 @@ let quar_state pool key : quar =
 (* Broadcast the drain/reload condition when the relevant counter
    caught up; call with the pool mutex held. *)
 let note_progress pool =
-  if pool.completed = pool.submitted then Condition.broadcast pool.done_cv;
+  if pool.counts.completed = pool.counts.submitted then Condition.broadcast pool.done_cv;
   if pool.reloading && pool.active = 0 then Condition.broadcast pool.done_cv
 
 (* ------------------------------------------------------------------ *)
@@ -360,7 +299,7 @@ let prewarm_worker pool (w : worker) : unit =
   List.iter
     (fun (key, boot) ->
       ignore (boot_instance pool w key boot);
-      pool.prewarm_boots <- pool.prewarm_boots + 1)
+      pool.counts.prewarm_boots <- pool.counts.prewarm_boots + 1)
     pool.boots
 
 (* ------------------------------------------------------------------ *)
@@ -517,16 +456,16 @@ let serve_barrier pool (w : worker) (j : job) : result =
 let record_final pool (w : worker) (j : job) (res : result) : unit =
   w.w_current <- None;
   pool.active <- pool.active - 1;
-  pool.completed <- pool.completed + 1;
-  if res.res_warm then pool.warm_hits <- pool.warm_hits + 1
-  else pool.cold_boots <- pool.cold_boots + 1;
+  pool.counts.completed <- pool.counts.completed + 1;
+  if res.res_warm then pool.counts.warm_hits <- pool.counts.warm_hits + 1
+  else pool.counts.cold_boots <- pool.counts.cold_boots + 1;
   if pool.results = [] then pool.notify ();
   pool.results <- res :: pool.results;
   let q = quar_state pool j.jr.req_key in
   if res.res_ok then begin
     if q.q_open then begin
       q.q_open <- false;
-      pool.quarantine_closes <- pool.quarantine_closes + 1
+      pool.counts.quarantine_closes <- pool.counts.quarantine_closes + 1
     end;
     q.q_fails <- 0;
     q.q_probe <- false
@@ -537,7 +476,7 @@ let record_final pool (w : worker) (j : job) (res : result) : unit =
     if (not q.q_open) && q.q_fails >= pool.cfg.Options.quarantine_threshold
     then begin
       q.q_open <- true;
-      pool.quarantine_opens <- pool.quarantine_opens + 1
+      pool.counts.quarantine_opens <- pool.counts.quarantine_opens + 1
     end
   end;
   Stats.hist_add pool.serve_lat res.res_cycles;
@@ -556,8 +495,8 @@ let rec serve_with_retries pool (w : worker) (j : job) : unit =
   let res = serve_barrier pool w j in
   Mutex.lock pool.mu;
   (match res.res_reason with
-   | Engine.Crashed _ -> pool.crashes <- pool.crashes + 1
-   | Engine.Deadline_exceeded -> pool.deadline_hits <- pool.deadline_hits + 1
+   | Engine.Crashed _ -> pool.counts.crashes <- pool.counts.crashes + 1
+   | Engine.Deadline_exceeded -> pool.counts.deadline_hits <- pool.counts.deadline_hits + 1
    | _ -> ());
   w.w_busy_cycles <- w.w_busy_cycles + res.res_cycles;
   if res.res_ok || j.j_attempt >= pool.cfg.Options.retries then begin
@@ -569,7 +508,7 @@ let rec serve_with_retries pool (w : worker) (j : job) : unit =
     Mutex.unlock pool.mu
   end
   else begin
-    pool.retries <- pool.retries + 1;
+    pool.counts.retries <- pool.counts.retries + 1;
     j.j_attempt <- j.j_attempt + 1;
     if j.j_attempt >= 2 then j.j_force_cold <- true;
     Mutex.unlock pool.mu;
@@ -594,7 +533,7 @@ let claim pool (w : worker) : job option =
       match Deque.find_front q ~window:batch_window (fun j -> j.jr.req_key = key) with
       | Some i when i > 0 ->
           front.j_passed <- front.j_passed + 1;
-          pool.batch_hits <- pool.batch_hits + 1;
+          pool.counts.batch_hits <- pool.counts.batch_hits + 1;
           Deque.remove_at q i
       | _ -> Deque.pop_front q)
   | _ -> Deque.pop_front q
@@ -649,10 +588,10 @@ let rec supervisor_loop pool : unit =
            Deque.push_front pool.queue j;
            w.w_current <- None;
            pool.active <- pool.active - 1;
-           pool.requeues <- pool.requeues + 1;
+           pool.counts.requeues <- pool.counts.requeues + 1;
            note_progress pool
        | None -> ());
-      pool.respawns <- pool.respawns + 1;
+      pool.counts.respawns <- pool.counts.respawns + 1;
       let h = Domain.spawn (fun () -> worker_body pool w) in
       pool.handles <- h :: pool.handles;
       Condition.broadcast pool.work_cv;
@@ -688,25 +627,8 @@ let create ?(cfg = Options.default_pool) ?chaos
       queue = Deque.create ~capacity:16 ();
       boots;
       cfg;
-      submitted = 0;
-      completed = 0;
+      counts = fresh ();
       active = 0;
-      warm_hits = 0;
-      cold_boots = 0;
-      crashes = 0;
-      deadline_hits = 0;
-      retries = 0;
-      requeues = 0;
-      respawns = 0;
-      reloads = 0;
-      rejected_unknown = 0;
-      rejected_quarantined = 0;
-      quarantine_opens = 0;
-      quarantine_closes = 0;
-      probes = 0;
-      shed = 0;
-      batch_hits = 0;
-      prewarm_boots = 0;
       serve_lat = Stats.hist_create ();
       quar = Hashtbl.create 8;
       cache_loads = Atomic.make 0;
@@ -737,13 +659,13 @@ let create ?(cfg = Options.default_pool) ?chaos
 let admission_check pool (r : request) : (quar, reject) Stdlib.result =
   if pool.stopping then Error Pool_stopping
   else if not (List.mem_assoc r.req_key pool.boots) then begin
-    pool.rejected_unknown <- pool.rejected_unknown + 1;
+    pool.counts.rejected_unknown <- pool.counts.rejected_unknown + 1;
     Error (Unknown_key r.req_key)
   end
   else begin
     let q = quar_state pool r.req_key in
     if q.q_open && q.q_probe then begin
-      pool.rejected_quarantined <- pool.rejected_quarantined + 1;
+      pool.counts.rejected_quarantined <- pool.counts.rejected_quarantined + 1;
       Error (Quarantined r.req_key)
     end
     else Ok q
@@ -756,11 +678,11 @@ let enqueue pool (r : request) (q : quar) : unit =
      through an open breaker; its outcome closes or re-arms it *)
   if q.q_open then begin
     q.q_probe <- true;
-    pool.probes <- pool.probes + 1
+    pool.counts.probes <- pool.counts.probes + 1
   end;
   Deque.push_back pool.queue
     { jr = r; j_attempt = 0; j_force_cold = false; j_passed = 0 };
-  pool.submitted <- pool.submitted + 1;
+  pool.counts.submitted <- pool.counts.submitted + 1;
   Condition.broadcast pool.work_cv
 
 let submit pool (r : request) : (unit, reject) Stdlib.result =
@@ -770,7 +692,7 @@ let submit pool (r : request) : (unit, reject) Stdlib.result =
       Mutex.unlock pool.mu;
       Error e
   | Ok q ->
-      while pool.submitted - pool.completed >= pool.cfg.Options.max_inflight do
+      while pool.counts.submitted - pool.counts.completed >= pool.cfg.Options.max_inflight do
         Condition.wait pool.space_cv pool.mu
       done;
       enqueue pool r q;
@@ -789,9 +711,9 @@ let try_submit pool (r : request) : (unit, reject) Stdlib.result =
       Mutex.unlock pool.mu;
       Error e
   | Ok q ->
-      let admitted = pool.submitted - pool.completed in
+      let admitted = pool.counts.submitted - pool.counts.completed in
       if admitted >= pool.cfg.Options.accept_queue then begin
-        pool.shed <- pool.shed + 1;
+        pool.counts.shed <- pool.counts.shed + 1;
         Mutex.unlock pool.mu;
         Error (Overloaded (admitted, pool.cfg.Options.accept_queue))
       end
@@ -819,7 +741,7 @@ let set_notify pool (f : unit -> unit) : unit =
 
 let drain pool : result list =
   Mutex.lock pool.mu;
-  while pool.completed < pool.submitted do
+  while pool.counts.completed < pool.counts.submitted do
     Condition.wait pool.done_cv pool.mu
   done;
   let rs = List.rev pool.results in
@@ -852,7 +774,7 @@ let drain_and_reload ?(rebuild = false) pool : unit =
       if rebuild then prewarm_worker pool w)
     pool.workers;
   Hashtbl.reset pool.quar;
-  pool.reloads <- pool.reloads + 1;
+  pool.counts.reloads <- pool.counts.reloads + 1;
   pool.reloading <- false;
   Condition.broadcast pool.work_cv;
   Mutex.unlock pool.mu
@@ -861,28 +783,11 @@ let drain_and_reload ?(rebuild = false) pool : unit =
     when drained (no request in flight). *)
 let reset_counters pool : unit =
   Mutex.lock pool.mu;
-  if pool.completed <> pool.submitted then begin
+  if pool.counts.completed <> pool.counts.submitted then begin
     Mutex.unlock pool.mu;
     invalid_arg "Pool.reset_counters: requests still in flight"
   end;
-  pool.submitted <- 0;
-  pool.completed <- 0;
-  pool.warm_hits <- 0;
-  pool.cold_boots <- 0;
-  pool.crashes <- 0;
-  pool.deadline_hits <- 0;
-  pool.retries <- 0;
-  pool.requeues <- 0;
-  pool.respawns <- 0;
-  pool.reloads <- 0;
-  pool.rejected_unknown <- 0;
-  pool.rejected_quarantined <- 0;
-  pool.quarantine_opens <- 0;
-  pool.quarantine_closes <- 0;
-  pool.probes <- 0;
-  pool.shed <- 0;
-  pool.batch_hits <- 0;
-  pool.prewarm_boots <- 0;
+  pool.counts <- fresh ();
   pool.serve_lat <- Stats.hist_create ();
   pool.results <- [];
   Array.iter (fun w -> w.w_busy_cycles <- 0) pool.workers;
@@ -931,32 +836,30 @@ let stats pool : snapshot =
   in
   let s =
     {
-      snap_domains = Array.length pool.workers;
-      snap_submitted = pool.submitted;
-      snap_completed = pool.completed;
+      snap_completed = pool.counts.completed;
       snap_steals = 0;
-      snap_warm_hits = pool.warm_hits;
-      snap_cold_boots = pool.cold_boots;
+      snap_warm_hits = pool.counts.warm_hits;
+      snap_cold_boots = pool.counts.cold_boots;
       snap_busy_cycles = Array.map (fun w -> w.w_busy_cycles) pool.workers;
       snap_stats;
       snap_serve_lat = { Stats.counts = Array.copy pool.serve_lat.Stats.counts };
-      snap_crashes = pool.crashes;
-      snap_deadline_hits = pool.deadline_hits;
-      snap_retries = pool.retries;
-      snap_requeues = pool.requeues;
-      snap_respawns = pool.respawns;
-      snap_reloads = pool.reloads;
-      snap_rejected_unknown = pool.rejected_unknown;
-      snap_rejected_quarantined = pool.rejected_quarantined;
-      snap_quarantine_opens = pool.quarantine_opens;
-      snap_quarantine_closes = pool.quarantine_closes;
-      snap_probes = pool.probes;
+      snap_crashes = pool.counts.crashes;
+      snap_deadline_hits = pool.counts.deadline_hits;
+      snap_retries = pool.counts.retries;
+      snap_requeues = pool.counts.requeues;
+      snap_respawns = pool.counts.respawns;
+      snap_reloads = pool.counts.reloads;
+      snap_rejected_unknown = pool.counts.rejected_unknown;
+      snap_rejected_quarantined = pool.counts.rejected_quarantined;
+      snap_quarantine_opens = pool.counts.quarantine_opens;
+      snap_quarantine_closes = pool.counts.quarantine_closes;
+      snap_probes = pool.counts.probes;
       snap_quarantined_now = quarantined_now;
       snap_cache_loads = Atomic.get pool.cache_loads;
       snap_cache_refused = Atomic.get pool.cache_refused;
-      snap_shed = pool.shed;
-      snap_batch_hits = pool.batch_hits;
-      snap_prewarm_boots = pool.prewarm_boots;
+      snap_shed = pool.counts.shed;
+      snap_batch_hits = pool.counts.batch_hits;
+      snap_prewarm_boots = pool.counts.prewarm_boots;
     }
   in
   Mutex.unlock pool.mu;
@@ -981,7 +884,7 @@ let cache_file_name (key : string) : string =
     tables must not be mid-request. *)
 let save_caches pool ~(dir : string) : (string * string * int) list =
   Mutex.lock pool.mu;
-  if pool.completed <> pool.submitted || pool.active <> 0 then begin
+  if pool.counts.completed <> pool.counts.submitted || pool.active <> 0 then begin
     Mutex.unlock pool.mu;
     invalid_arg "Pool.save_caches: requests still in flight"
   end;

@@ -46,18 +46,7 @@ module Server = Server
 
 type t = Engine.t
 
-type stop_reason = Engine.stop_reason =
-  | All_exited
-  | App_fault of string
-  | Cycle_limit
-  | Deadline_exceeded
-  | Crashed of string
-
-type outcome = Engine.outcome = {
-  reason : stop_reason;
-  cycles : int;
-  insns : int;
-}
+include Engine_t
 
 let stats = Engine.stats
 let options = Engine.options

@@ -35,18 +35,7 @@ module Server = Server
 
 type t = Engine.t
 
-type stop_reason = Engine.stop_reason =
-  | All_exited
-  | App_fault of string
-  | Cycle_limit
-  | Deadline_exceeded
-  | Crashed of string
-
-type outcome = Engine.outcome = {
-  reason : stop_reason;
-  cycles : int;
-  insns : int;
-}
+include module type of struct include Engine_t end
 
 val stats : t -> Stats.t
 

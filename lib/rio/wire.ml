@@ -78,24 +78,7 @@ let write_frame fd (payload : string) : unit =
 (* Protocol messages                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type client_msg =
-  | Run of {
-      c_id : int;                  (** client-chosen correlation id *)
-      c_key : string;              (** workload key *)
-      c_seed : int;
-      c_input : int list;
-      c_expect : int list option;  (** native reference, if the client has one *)
-    }
-  | Quit
-
-(** Response status on the wire. *)
-type status =
-  | St_ok              (** ran to completion, matched any expectation *)
-  | St_failed          (** ran but diverged / crashed / hit a deadline *)
-  | St_shed            (** admission bound hit: retry later *)
-  | St_unknown_key
-  | St_quarantined
-  | St_stopping
+include Wire_t
 
 let status =
   Codec.enum "status"
@@ -115,14 +98,6 @@ let status_to_string = function
   | St_unknown_key -> "unknown-key"
   | St_quarantined -> "quarantined"
   | St_stopping -> "stopping"
-
-type response = {
-  r_id : int;
-  r_status : status;
-  r_warm : bool;
-  r_cycles : int;
-  r_output : int list;
-}
 
 let op = Codec.enum "op byte" [ (`Run, 1); (`Quit, 2) ]
 

@@ -21,18 +21,9 @@
 
 open Isa
 
-type family = Pentium3 | Pentium4
+include Cost_t
 
 let family_name = function Pentium3 -> "Pentium 3" | Pentium4 -> "Pentium 4"
-
-type t = {
-  family : family;
-  mispredict : int;        (** branch misprediction penalty *)
-  taken_extra : int;       (** extra cycles for any taken transfer *)
-  mem_read : int;          (** extra cycles per memory-operand read *)
-  mem_write : int;         (** extra cycles per memory-operand write *)
-  emu_overhead : int;      (** per-instruction decode+dispatch cost in pure-emulation mode *)
-}
 
 let default_params = function
   | Pentium4 ->

@@ -9,18 +9,9 @@
 
 open Isa
 
-type family = Pentium3 | Pentium4
+include module type of struct include Cost_t end
 
 val family_name : family -> string
-
-type t = {
-  family : family;
-  mispredict : int;
-  taken_extra : int;
-  mem_read : int;
-  mem_write : int;
-  emu_overhead : int;  (** per-instruction cost of pure emulation *)
-}
 
 val default_params : family -> t
 

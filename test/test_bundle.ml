@@ -109,7 +109,7 @@ let gen_bundle : B.t QCheck.Gen.t =
     }
 
 let bundle_arb =
-  QCheck.make ~print:(fun b -> B.to_string b) gen_bundle
+  QCheck.make ~print:(fun b -> B.For_testing.to_string b) gen_bundle
 
 (* ------------------------------------------------------------------ *)
 (* Round trip                                                         *)
@@ -119,7 +119,7 @@ let prop_roundtrip =
   QCheck.Test.make ~count:200 ~name:"of_string (to_string b) = Ok b" bundle_arb
     (fun b ->
       QCheck.assume (B.validate b = Ok ());
-      match B.of_string (B.to_string b) with
+      match B.For_testing.of_string (B.For_testing.to_string b) with
       | Ok b' ->
           if b' = b then true
           else QCheck.Test.fail_reportf "round trip changed the bundle"
@@ -155,8 +155,8 @@ let prop_digest_reorder =
     QCheck.(pair bundle_arb (make Gen.(int_bound 0xffff)))
     (fun (b, seed) ->
       QCheck.assume (B.validate b = Ok ());
-      let reordered = shuffle_json (lcg_rand seed) (B.to_json b) in
-      match B.of_json reordered with
+      let reordered = shuffle_json (lcg_rand seed) (B.For_testing.to_json b) in
+      match B.For_testing.of_json reordered with
       | Ok b' ->
           if b' <> b then
             QCheck.Test.fail_reportf "reordered parse changed the bundle"
@@ -197,7 +197,7 @@ let err_kind = function
   | Error (B.Invalid_bundle _) -> "invalid"
 
 let check_reject name expected text =
-  Alcotest.(check string) name expected (err_kind (B.of_string text))
+  Alcotest.(check string) name expected (err_kind (B.For_testing.of_string text))
 
 let test_rejections () =
   check_reject "unknown top-level key" "unknown:zzz"
@@ -272,7 +272,7 @@ let test_digest_verified () =
     { B.b_opts = { O.default with O.opt_level = 2 }; b_pool = O.default_pool;
       b_overrides = [ ("gcc", 0) ]; b_provenance = B.default_provenance }
   in
-  (match B.of_string (B.to_string b) with
+  (match B.For_testing.of_string (B.For_testing.to_string b) with
    | Ok b' -> Alcotest.(check bool) "accepted with own digest" true (b' = b)
    | Error e -> Alcotest.failf "rejected: %s" (B.error_to_string e));
   (* flip the embedded digest and it must be refused *)
@@ -289,10 +289,10 @@ let test_digest_verified () =
         String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
   in
   let tampered =
-    replace (Printf.sprintf "%08x" (B.digest b)) "deadbeef" (B.to_string b)
+    replace (Printf.sprintf "%08x" (B.digest b)) "deadbeef" (B.For_testing.to_string b)
   in
   Alcotest.(check string) "tampered digest refused" "bad:digest"
-    (err_kind (B.of_string tampered))
+    (err_kind (B.For_testing.of_string tampered))
 
 (* ------------------------------------------------------------------ *)
 (* Override projection                                                *)
@@ -328,11 +328,11 @@ let test_opts_for () =
    re-print byte for byte, and project the tuned per-workload levels. *)
 let test_committed_bundle () =
   let text = In_channel.with_open_bin "../bundle.json" In_channel.input_all in
-  match B.of_string text with
+  match B.For_testing.of_string text with
   | Error e -> Alcotest.failf "bundle.json rejected: %s" (B.error_to_string e)
   | Ok b ->
       Alcotest.(check string) "digest" "e3c90437" (Printf.sprintf "%08x" (B.digest b));
-      Alcotest.(check string) "re-prints byte for byte" text (B.to_string b);
+      Alcotest.(check string) "re-prints byte for byte" text (B.For_testing.to_string b);
       List.iter
         (fun (w, lvl) ->
           Alcotest.(check int) ("opt level of " ^ w) lvl (B.opts_for b w).O.opt_level)
@@ -396,7 +396,7 @@ let check_table (type r) name (tbl : r O.table) ~bases ~(bundle : r -> B.t)
           Alcotest.(check bool) (row ^ ": record digest moves") true
             (record_moves base r);
           Alcotest.(check bool) (row ^ ": printed round trip") true
-            (B.of_string (B.to_string (bundle r)) = Ok (bundle r));
+            (B.For_testing.of_string (B.For_testing.to_string (bundle r)) = Ok (bundle r));
           (* no other row writes this row's field *)
           List.iter
             (fun (O.Knob j) ->
@@ -474,18 +474,18 @@ let gen_damaged : string QCheck.Gen.t =
       | 2 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
       | _ -> String.sub s 0 i
   in
-  return (List.fold_left edit (B.to_string b) edits)
+  return (List.fold_left edit (B.For_testing.to_string b) edits)
 
 let prop_fuzz =
   QCheck.Test.make ~count:2000
     ~name:"damaged bundles parse or fail typed, and accepted ones re-print"
     (QCheck.make ~print:(Printf.sprintf "%S") gen_damaged)
     (fun text ->
-      match B.of_string text with
+      match B.For_testing.of_string text with
       | exception e -> QCheck.Test.fail_reportf "escaped: %s" (Printexc.to_string e)
       | Error _ -> true
       | Ok b -> (
-          match B.of_string (B.to_string b) with
+          match B.For_testing.of_string (B.For_testing.to_string b) with
           | Ok b' when b' = b -> true
           | _ -> QCheck.Test.fail_reportf "accepted bundle does not re-parse"))
 

@@ -478,7 +478,7 @@ let test_ctraces_elides_returns () =
   let w = Option.get (Suite.by_name "vortex") in
   let client, t = Clients.Ctraces.make () in
   let _, r, _ = run_pair w client in
-  checkb "returns elided" true (t.Clients.Ctraces.returns_elided >= 1);
+  checkb "returns elided" true (Clients.Ctraces.returns_elided t >= 1);
   let base, _ = Workload.run_rio w in
   checkb "ctraces beats base RIO on vortex" true (r.cycles < base.cycles)
 
@@ -498,8 +498,8 @@ let test_counter_dynamic () =
   let r, _ = Workload.run_rio ~client w in
   check_ilist "output intact" n.output r.output;
   checkb "block executions counted" true
-    (counts.Clients.Counter.dynamic_blocks > 1000);
-  checkb "static instrs seen" true (counts.Clients.Counter.static_insns > 10)
+    (Clients.Counter.For_testing.dynamic_blocks counts > 1000);
+  checkb "static instrs seen" true (Clients.Counter.For_testing.static_insns counts > 10)
 
 let test_emitted_counter_matches_clean_calls () =
   (* the in-cache counters must agree exactly with clean-call counting,
@@ -514,11 +514,11 @@ let test_emitted_counter_matches_clean_calls () =
   check_ilist "emitted output intact" n.output em_run.output;
   let em_total = List.fold_left (fun a (_, c) -> a + c) 0 (read ()) in
   checkb "same total count" true
-    (em_total = cc_counts.Clients.Counter.dynamic_blocks);
+    (em_total = Clients.Counter.For_testing.dynamic_blocks cc_counts);
   (* per-tag agreement *)
   List.iter
     (fun (tag, c) ->
-      let cc = Option.value (Hashtbl.find_opt cc_counts.Clients.Counter.executions tag) ~default:0 in
+      let cc = Clients.Counter.For_testing.executions cc_counts tag in
       checkb (Printf.sprintf "tag 0x%x agrees" tag) true (c = cc))
     (read ());
   checkb "emitted counters cost less than clean calls" true

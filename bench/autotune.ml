@@ -153,7 +153,7 @@ let measure ~wls ~mk ~reqs_per_wl (b : Rio.Bundle.t) : outcome =
       let t0 = Unix.gettimeofday () in
       match
         let boots =
-          Sweep.pool_boots ~opts:(opts b) ~opts_for:(Rio.Bundle.opts_for b) wls
+          Workload.pool_boots ~opts:(Rio.Bundle.opts_for b) wls
         in
         let cfg = { (pool_cfg b) with Rio.Options.domains = 1 } in
         let pool = Rio.Pool.create ~cfg ~boots () in

@@ -2,22 +2,22 @@
     (DESIGN.md §6.6), written to BENCH_chaos.json.
 
     Serves the full 20-workload suite through pools armed with
-    pool-scope chaos injection — worker crashes mid-request, stalled
-    workers, poisoned warm instances, hook storms — across a grid of
-    chaos seeds x retry policies, and requires that the supervision
-    machinery absorbs all of it:
+    pool-scope chaos injection — crashes mid-request, stalled workers,
+    poisoned warm instances, hook storms — across a grid of chaos
+    seeds x retry policies, and requires that the pool's one recovery
+    path (exception barrier, deadlines, retry ladder, quarantine)
+    absorbs all of it:
 
     - {b zero hangs}: the whole sweep runs under a [Unix.alarm]
       backstop; a stuck drain kills the process with a distinct status;
     - {b zero lost requests}: every accepted request produces exactly
-      one result, including requests whose worker domain was killed
-      mid-service and requeued by the supervisor;
+      one result, including requests that crashed mid-service;
     - {b output-identical}: every completed request's output matches
       its native reference — the retry ladder must convert every
       injected failure into an eventually-clean run;
-    - {b supervision exercised}: across the grid, worker domains
-      actually died and were respawned, deadlines actually fired, and
-      the retry ladder actually climbed (all counters in the JSON);
+    - {b recovery exercised}: across the grid, requests actually
+      crashed, deadlines actually fired, and the retry ladder actually
+      climbed (all counters in the JSON);
     - {b quarantine lifecycle}: a chaos-free scenario drives one
       workload key through breaker-open (consecutive final failures),
       probe admission, rejection while the probe is pending, and
@@ -47,8 +47,6 @@ type combo_row = {
   cr_crashes : int;
   cr_deadline_hits : int;
   cr_retries_done : int;
-  cr_requeues : int;
-  cr_respawns : int;
   cr_warm_hits : int;
   cr_cold_boots : int;
   cr_max_attempts : int;
@@ -71,15 +69,13 @@ let run { Sweep.quick; _ } =
     }
   in
   let opts = { Rio.Options.default with max_cycles = max_int / 2 } in
-  let boots = Sweep.pool_boots ~client ~opts wls in
+  let boots = Workload.pool_boots ~client ~opts:(fun _ -> opts) wls in
   let n = requests_per_workload ~quick * List.length wls in
   let lost_total = ref 0 in
-  let reloads_done = ref 0 in
-  let first_combo = ref true in
 
   (* ---------------- chaos grid ---------------- *)
-  pr "%6s %8s %9s %6s %5s %8s %9s %8s %9s %9s\n" "seed" "retries" "requests"
-    "lost" "bad" "crashes" "deadlines" "retried" "respawns" "host-s";
+  pr "%6s %8s %9s %6s %5s %8s %9s %8s %9s\n" "seed" "retries" "requests"
+    "lost" "bad" "crashes" "deadlines" "retried" "host-s";
   let rows =
     List.concat_map
       (fun seed ->
@@ -104,24 +100,9 @@ let run { Sweep.quick; _ } =
             let t0 = Sweep.time_now () in
             let reqs = make_requests ~seed_base:0 n in
             List.iter (Sweep.submit_exn pool) reqs;
-            let results = Rio.Pool.drain pool in
-            (* exercise drain_and_reload under fire once: quiesce, drop
-               every (possibly poisoned) warm instance, resume, and the
-               reloaded fleet must still serve clean *)
-            let reload_extra =
-              if !first_combo then begin
-                first_combo := false;
-                Rio.Pool.drain_and_reload ~rebuild:true pool;
-                incr reloads_done;
-                let extra = make_requests ~seed_base:0 (min n 10) in
-                List.iter (Sweep.submit_exn pool) extra;
-                Rio.Pool.drain pool
-              end
-              else []
-            in
+            let all = Rio.Pool.drain pool in
             let host_s = Sweep.time_now () -. t0 in
-            let all = results @ reload_extra in
-            let submitted = List.length reqs + List.length reload_extra in
+            let submitted = List.length reqs in
             (* count via completion: submit_exn means all were accepted *)
             let lost = submitted - List.length all in
             let bad = List.filter (fun r -> not r.Rio.Pool.res_ok) all in
@@ -148,17 +129,15 @@ let run { Sweep.quick; _ } =
                 cr_crashes = snap.Rio.Pool.snap_crashes;
                 cr_deadline_hits = snap.Rio.Pool.snap_deadline_hits;
                 cr_retries_done = snap.Rio.Pool.snap_retries;
-                cr_requeues = snap.Rio.Pool.snap_requeues;
-                cr_respawns = snap.Rio.Pool.snap_respawns;
                 cr_warm_hits = snap.Rio.Pool.snap_warm_hits;
                 cr_cold_boots = snap.Rio.Pool.snap_cold_boots;
                 cr_max_attempts = max_attempts;
                 cr_host_s = host_s;
               }
             in
-            pr "%6d %8d %9d %6d %5d %8d %9d %8d %9d %9.3f\n%!" seed retries
+            pr "%6d %8d %9d %6d %5d %8d %9d %8d %9.3f\n%!" seed retries
               submitted lost (List.length bad) row.cr_crashes
-              row.cr_deadline_hits row.cr_retries_done row.cr_respawns host_s;
+              row.cr_deadline_hits row.cr_retries_done host_s;
             row)
           (policies ~quick))
       (seeds ~quick)
@@ -237,13 +216,12 @@ let run { Sweep.quick; _ } =
   (* ---------------- totals, JSON, gates ---------------- *)
   let total f = List.fold_left (fun a r -> a + f r) 0 rows in
   let crashes = total (fun r -> r.cr_crashes) in
-  let respawns = total (fun r -> r.cr_respawns) in
   let deadline_hits = total (fun r -> r.cr_deadline_hits) in
   let retried = total (fun r -> r.cr_retries_done) in
   pr
-    "totals: %d crashes  %d respawns  %d deadline hits  %d retries  %d lost  \
-     %d divergences\n%!"
-    crashes respawns deadline_hits retried !lost_total !Sweep.diverged;
+    "totals: %d crashes  %d deadline hits  %d retries  %d lost  %d \
+     divergences\n%!"
+    crashes deadline_hits retried !lost_total !Sweep.diverged;
 
   let open Rio.Json in
   ( [
@@ -252,11 +230,8 @@ let run { Sweep.quick; _ } =
       ("lost", Int !lost_total);
       ("divergences", Int !Sweep.diverged);
       ("crashes", Int crashes);
-      ("respawns", Int respawns);
       ("deadline_hits", Int deadline_hits);
       ("retries", Int retried);
-      ("requeues", Int (total (fun r -> r.cr_requeues)));
-      ("reloads", Int !reloads_done);
       ( "quarantine",
         Obj
           [
@@ -283,8 +258,6 @@ let run { Sweep.quick; _ } =
                    ("crashes", Int r.cr_crashes);
                    ("deadline_hits", Int r.cr_deadline_hits);
                    ("retries_done", Int r.cr_retries_done);
-                   ("requeues", Int r.cr_requeues);
-                   ("respawns", Int r.cr_respawns);
                    ("warm_hits", Int r.cr_warm_hits);
                    ("cold_boots", Int r.cr_cold_boots);
                    ("max_attempts", Int r.cr_max_attempts);
@@ -293,12 +266,10 @@ let run { Sweep.quick; _ } =
              rows) );
     ],
     (* the chaos machinery must actually have been exercised: with
-       ch_period 3 over the whole grid, zero worker deaths means the
-       injector (or the supervisor accounting) is broken.  A chaos kill
-       deliberately bypasses the exception barrier, so it surfaces as a
-       respawn, not a [Crashed] result *)
+       ch_period 3 over the whole grid, zero crashes means the injector
+       (or the barrier's accounting) is broken *)
     [
       Sweep.at_most "accepted requests lost" ~bound:0.0 (float_of_int !lost_total);
       Sweep.holds "quarantine lifecycle complete" quarantine_ok;
-      Sweep.at_least "worker deaths respawned" ~bound:1.0 (float_of_int respawns);
+      Sweep.at_least "chaos crashes healed" ~bound:1.0 (float_of_int crashes);
     ] )

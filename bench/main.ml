@@ -1216,6 +1216,28 @@ let usage_error msg =
 
 let find name = List.find_opt (fun r -> r.name = name) experiments
 
+(* Where [gates] and every quick run write their datapoints and tuned
+   bundle, so that only a full run replaces a committed file. *)
+let in_gates f =
+  let dir = "_gates" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Filename.concat dir f
+
+(* Fill in the paths the options left out: the row's committed
+   datapoint and [bundle.json] for a full run, their [_gates/] copies
+   for a quick one. *)
+let with_default_paths row (cli : Sweep.cli) : Sweep.cli =
+  let place f = if cli.Sweep.quick then in_gates f else f in
+  {
+    cli with
+    out =
+      (if cli.Sweep.out = "" then place (Option.value row.out ~default:"")
+       else cli.Sweep.out);
+    flags =
+      (if List.mem_assoc "--bundle-out" cli.Sweep.flags then cli.Sweep.flags
+       else ("--bundle-out", place "bundle.json") :: cli.Sweep.flags);
+  }
+
 (* Split the arguments into experiments, each followed by its options. *)
 let rec parse = function
   | [] -> []
@@ -1230,25 +1252,20 @@ let rec parse = function
                 opts { cli with flags = (f, v) :: cli.flags } tl
             | a :: _ when find a = None ->
                 usage_error (Printf.sprintf "%s: unknown argument %s" name a)
-            | tl -> (row, cli) :: parse tl
+            | tl -> (row, with_default_paths row cli) :: parse tl
           in
-          opts
-            { Sweep.quick = false; out = Option.value row.out ~default:""; flags = [] }
-            rest)
+          opts { Sweep.quick = false; out = ""; flags = [] } rest)
 
 (* Every experiment in the table, its datapoints and tuned bundle
    written under _gates/ so no committed file is touched. *)
 let gates ~quick =
-  let dir = "_gates" in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let in_dir = Filename.concat dir in
   List.iter
     (fun row ->
       run_row row
         {
           Sweep.quick;
-          out = in_dir (Option.value row.out ~default:"");
-          flags = [ ("--bundle-out", in_dir "bundle.json") ];
+          out = in_gates (Option.value row.out ~default:"");
+          flags = [ ("--bundle-out", in_gates "bundle.json") ];
         })
     experiments
 

@@ -53,10 +53,10 @@ let run { Sweep.quick; _ } =
     (if quick then "quick" else "full")
     (String.concat "," (mix_names ~quick));
 
-  (* request maker (with native-reference cache), boots, and result
-     checking come from the shared pool scaffolding in Sweep *)
+  (* request maker (with native-reference cache) and result checking
+     come from the shared pool scaffolding in Sweep *)
   let make_requests = Sweep.request_maker wls in
-  let boots ~opts = Sweep.pool_boots ~opts wls in
+  let boots ~opts = Workload.pool_boots ~opts:(fun _ -> opts) wls in
   let default_opts = { Rio.Options.default with max_cycles = max_int / 2 } in
 
   (* ---------------- scaling ladder ---------------- *)

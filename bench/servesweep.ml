@@ -153,7 +153,7 @@ let run { Sweep.quick; _ } =
     (String.concat "," (mix_names ~quick));
   let make_requests = Sweep.request_maker wls in
   let default_opts = { Rio.Options.default with max_cycles = max_int / 2 } in
-  let boots = Sweep.pool_boots ~opts:default_opts wls in
+  let boots = Workload.pool_boots ~opts:(fun _ -> default_opts) wls in
 
   (* ---------------- 1. closed loop, pre-warmed ---------------- *)
   let d = closed_domains ~quick in

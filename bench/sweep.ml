@@ -183,52 +183,9 @@ let write_json ~path (v : Rio.Json.t) : unit =
 (* Pool scaffolding (parsweep, servesweep, chaossweep, autotune)      *)
 (* ------------------------------------------------------------------ *)
 
-(** Boot table for a workload mix: one boot per workload, image
-    assembled once, cold-load machine factory per instance.
-    [opts_for] maps a workload name to its engine options — this is
-    where a bundle's per-workload opt-level overrides reach the pool
-    (default: [opts] for every workload). *)
-let pool_boots ?(client = fun () -> Rio.Types.null_client) ?opts_for ~opts (wls : Workload.t list) : (string * Rio.Pool.boot) list =
-  let opts_for = match opts_for with Some f -> f | None -> fun _ -> opts in
-  List.map
-    (fun w ->
-      let image = Asm.Assemble.assemble w.Workload.program in
-      let name = w.Workload.name in
-      ( name,
-        {
-          Rio.Pool.boot_machine =
-            (fun () ->
-              let m = Vm.Machine.create () in
-              Asm.Image.load_cold m image;
-              m);
-          boot_entry = image.Asm.Image.entry;
-          boot_stack_top = Asm.Image.default_stack_top;
-          boot_restore = (fun m ~zeroed -> Asm.Image.restore m image ~zeroed);
-          boot_opts = opts_for name;
-          boot_client = client;
-          boot_image_digest = Asm.Image.digest image;
-          boot_cache = None;
-        } ))
-    wls
-
-(** Request maker over a workload mix: request [i] round-robins the
-    mix at seed [seed_base + i] and expects its native output. *)
-let request_maker (wls : Workload.t list) :
-    seed_base:int -> int -> Rio.Pool.request list =
-  let nwl = List.length wls in
-  fun ~seed_base n ->
-    List.init n (fun i ->
-        let w = List.nth wls (i mod nwl) in
-        let seed = seed_base + i in
-        let input = Workload.request_input ~seed @ w.Workload.input in
-        {
-          Rio.Pool.req_id = i;
-          req_key = w.Workload.name;
-          req_seed = seed;
-          req_input = input;
-          req_expect =
-            Some (native (Workload.with_input w input)).Workload.output;
-        })
+(** {!Workloads.Workload.request_maker} expecting the memoized native
+    output. *)
+let request_maker = Workload.request_maker ~native:(fun w -> (native w).Workload.output)
 
 (** Submit that treats a rejection as a sweep bug. *)
 let submit_exn pool (r : Rio.Pool.request) : unit =

@@ -130,6 +130,18 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
    | Error msg ->
        Printf.eprintf "rio_serve: invalid options: %s\n" msg;
        exit 2);
+  (* the request stream, interleaved across workloads, with a native
+     reference execution per request *)
+  let make_requests () =
+    Workload.request_maker wls ~seed_base:seed0 nreq ~native:(fun w ->
+        let native = Workload.run_native w in
+        if not native.Workload.ok then begin
+          Printf.eprintf "native reference failed for %s: %s\n"
+            w.Workload.name native.Workload.detail;
+          exit 1
+        end;
+        native.Workload.output)
+  in
   match connect_addr with
   | Some addr_s ->
       (* client mode: no local pool — stream the request mix to a
@@ -137,17 +149,10 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
          computed native references *)
       let addr = parse_addr addr_s in
       let reqs =
-        List.init nreq (fun i ->
-            let w = List.nth wls (i mod List.length wls) in
-            let seed = seed0 + i in
-            let input = Workload.request_input ~seed @ w.Workload.input in
-            let native = Workload.run_native (Workload.with_input w input) in
-            if not native.Workload.ok then begin
-              Printf.eprintf "native reference failed for %s seed %d: %s\n"
-                w.Workload.name seed native.Workload.detail;
-              exit 1
-            end;
-            (w.Workload.name, seed, input, Some native.Workload.output))
+        List.map
+          (fun (r : Rio.Pool.request) ->
+            (r.req_key, r.req_seed, r.req_input, r.req_expect))
+          (make_requests ())
       in
       let fd = Rio.Server.connect addr in
       let t0 = Unix.gettimeofday () in
@@ -200,32 +205,10 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
       if failed = 0 && other = 0 then 0 else 1
   | None ->
   let boots =
-    List.map
-      (fun w ->
-        let image = Asm.Assemble.assemble w.Workload.program in
-        ( w.Workload.name,
-          {
-            Rio.Pool.boot_machine =
-              (fun () ->
-                let m = Vm.Machine.create () in
-                Asm.Image.load_cold m image;
-                m);
-            boot_entry = image.Asm.Image.entry;
-            boot_stack_top = Asm.Image.default_stack_top;
-            boot_restore = (fun m ~zeroed -> Asm.Image.restore m image ~zeroed);
-            boot_opts = opts_for w.Workload.name;
-            boot_client = (fun () -> client_of_name client_name);
-            boot_image_digest = Asm.Image.digest image;
-            boot_cache =
-              (if load_cache then
-                 Option.map
-                   (fun dir ->
-                     Filename.concat dir
-                       (Rio.Pool.cache_file_name w.Workload.name))
-                   cache_dir
-               else None);
-          } ))
-      wls
+    Workload.pool_boots
+      ~client:(fun () -> client_of_name client_name)
+      ?cache_dir:(if load_cache then cache_dir else None)
+      ~opts:opts_for wls
   in
   let chaos_opts =
     Option.map
@@ -275,27 +258,7 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
       end;
       0
   | None ->
-  (* the request stream, interleaved across workloads, with a native
-     reference execution per request *)
-  let requests =
-    List.init nreq (fun i ->
-        let w = List.nth wls (i mod List.length wls) in
-        let seed = seed0 + i in
-        let input = Workload.request_input ~seed @ w.Workload.input in
-        let native = Workload.run_native (Workload.with_input w input) in
-        if not native.Workload.ok then begin
-          Printf.eprintf "native reference failed for %s seed %d: %s\n"
-            w.Workload.name seed native.Workload.detail;
-          exit 1
-        end;
-        {
-          Rio.Pool.req_id = i;
-          req_key = w.Workload.name;
-          req_seed = seed;
-          req_input = input;
-          req_expect = Some native.Workload.output;
-        })
-  in
+  let requests = make_requests () in
   let t0 = Unix.gettimeofday () in
   let rejected = ref 0 in
   List.iter
@@ -420,11 +383,9 @@ let run nreq workload_names client_name seed0 engine pool faults chaos
       || snap.Rio.Pool.snap_retries > 0
     then begin
       Printf.printf
-        "  supervision: crashes %d  deadline hits %d  retries %d  requeues \
-         %d  respawns %d\n"
+        "  supervision: crashes %d  deadline hits %d  retries %d\n"
         snap.Rio.Pool.snap_crashes snap.Rio.Pool.snap_deadline_hits
-        snap.Rio.Pool.snap_retries snap.Rio.Pool.snap_requeues
-        snap.Rio.Pool.snap_respawns;
+        snap.Rio.Pool.snap_retries;
       Printf.printf
         "  quarantine: opens %d  closes %d  probes %d  rejected %d  open now \
          %d\n"
@@ -470,9 +431,10 @@ let cmd =
   in
   let chaos =
     Arg.(value & opt (some int) None & info [ "chaos" ] ~docv:"SEED"
-           ~doc:"Enable pool-scope chaos injection (worker crashes, stalls, \
-                 poisoned warm instances, hook storms) with this seed; the \
-                 supervisor, retry ladder, and quarantine must absorb it.")
+           ~doc:"Enable pool-scope chaos injection (crashes mid-request, \
+                 stalls, poisoned warm instances, hook storms) with this \
+                 seed; the exception barrier, retry ladder, and quarantine \
+                 must absorb it.")
   in
   let bundle =
     Arg.(value & opt (some string) None & info [ "bundle" ] ~docv:"FILE"

@@ -118,25 +118,25 @@ let inject_spurious_signal (rt : runtime) (ts : thread_state) : bool =
 (* Pool-scope chaos injection (DESIGN.md §6.6)                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Domain-scope faults, injected by the serving pool around whole
-    requests rather than by the dispatcher inside one engine.  Where
-    the S34 injector sabotages {e cache state} and expects the audit +
-    recovery ladder to heal it, chaos sabotages the {e fleet}: it kills
-    worker domains, stalls them, poisons warm instances, and storms
-    client hooks, and expects the pool's supervisor + retry ladder +
-    quarantine to keep every request served and output-identical. *)
+(** Request-scope faults, injected by the serving pool around whole
+    request attempts rather than by the dispatcher inside one engine.
+    Where the S34 injector sabotages {e cache state} and expects the
+    audit + recovery ladder to heal it, chaos sabotages the {e fleet}:
+    it crashes requests mid-run, stalls workers, poisons warm
+    instances, and storms client hooks, and expects the pool's
+    exception barrier + retry ladder + quarantine to keep every request
+    served and output-identical. *)
 type chaos_kind =
-  | Chaos_crash      (** raise {!Chaos_domain_kill} mid-request: the worker
-                         domain dies and the supervisor must respawn it *)
+  | Chaos_crash      (** raise {!Injected_crash} mid-request: the pool's
+                         barrier turns it into a [Crashed] result *)
   | Chaos_stall      (** the worker sleeps, tripping a wall-clock deadline *)
   | Chaos_poison     (** flip a byte of the instance's application image
                          so the request diverges or faults *)
   | Chaos_hook_storm (** arm a hook-raise burst against the client *)
 
-exception Chaos_domain_kill
-(** The injected worker-domain death.  Deliberately punches through the
-    pool's per-request exception barrier: the domain really dies, and
-    recovery must come from the supervisor. *)
+exception Injected_crash
+(** The injected mid-request crash: an ordinary exception, which the
+    pool's exception barrier absorbs and its retry ladder heals. *)
 
 type chaos_opts = {
   ch_seed : int;
@@ -157,17 +157,24 @@ let default_chaos =
     ch_hook_storm = true;
   }
 
-(** Per-worker chaos state: each worker domain owns a private LCG
-    stream (seed mixed with the worker id), so concurrent workers never
-    race on injector state and a (seed, worker, request-order) triple
-    replays deterministically. *)
+(** Per-attempt chaos state: a private LCG stream drawn from (seed,
+    request id, attempt), so concurrent workers never race on injector
+    state, and which attempt is stalled, poisoned or crashed does not
+    depend on which worker serves it. *)
 type chaos_state = { mutable cs_lcg : int; cs_opts : chaos_opts }
 
-let chaos_make (opts : chaos_opts) ~salt : chaos_state =
-  let mixed =
-    ((opts.ch_seed * 1000003) + ((salt + 1) * 0x9e3779b9)) land state_mask
-  in
-  { cs_lcg = (if mixed = 0 then 0x9e3779b9 else mixed); cs_opts = opts }
+(* scramble a word, so neighbouring request ids start far-apart,
+   uncorrelated streams (odd multipliers keep each step a bijection) *)
+let mix x =
+  let x = (x lxor (x lsr 29)) * 0x1ce4e5b9bf58476d in
+  let x = (x lxor (x lsr 32)) * 0x133111eb94d049bb in
+  x lxor (x lsr 29)
+
+let chaos_make (opts : chaos_opts) ~req ~attempt : chaos_state =
+  {
+    cs_lcg = mix (mix (mix opts.ch_seed + req) + attempt) land state_mask;
+    cs_opts = opts;
+  }
 
 let chaos_rand (cs : chaos_state) (n : int) : int =
   cs.cs_lcg <- ((cs.cs_lcg * 25214903917) + 11) land state_mask;

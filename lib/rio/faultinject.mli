@@ -1,24 +1,24 @@
 (** Deterministic, seeded fault injector (S34). *)
 
-(** Domain-scope faults, injected by the serving pool around whole
-    requests rather than by the dispatcher inside one engine.  Where
-    the S34 injector sabotages {e cache state} and expects the audit +
-    recovery ladder to heal it, chaos sabotages the {e fleet}: it kills
-    worker domains, stalls them, poisons warm instances, and storms
-    client hooks, and expects the pool's supervisor + retry ladder +
-    quarantine to keep every request served and output-identical. *)
+(** Request-scope faults, injected by the serving pool around whole
+    request attempts rather than by the dispatcher inside one engine.
+    Where the S34 injector sabotages {e cache state} and expects the
+    audit + recovery ladder to heal it, chaos sabotages the {e fleet}:
+    it crashes requests mid-run, stalls workers, poisons warm
+    instances, and storms client hooks, and expects the pool's
+    exception barrier + retry ladder + quarantine to keep every request
+    served and output-identical. *)
 type chaos_kind =
-  | Chaos_crash      (** raise {!Chaos_domain_kill} mid-request: the worker
-                         domain dies and the supervisor must respawn it *)
+  | Chaos_crash      (** raise {!Injected_crash} mid-request: the pool's
+                         barrier turns it into a [Crashed] result *)
   | Chaos_stall      (** the worker sleeps, tripping a wall-clock deadline *)
   | Chaos_poison     (** flip a byte of the instance's application image
                          so the request diverges or faults *)
   | Chaos_hook_storm (** arm a hook-raise burst against the client *)
 
-exception Chaos_domain_kill
-(** The injected worker-domain death.  Deliberately punches through the
-    pool's per-request exception barrier: the domain really dies, and
-    recovery must come from the supervisor. *)
+exception Injected_crash
+(** The injected mid-request crash: an ordinary exception, which the
+    pool's exception barrier absorbs and its retry ladder heals. *)
 
 type chaos_opts = {
   ch_seed : int;
@@ -31,13 +31,13 @@ type chaos_opts = {
 
 val default_chaos : chaos_opts
 
-(** Per-worker chaos state: each worker domain owns a private LCG
-    stream (seed mixed with the worker id), so concurrent workers never
-    race on injector state and a (seed, worker, request-order) triple
-    replays deterministically. *)
+(** Per-attempt chaos state: a private LCG stream drawn from (seed,
+    request id, attempt), so concurrent workers never race on injector
+    state, and which attempt is stalled, poisoned or crashed does not
+    depend on which worker serves it. *)
 type chaos_state
 
-val chaos_make : chaos_opts -> salt:int -> chaos_state
+val chaos_make : chaos_opts -> req:int -> attempt:int -> chaos_state
 
 val chaos_rand : chaos_state -> int -> int
 

@@ -51,7 +51,7 @@ type fault_opts = {
   fi_signals : bool;   (** queue a signal whose handler is outside app space *)
 }
 
-(** Configuration of the supervised serving pool ({!Pool}): sizing,
+(** Configuration of the serving pool ({!Pool}): sizing,
     per-request deadlines, the bounded retry ladder, and the
     per-workload-key quarantine circuit breaker. *)
 type pool_opts = {

@@ -1,4 +1,4 @@
-(** Supervised domain-parallel serving pool (DESIGN.md §6.5–6.6).
+(** Domain-parallel serving pool (DESIGN.md §6.5–6.6).
 
     The pool owns N worker domains.  Each worker keeps {e warm}
     long-lived {!Engine.t} instances, one per workload key: the code
@@ -13,13 +13,11 @@
     right now stays hot.  A front request can be passed over at most
     [batch_window] times before it is claimed.
 
-    On top of that sits the fleet-level recovery machinery (§6.6):
+    On top of that sits one recovery path for a failed attempt (§6.6):
 
     - every request runs inside an {e exception barrier}: an uncaught
       raise becomes a {!Engine.Crashed} result instead of a dead
       domain;
-    - a {e supervisor} domain respawns workers that die anyway (chaos
-      kills, pool bugs), requeueing the request they died serving;
     - a per-request {e watchdog} ({!Engine.set_watchdog}) enforces a
       simulated-cycle budget and a wall-clock bound, preempting the
       engine at the next fragment boundary with
@@ -39,99 +37,11 @@
     coarse (each runs a whole workload to completion, millions of
     simulated cycles), so queue operations are a vanishing fraction of
     the work and a single lock keeps the invariants easy to audit.  The
+    queue is a plain list: the admission bounds keep it to a few dozen
+    jobs, and the batcher only looks at its first [batch_window].  The
     two image-load counters are atomics instead, because a cold retry
     boots its instance with no lock held.  Lock-ordering discipline:
     the pool mutex is never held while a request executes. *)
-
-(* ------------------------------------------------------------------ *)
-(* The run queue                                                      *)
-(* ------------------------------------------------------------------ *)
-
-module Deque = struct
-  type 'a t = {
-    mutable buf : 'a option array;
-    mutable head : int;
-    mutable len : int;
-  }
-
-  let create ~capacity () =
-    if capacity < 1 then invalid_arg "Deque.create: capacity must be >= 1";
-    { buf = Array.make capacity None; head = 0; len = 0 }
-
-  let grow d =
-    let n = Array.length d.buf in
-    let buf = Array.make (2 * n) None in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.((d.head + i) mod n)
-    done;
-    d.buf <- buf;
-    d.head <- 0
-
-  let push_back d x =
-    if d.len = Array.length d.buf then grow d;
-    d.buf.((d.head + d.len) mod Array.length d.buf) <- Some x;
-    d.len <- d.len + 1
-
-  (* requeued requests jump the line so a crashed request's latency
-     does not also pay for the queue behind it *)
-  let push_front d x =
-    if d.len = Array.length d.buf then grow d;
-    d.head <- (d.head - 1 + Array.length d.buf) mod Array.length d.buf;
-    d.buf.(d.head) <- Some x;
-    d.len <- d.len + 1
-
-  (* oldest request, preserving arrival order *)
-  let pop_front d =
-    if d.len = 0 then None
-    else begin
-      let x = d.buf.(d.head) in
-      d.buf.(d.head) <- None;
-      d.head <- (d.head + 1) mod Array.length d.buf;
-      d.len <- d.len - 1;
-      x
-    end
-
-  (* logical index [i] from the front; [None] out of range *)
-  let nth d i =
-    if i < 0 || i >= d.len then None
-    else d.buf.((d.head + i) mod Array.length d.buf)
-
-  (* remove the element at logical index [i], closing the gap by
-     shifting whichever side is shorter; the batcher uses this to pull
-     a same-key request out of the middle of the queue *)
-  let remove_at d i =
-    if i < 0 || i >= d.len then invalid_arg "Deque.remove_at";
-    let n = Array.length d.buf in
-    let x = d.buf.((d.head + i) mod n) in
-    if i < d.len - 1 - i then begin
-      for k = i downto 1 do
-        d.buf.((d.head + k) mod n) <- d.buf.((d.head + k - 1) mod n)
-      done;
-      d.buf.(d.head) <- None;
-      d.head <- (d.head + 1) mod n
-    end
-    else begin
-      for k = i to d.len - 2 do
-        d.buf.((d.head + k) mod n) <- d.buf.((d.head + k + 1) mod n)
-      done;
-      d.buf.((d.head + d.len - 1) mod n) <- None
-    end;
-    d.len <- d.len - 1;
-    x
-
-  (* first logical index within [window] of the front whose element
-     satisfies [pred] *)
-  let find_front d ~window pred =
-    let n = min d.len window in
-    let rec go i =
-      if i >= n then None
-      else
-        match nth d i with
-        | Some x when pred x -> Some i
-        | _ -> go (i + 1)
-    in
-    go 0
-end
 
 (* ------------------------------------------------------------------ *)
 (* Requests and results                                               *)
@@ -162,14 +72,9 @@ type job = {
 type worker = {
   w_id : int;
   mutable w_busy_cycles : int;          (* under pool mutex *)
-  mutable w_current : job option;       (* under pool mutex; what the
-                                           domain dies holding *)
   mutable w_last_key : string option;   (* under pool mutex: key of the
                                            last claimed job, the
                                            batcher's locality hint *)
-  w_chaos : Faultinject.chaos_state option;
-      (* private per-worker chaos stream; touched only by the owning
-         domain while serving *)
   w_warm : (string, Engine.t) Hashtbl.t;
       (* touched only by the owning domain while serving; readable by
          others only when the pool is quiescent (after [drain]) *)
@@ -182,7 +87,7 @@ type quar = {
   mutable q_probe : bool;  (* a probe request is in flight *)
 }
 
-(* The pool's throughput and supervision counters, all under the pool
+(* The pool's throughput and recovery counters, all under the pool
    mutex; [stats] copies them into a {!snapshot}. *)
 type counts = {
   mutable submitted : int;
@@ -192,9 +97,6 @@ type counts = {
   mutable crashes : int;
   mutable deadline_hits : int;
   mutable retries : int;
-  mutable requeues : int;
-  mutable respawns : int;
-  mutable reloads : int;
   mutable rejected_unknown : int;
   mutable rejected_quarantined : int;
   mutable quarantine_opens : int;
@@ -214,9 +116,6 @@ let fresh () =
     crashes = 0;
     deadline_hits = 0;
     retries = 0;
-    requeues = 0;
-    respawns = 0;
-    reloads = 0;
     rejected_unknown = 0;
     rejected_quarantined = 0;
     quarantine_opens = 0;
@@ -231,14 +130,13 @@ type t = {
   mu : Mutex.t;
   work_cv : Condition.t;    (* workers: new work or shutdown *)
   space_cv : Condition.t;   (* submitters: in-flight fell below cap *)
-  done_cv : Condition.t;    (* drainers/reloaders: completed caught up *)
-  sup_cv : Condition.t;     (* supervisor: a worker domain died *)
+  done_cv : Condition.t;    (* drainers: completed caught up *)
   workers : worker array;
-  queue : job Deque.t;            (* admitted, unclaimed jobs *)
+  mutable queue : job list;       (* admitted, unclaimed jobs, oldest first *)
   boots : (string * boot) list;   (* immutable after create *)
   cfg : Options.pool_opts;
+  chaos : Faultinject.chaos_opts option;
   mutable counts : counts;       (* zeroed by reset_counters *)
-  mutable active : int;           (* claimed-but-unfinished jobs *)
   mutable serve_lat : Stats.hist; (* final attempts' simulated cycles *)
   quar : (string, quar) Hashtbl.t;
   cache_loads : int Atomic.t;     (* image loads; bumped by whichever
@@ -248,10 +146,7 @@ type t = {
   mutable notify : unit -> unit;  (* completion hook: results went
                                      from empty to non-empty *)
   mutable stopping : bool;
-  mutable reloading : bool;       (* pause job claims while reloading *)
-  mutable dead : worker list;     (* carcasses awaiting the supervisor *)
-  mutable handles : unit Domain.t list;  (* every domain ever spawned *)
-  mutable sup_handle : unit Domain.t option;
+  mutable handles : unit Domain.t list;  (* the worker domains *)
 }
 
 let quar_state pool key : quar =
@@ -262,12 +157,6 @@ let quar_state pool key : quar =
       Hashtbl.replace pool.quar key q;
       q
 
-(* Broadcast the drain/reload condition when the relevant counter
-   caught up; call with the pool mutex held. *)
-let note_progress pool =
-  if pool.counts.completed = pool.counts.submitted then Condition.broadcast pool.done_cv;
-  if pool.reloading && pool.active = 0 then Condition.broadcast pool.done_cv
-
 (* ------------------------------------------------------------------ *)
 (* Booting an instance                                                *)
 (* ------------------------------------------------------------------ *)
@@ -276,7 +165,7 @@ let note_progress pool =
    a cold-loaded machine and engine, warm-booted from the key's saved
    image when the boot carries one (a refusal is counted and the
    instance serves cold).  Every instance the pool ever builds comes
-   from here — pre-warm, reload rebuild, cold retry and respawn alike.
+   from here — pre-warm and cold retry alike.
    Caller owns [w]'s warm table; takes no lock. *)
 let boot_instance pool (w : worker) key (boot : boot) : Engine.t =
   let rt =
@@ -291,16 +180,6 @@ let boot_instance pool (w : worker) key (boot : boot) : Engine.t =
       | Error _ -> Atomic.incr pool.cache_refused));
   Hashtbl.replace w.w_warm key rt;
   rt
-
-(* Build every key's instance on [w] before it serves anything
-   ([prewarm] at create, [drain_and_reload ~rebuild]).  Call before the
-   domains exist or with the pool mutex held and service quiescent. *)
-let prewarm_worker pool (w : worker) : unit =
-  List.iter
-    (fun (key, boot) ->
-      ignore (boot_instance pool w key boot);
-      pool.counts.prewarm_boots <- pool.counts.prewarm_boots + 1)
-    pool.boots
 
 (* ------------------------------------------------------------------ *)
 (* Serving one attempt (no pool lock held)                            *)
@@ -322,17 +201,20 @@ let serve pool (w : worker) (j : job) : result =
     Hashtbl.remove w.w_warm r.req_key;
     j.j_force_cold <- false
   end;
-  (* chaos roll for this attempt.  The last ladder rung is
-     chaos-immune, so a request under retry always converges: chaos
-     tests the recovery machinery, not the application's luck *)
+  (* chaos roll for this attempt, drawn from (seed, request, attempt)
+     so it does not depend on which worker serves it.  Chaos fires only
+     while a further rung exists, so a request under retry always
+     converges: chaos tests the recovery machinery, not the
+     application's luck *)
   let chaos =
-    match w.w_chaos with
-    | Some cs when j.j_attempt < max 1 cfg.Options.retries ->
-        Faultinject.chaos_tick cs
+    match pool.chaos with
+    | Some co when j.j_attempt < cfg.Options.retries ->
+        let cs = Faultinject.chaos_make co ~req:r.req_id ~attempt:j.j_attempt in
+        Option.map (fun kind -> (kind, cs)) (Faultinject.chaos_tick cs)
     | _ -> None
   in
   (match chaos with
-   | Some Faultinject.Chaos_stall ->
+   | Some (Faultinject.Chaos_stall, _) ->
        (* stalled worker: burn host time before doing any work; with a
           wall-clock deadline armed the watchdog preempts the request
           at its first safe point *)
@@ -350,11 +232,10 @@ let serve pool (w : worker) (j : job) : result =
   in
   let m = Engine.machine rt in
   (match chaos with
-   | Some Faultinject.Chaos_poison ->
+   | Some (Faultinject.Chaos_poison, cs) ->
        (* flip one application-image byte near the entry point: the
           request diverges or faults, and the ladder must heal it (the
           write marks its page touched, so a warm reset restores it) *)
-       let cs = Option.get w.w_chaos in
        let addr =
          min (Types.tls_base - 1)
            (boot.boot_entry + Faultinject.chaos_rand cs 512)
@@ -363,7 +244,7 @@ let serve pool (w : worker) (j : job) : result =
        let old = Vm.Memory.read_u8 mem addr in
        Vm.Memory.write_u8 mem addr (old lxor (1 + Faultinject.chaos_rand cs 255));
        Vm.Machine.invalidate_icache m ~addr ~len:1
-   | Some Faultinject.Chaos_hook_storm ->
+   | Some (Faultinject.Chaos_hook_storm, _) ->
        (* the next client hook raises after doing its work; the guard's
           snapshot/quarantine machinery absorbs it *)
        rt.Types.fi_hook_pending <- true
@@ -375,8 +256,7 @@ let serve pool (w : worker) (j : job) : result =
   let c0 = Vm.Machine.cycles m in
   let crash_at =
     match chaos with
-    | Some Faultinject.Chaos_crash ->
-        let cs = Option.get w.w_chaos in
+    | Some (Faultinject.Chaos_crash, cs) ->
         Some (c0 + 1_000 + Faultinject.chaos_rand cs 100_000)
     | _ -> None
   in
@@ -390,9 +270,9 @@ let serve pool (w : worker) (j : job) : result =
             (fun () ->
               (match crash_at with
                | Some c when Vm.Machine.cycles m >= c ->
-                   (* the injected domain death: punches through the
-                      barrier mid-request, at a dispatcher safe point *)
-                   raise Faultinject.Chaos_domain_kill
+                   (* the injected crash, mid-request at a dispatcher
+                      safe point: the barrier turns it into [Crashed] *)
+                   raise Faultinject.Injected_crash
                | _ -> ());
               (match cycle_limit with
                | Some c -> Vm.Machine.cycles m >= c
@@ -426,36 +306,32 @@ let serve pool (w : worker) (j : job) : result =
   }
 
 (* The exception barrier: any raise out of [serve] — engine bug,
-   unregistered key, client escape — becomes a [Crashed] result instead
-   of a dead worker domain.  {!Faultinject.Chaos_domain_kill} is the
-   one deliberate exception: it exists to kill the domain so the
-   supervisor path stays honest. *)
+   unregistered key, client escape, injected chaos crash — becomes a
+   [Crashed] result instead of a dead worker domain, and the instance
+   it was using is dropped. *)
 let serve_barrier pool (w : worker) (j : job) : result =
-  try serve pool w j with
-  | Faultinject.Chaos_domain_kill as e -> raise e
-  | exn ->
-      Hashtbl.remove w.w_warm j.jr.req_key;
-      {
-        res_id = j.jr.req_id;
-        res_key = j.jr.req_key;
-        res_seed = j.jr.req_seed;
-        res_worker = w.w_id;
-        res_warm = false;
-        res_attempts = j.j_attempt + 1;
-        res_output = [];
-        res_reason = Engine.Crashed (Printexc.to_string exn);
-        res_cycles = 0;
-        res_insns = 0;
-        res_blocks_built = 0;
-        res_secs = 0.0;
-        res_ok = false;
-      }
+  try serve pool w j
+  with exn ->
+    Hashtbl.remove w.w_warm j.jr.req_key;
+    {
+      res_id = j.jr.req_id;
+      res_key = j.jr.req_key;
+      res_seed = j.jr.req_seed;
+      res_worker = w.w_id;
+      res_warm = false;
+      res_attempts = j.j_attempt + 1;
+      res_output = [];
+      res_reason = Engine.Crashed (Printexc.to_string exn);
+      res_cycles = 0;
+      res_insns = 0;
+      res_blocks_built = 0;
+      res_secs = 0.0;
+      res_ok = false;
+    }
 
 (* Record a request's final outcome and update its key's circuit
    breaker; call with the pool mutex held. *)
-let record_final pool (w : worker) (j : job) (res : result) : unit =
-  w.w_current <- None;
-  pool.active <- pool.active - 1;
+let record_final pool (j : job) (res : result) : unit =
   pool.counts.completed <- pool.counts.completed + 1;
   if res.res_warm then pool.counts.warm_hits <- pool.counts.warm_hits + 1
   else pool.counts.cold_boots <- pool.counts.cold_boots + 1;
@@ -481,10 +357,11 @@ let record_final pool (w : worker) (j : job) (res : result) : unit =
   end;
   Stats.hist_add pool.serve_lat res.res_cycles;
   Condition.signal pool.space_cv;
-  note_progress pool
+  if pool.counts.completed = pool.counts.submitted then
+    Condition.broadcast pool.done_cv
 
 (* ------------------------------------------------------------------ *)
-(* Worker loop, retry ladder, supervisor                              *)
+(* Worker loop and retry ladder                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Serve [j] to a final result on [w], climbing the retry ladder on
@@ -504,7 +381,7 @@ let rec serve_with_retries pool (w : worker) (j : job) : unit =
        we no longer trust; drop it so the next request cold-boots *)
     if res.res_reason <> Engine.All_exited then
       Hashtbl.remove w.w_warm j.jr.req_key;
-    record_final pool w j res;
+    record_final pool j res;
     Mutex.unlock pool.mu
   end
   else begin
@@ -527,24 +404,28 @@ let batch_window = 8
    [batch_window] times it is taken next, so no request starves.  Call
    with the pool mutex held. *)
 let claim pool (w : worker) : job option =
-  let q = pool.queue in
-  match (w.w_last_key, Deque.nth q 0) with
-  | Some key, Some front when front.j_passed < batch_window -> (
-      match Deque.find_front q ~window:batch_window (fun j -> j.jr.req_key = key) with
+  let take i =
+    let j = List.nth pool.queue i in
+    pool.queue <- List.filteri (fun k _ -> k <> i) pool.queue;
+    Some j
+  in
+  match (pool.queue, w.w_last_key) with
+  | [], _ -> None
+  | front :: _, Some key when front.j_passed < batch_window -> (
+      let window = List.filteri (fun i _ -> i < batch_window) pool.queue in
+      match List.find_index (fun j -> j.jr.req_key = key) window with
       | Some i when i > 0 ->
           front.j_passed <- front.j_passed + 1;
           pool.counts.batch_hits <- pool.counts.batch_hits + 1;
-          Deque.remove_at q i
-      | _ -> Deque.pop_front q)
-  | _ -> Deque.pop_front q
+          take i
+      | _ -> take 0)
+  | _ -> take 0
 
 let rec worker_loop pool (w : worker) : unit =
   Mutex.lock pool.mu;
-  match if pool.reloading then None else claim pool w with
+  match claim pool w with
   | Some j ->
-      w.w_current <- Some j;
       w.w_last_key <- Some j.jr.req_key;
-      pool.active <- pool.active + 1;
       Mutex.unlock pool.mu;
       serve_with_retries pool w j;
       worker_loop pool w
@@ -555,48 +436,6 @@ let rec worker_loop pool (w : worker) : unit =
         Mutex.unlock pool.mu;
         worker_loop pool w
       end
-
-(* The body every worker domain runs.  If anything escapes the loop —
-   a chaos kill, or a bug in the pool itself — the domain is dying:
-   hand the carcass to the supervisor and let it respawn us. *)
-let worker_body pool (w : worker) : unit =
-  try worker_loop pool w
-  with _ ->
-    Mutex.lock pool.mu;
-    pool.dead <- w :: pool.dead;
-    Condition.signal pool.sup_cv;
-    Mutex.unlock pool.mu
-
-(* The supervisor: bury dead workers, requeue the request each died
-   serving at the front of the queue (its warm instance died mid-run
-   and cannot be trusted), and spawn a replacement domain over the same
-   worker record, whose warm table survives. *)
-let rec supervisor_loop pool : unit =
-  Mutex.lock pool.mu;
-  while pool.dead = [] && not pool.stopping do
-    Condition.wait pool.sup_cv pool.mu
-  done;
-  match pool.dead with
-  | [] -> Mutex.unlock pool.mu (* stopping, nothing left to bury *)
-  | w :: rest ->
-      pool.dead <- rest;
-      (match w.w_current with
-       | Some j ->
-           Hashtbl.remove w.w_warm j.jr.req_key;
-           j.j_attempt <- j.j_attempt + 1;
-           j.j_force_cold <- true;
-           Deque.push_front pool.queue j;
-           w.w_current <- None;
-           pool.active <- pool.active - 1;
-           pool.counts.requeues <- pool.counts.requeues + 1;
-           note_progress pool
-       | None -> ());
-      pool.counts.respawns <- pool.counts.respawns + 1;
-      let h = Domain.spawn (fun () -> worker_body pool w) in
-      pool.handles <- h :: pool.handles;
-      Condition.broadcast pool.work_cv;
-      Mutex.unlock pool.mu;
-      supervisor_loop pool
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                         *)
@@ -610,9 +449,7 @@ let create ?(cfg = Options.default_pool) ?chaos
         {
           w_id = i;
           w_busy_cycles = 0;
-          w_current = None;
           w_last_key = None;
-          w_chaos = Option.map (fun co -> Faultinject.chaos_make co ~salt:i) chaos;
           w_warm = Hashtbl.create 8;
         })
   in
@@ -622,13 +459,12 @@ let create ?(cfg = Options.default_pool) ?chaos
       work_cv = Condition.create ();
       space_cv = Condition.create ();
       done_cv = Condition.create ();
-      sup_cv = Condition.create ();
       workers;
-      queue = Deque.create ~capacity:16 ();
+      queue = [];
       boots;
       cfg;
+      chaos;
       counts = fresh ();
-      active = 0;
       serve_lat = Stats.hist_create ();
       quar = Hashtbl.create 8;
       cache_loads = Atomic.make 0;
@@ -636,21 +472,25 @@ let create ?(cfg = Options.default_pool) ?chaos
       results = [];
       notify = ignore;
       stopping = false;
-      reloading = false;
-      dead = [];
       handles = [];
-      sup_handle = None;
     }
   in
   (* pre-warm before any domain exists, so the first request of every
      key on every domain is already warm.  Everything built here
      happens-before Domain.spawn, so the workers see it without
      synchronization. *)
-  if cfg.Options.prewarm then Array.iter (prewarm_worker pool) workers;
+  if cfg.Options.prewarm then
+    Array.iter
+      (fun w ->
+        List.iter
+          (fun (key, boot) ->
+            ignore (boot_instance pool w key boot);
+            pool.counts.prewarm_boots <- pool.counts.prewarm_boots + 1)
+          boots)
+      workers;
   pool.handles <-
     Array.to_list
-      (Array.map (fun w -> Domain.spawn (fun () -> worker_body pool w)) workers);
-  pool.sup_handle <- Some (Domain.spawn (fun () -> supervisor_loop pool));
+      (Array.map (fun w -> Domain.spawn (fun () -> worker_loop pool w)) workers);
   pool
 
 (* Admission checks shared by {!submit} and {!try_submit}; call with
@@ -680,8 +520,8 @@ let enqueue pool (r : request) (q : quar) : unit =
     q.q_probe <- true;
     pool.counts.probes <- pool.counts.probes + 1
   end;
-  Deque.push_back pool.queue
-    { jr = r; j_attempt = 0; j_force_cold = false; j_passed = 0 };
+  pool.queue <-
+    pool.queue @ [ { jr = r; j_attempt = 0; j_force_cold = false; j_passed = 0 } ];
   pool.counts.submitted <- pool.counts.submitted + 1;
   Condition.broadcast pool.work_cv
 
@@ -748,36 +588,6 @@ let drain pool : result list =
   pool.results <- [];
   Mutex.unlock pool.mu;
   rs
-
-(** Quiesce service (claimed requests finish; queued requests wait),
-    drop every warm instance — optionally rebuilding fresh pre-warmed
-    ones — reset the quarantine breakers (the poisoned instances they
-    were guarding are gone), and resume.  Accepted requests are never
-    dropped: anything still queued is served by the reloaded fleet. *)
-let drain_and_reload ?(rebuild = false) pool : unit =
-  Mutex.lock pool.mu;
-  if pool.reloading then begin
-    Mutex.unlock pool.mu;
-    invalid_arg "Pool.drain_and_reload: reload already in progress"
-  end;
-  pool.reloading <- true;
-  Condition.broadcast pool.work_cv;
-  while pool.active > 0 do
-    Condition.wait pool.done_cv pool.mu
-  done;
-  (* serving is quiescent: no claimed job, so no domain touches its
-     warm table; the mutex hand-off makes these writes visible to the
-     workers when they next take the lock *)
-  Array.iter
-    (fun w ->
-      Hashtbl.reset w.w_warm;
-      if rebuild then prewarm_worker pool w)
-    pool.workers;
-  Hashtbl.reset pool.quar;
-  pool.counts.reloads <- pool.counts.reloads + 1;
-  pool.reloading <- false;
-  Condition.broadcast pool.work_cv;
-  Mutex.unlock pool.mu
 
 (** Zero the throughput counters between measurement passes.  Call only
     when drained (no request in flight). *)
@@ -846,9 +656,6 @@ let stats pool : snapshot =
       snap_crashes = pool.counts.crashes;
       snap_deadline_hits = pool.counts.deadline_hits;
       snap_retries = pool.counts.retries;
-      snap_requeues = pool.counts.requeues;
-      snap_respawns = pool.counts.respawns;
-      snap_reloads = pool.counts.reloads;
       snap_rejected_unknown = pool.counts.rejected_unknown;
       snap_rejected_quarantined = pool.counts.rejected_quarantined;
       snap_quarantine_opens = pool.counts.quarantine_opens;
@@ -884,7 +691,7 @@ let cache_file_name (key : string) : string =
     tables must not be mid-request. *)
 let save_caches pool ~(dir : string) : (string * string * int) list =
   Mutex.lock pool.mu;
-  if pool.counts.completed <> pool.counts.submitted || pool.active <> 0 then begin
+  if pool.counts.completed <> pool.counts.submitted then begin
     Mutex.unlock pool.mu;
     invalid_arg "Pool.save_caches: requests still in flight"
   end;
@@ -930,14 +737,11 @@ let shutdown pool : unit =
   Mutex.lock pool.mu;
   pool.stopping <- true;
   Condition.broadcast pool.work_cv;
-  Condition.broadcast pool.sup_cv;
   Mutex.unlock pool.mu;
-  (match pool.sup_handle with Some h -> Domain.join h | None -> ());
-  (* join every domain ever spawned, including respawned replacements
-     and the crashed originals (joining a terminated domain is a no-op) *)
+  (* a raise that escaped a worker's barrier is a pool bug: the join
+     re-raises it here *)
   List.iter Domain.join pool.handles;
-  pool.handles <- [];
-  pool.sup_handle <- None
+  pool.handles <- []
 
 module For_testing = struct
   let warm_instances = warm_instances

@@ -1,11 +1,12 @@
-(** Supervised domain-parallel serving pool: N worker domains, each
-    holding warm long-lived {!Engine.t} instances whose code caches
-    survive across requests, fed from one run queue with bounded
-    in-flight backpressure (DESIGN.md §6.5) — wrapped in fleet-level
-    recovery machinery (§6.6): a per-request exception barrier, a
-    supervisor that respawns dead worker domains, per-request
-    cycle/wall-clock deadlines, a bounded retry ladder, and a
-    per-workload-key quarantine circuit breaker. *)
+(** Domain-parallel serving pool: N worker domains, each holding warm
+    long-lived {!Engine.t} instances whose code caches survive across
+    requests, fed from one run queue with bounded in-flight
+    backpressure (DESIGN.md §6.5).  A failed attempt has one recovery
+    path (§6.6): a per-request exception barrier turns any raise into a
+    [Crashed] result, per-request cycle/wall-clock deadlines preempt
+    runaway requests, a bounded retry ladder re-serves failures on the
+    same worker, and a per-workload-key quarantine circuit breaker
+    stops admitting a key that keeps failing. *)
 
 include module type of struct include Pool_t end
 
@@ -19,13 +20,14 @@ val create :
   boots:(string * boot) list ->
   unit ->
   t
-(** Spawn the worker domains and the supervisor domain.  [cfg]
+(** Spawn the worker domains.  [cfg]
     (default {!Options.default_pool}) is validated with
     {!Options.validate_pool_exn}; it sets the domain count, in-flight
     cap, retry-ladder depth, quarantine threshold, per-request
     deadlines, admission bound and pre-warming.  [chaos] arms
-    pool-scope fault injection: each worker gets a private
-    deterministic stream derived from [ch_seed] and its worker id.
+    pool-scope fault injection: each attempt's roll is drawn from
+    [ch_seed], the request id and the attempt number, so it does not
+    depend on which worker serves the request.
     @raise Options.Invalid_options on a rejected [cfg]. *)
 
 val submit : t -> request -> (unit, reject) Stdlib.result
@@ -61,16 +63,8 @@ val set_notify : t -> (unit -> unit) -> unit
     back into the pool.  The server uses it to wake its [select] loop
     through a self-pipe (DESIGN.md §6.10). *)
 
-val drain_and_reload : ?rebuild:bool -> t -> unit
-(** Quiesce service (claimed requests finish, queued requests wait),
-    drop every warm instance — with [~rebuild:true], build fresh
-    pre-warmed instances for every (worker, key) pair — reset all
-    quarantine breakers, and resume.  Accepted requests are never
-    dropped: anything still queued is served by the reloaded fleet.
-    @raise Invalid_argument if a reload is already in progress. *)
-
 val reset_counters : t -> unit
-(** Zero the warm/busy/supervision/serving counters and the latency
+(** Zero the warm/busy/recovery/serving counters and the latency
     histogram between measurement passes.  Call only when drained. *)
 
 val stats : t -> snapshot
@@ -91,8 +85,9 @@ val save_caches : t -> dir:string -> (string * string * int) list
     @raise Invalid_argument unless the pool is drained. *)
 
 val shutdown : t -> unit
-(** Stop accepting work, let workers finish queued requests, join the
-    supervisor and every worker domain (including respawned ones). *)
+(** Stop accepting work, let workers finish queued requests, and join
+    every worker domain.  A raise that escaped a worker's exception
+    barrier (a pool bug) is re-raised here. *)
 
 (** Test hooks: not part of the runtime's interface. *)
 module For_testing : sig

@@ -18,8 +18,8 @@ type boot = {
           and validates loaded ones *)
   boot_cache : string option;
       (** path of a saved cache image ({!Persist}) to warm-boot every
-          new instance of this key from — pre-warmed, rebuilt on
-          reload, cold-retried or respawned alike; a refused load
+          new instance of this key from — pre-warmed or cold-retried
+          alike; a refused load
           (different program or options, corruption, truncation) falls
           back to a plain cold boot.  Without it every new instance
           starts cold. *)
@@ -72,14 +72,10 @@ type snapshot = {
   snap_busy_cycles : int array;  (** per-worker simulated cycles served *)
   snap_stats : Stats.t;          (** merge over all live warm instances *)
   snap_serve_lat : Stats.hist;   (** per-request service latency, sim cycles *)
-  (* --- supervision (DESIGN.md §6.6) --- *)
+  (* --- recovery (DESIGN.md §6.6) --- *)
   snap_crashes : int;            (** attempts that ended in [Crashed] *)
   snap_deadline_hits : int;      (** attempts preempted by the watchdog *)
   snap_retries : int;            (** retry-ladder activations *)
-  snap_requeues : int;           (** jobs the supervisor pushed back onto
-                                     the queue after a worker died *)
-  snap_respawns : int;           (** worker domains respawned by the supervisor *)
-  snap_reloads : int;            (** {!drain_and_reload} cycles completed *)
   snap_rejected_unknown : int;
   snap_rejected_quarantined : int;
   snap_quarantine_opens : int;   (** circuit breakers opened *)
@@ -92,5 +88,5 @@ type snapshot = {
   (* --- serving front-end (DESIGN.md §6.10) --- *)
   snap_shed : int;               (** {!try_submit} rejections for overload *)
   snap_batch_hits : int;         (** same-key claims by the batcher *)
-  snap_prewarm_boots : int;      (** instances built eagerly at boot/reload *)
+  snap_prewarm_boots : int;      (** instances built eagerly at create *)
 }

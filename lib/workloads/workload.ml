@@ -132,3 +132,50 @@ let run_rio ?(family = Vm.Cost.Pentium4) ?(opts = Rio.Options.default)
       detail = Rio.stop_reason_to_string o.Rio.reason;
     },
     rt )
+
+(* ------------------------------------------------------------------ *)
+(* Serving-pool plumbing                                              *)
+(* ------------------------------------------------------------------ *)
+
+(** Boot table for a workload mix: one boot per workload, image
+    assembled once, cold-load machine factory per instance. *)
+let pool_boots ?(client = fun () -> Rio.Types.null_client) ?cache_dir ~opts
+    (wls : t list) : (string * Rio.Pool.boot) list =
+  List.map
+    (fun w ->
+      let image = Asm.Assemble.assemble w.program in
+      ( w.name,
+        {
+          Rio.Pool.boot_machine =
+            (fun () ->
+              let m = Vm.Machine.create () in
+              Asm.Image.load_cold m image;
+              m);
+          boot_entry = image.Asm.Image.entry;
+          boot_stack_top = Asm.Image.default_stack_top;
+          boot_restore = (fun m ~zeroed -> Asm.Image.restore m image ~zeroed);
+          boot_opts = opts w.name;
+          boot_client = client;
+          boot_image_digest = Asm.Image.digest image;
+          boot_cache =
+            Option.map
+              (fun dir -> Filename.concat dir (Rio.Pool.cache_file_name w.name))
+              cache_dir;
+        } ))
+    wls
+
+(** Request [i] round-robins the mix at seed [seed_base + i]. *)
+let request_maker ~(native : t -> int list) (wls : t list) ~seed_base n :
+    Rio.Pool.request list =
+  let nwl = List.length wls in
+  List.init n (fun i ->
+      let w = List.nth wls (i mod nwl) in
+      let seed = seed_base + i in
+      let input = request_input ~seed @ w.input in
+      {
+        Rio.Pool.req_id = i;
+        req_key = w.name;
+        req_seed = seed;
+        req_input = input;
+        req_expect = Some (native (with_input w input));
+      })

@@ -60,3 +60,25 @@ val run_rio :
   ?client:Rio.Types.client ->
   t ->
   run_result * Rio.t
+
+(** {2 Serving-pool plumbing} *)
+
+val pool_boots :
+  ?client:(unit -> Rio.Types.client) ->
+  ?cache_dir:string ->
+  opts:(string -> Rio.Options.t) ->
+  t list ->
+  (string * Rio.Pool.boot) list
+(** One pool boot per workload, its image assembled once and
+    cold-loaded into a fresh machine per instance.  [opts] maps a
+    workload name to its engine options (a bundle's per-workload
+    overrides); [client] builds each instance's client (default: the
+    null client); with [cache_dir] every new instance warm-boots from
+    {!Rio.Pool.cache_file_name} of its key there. *)
+
+val request_maker :
+  native:(t -> int list) -> t list -> seed_base:int -> int -> Rio.Pool.request list
+(** [request_maker ~native wls ~seed_base n]: [n] requests with ids
+    [0 .. n-1]; request [i] runs the workload at position
+    [i mod List.length wls] at seed [seed_base + i] and expects
+    [native] of that workload on the request's input. *)

@@ -6,9 +6,9 @@
     mutant with a result and never raise.  The same fuzzer drives the
     third outside input, [.s] assembly sources, through the parser, the
     assembler and the image loader, which may refuse a mutant only with
-    their documented errors.  The fuzz cases run under a [Unix.alarm]
-    backstop, so a decoder that loops fails the run instead of hanging
-    it. *)
+    their documented errors.  The fuzz cases run under the shared
+    {!Backstop} watchdog, so a decoder that loops fails the run instead
+    of hanging it. *)
 
 open Workloads
 
@@ -179,17 +179,6 @@ let test_frame_pins () =
 (* ------------------------------------------------------------------ *)
 (* Byte-mutation fuzzer                                               *)
 (* ------------------------------------------------------------------ *)
-
-let () =
-  Sys.set_signal Sys.sigalrm
-    (Sys.Signal_handle
-       (fun _ ->
-         prerr_endline "!! test_codec: HANG — alarm fired in a fuzz case";
-         Unix._exit 3))
-
-let guarded f () =
-  ignore (Unix.alarm 120);
-  Fun.protect ~finally:(fun () -> ignore (Unix.alarm 0)) f
 
 (* Values a count, length or offset field is most likely to mishandle;
    min_int is 2^62, the first value that no longer fits. *)
@@ -488,7 +477,8 @@ let () =
               QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) t
             in
             Alcotest.test_case name speed
-              (guarded (fun () ->
+              (Backstop.guard ~name:("test_codec: fuzz " ^ name) ~secs:120
+                 (fun () ->
                    f ();
                    report_tally ();
                    report_source_tally ())))

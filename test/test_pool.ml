@@ -183,22 +183,7 @@ let two_domain_smoke same_workload () =
 (* Pool integration                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let pool_boots ~opts =
-  List.map
-    (fun (name, s) ->
-      ( name,
-        {
-          Rio.Pool.boot_machine = (fun () -> fresh_machine s);
-          boot_entry = s.image.Asm.Image.entry;
-          boot_stack_top = Asm.Image.default_stack_top;
-          boot_restore =
-            (fun m ~zeroed -> Asm.Image.restore m s.image ~zeroed);
-          boot_opts = opts;
-          boot_client = (fun () -> Rio.Types.null_client);
-          boot_image_digest = Asm.Image.digest s.image;
-          boot_cache = None;
-        } ))
-    sites
+let pool_boots ~opts = Workload.pool_boots ~opts:(fun _ -> opts) serving
 
 (* Request [i] for workload [name], checked against native. *)
 let keyed_request name i =
@@ -421,7 +406,7 @@ let pool_faults_case () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* Supervision, deadlines, retry ladder, quarantine (DESIGN.md §6.6)   *)
+(* Barrier, deadlines, retry ladder, quarantine (DESIGN.md §6.6)       *)
 (* ------------------------------------------------------------------ *)
 
 (* Submitting an unregistered key is an error result, not a raise that
@@ -453,25 +438,27 @@ let unknown_key_case () =
   Alcotest.(check int) "rejection counted" 1
     snap.Rio.Pool.snap_rejected_unknown
 
-(* The dedicated worker-kill test: crash-only chaos at period 1 kills
-   the serving domain mid-request on every chaos-eligible attempt.  The
-   supervisor must respawn each dead domain and requeue the request it
-   died holding; every accepted request still produces an ok result. *)
-let worker_kill_respawn_case () =
-  let chaos =
-    {
-      Rio.Faultinject.ch_seed = 11;
-      ch_period = 1;
-      ch_crash = true;
-      ch_stall = false;
-      ch_poison = false;
-      ch_hook_storm = false;
-    }
-  in
+(* Crash-only chaos: with [ch_period] 1 every chaos-eligible attempt
+   raises mid-request. *)
+let crash_chaos ~seed ~period =
+  {
+    Rio.Faultinject.ch_seed = seed;
+    ch_period = period;
+    ch_crash = true;
+    ch_stall = false;
+    ch_poison = false;
+    ch_hook_storm = false;
+  }
+
+(* A chaos crash mid-request is an ordinary exception: the barrier turns
+   it into a Crashed attempt and the ladder heals it on the same worker.
+   At period 1 every attempt but the last crashes; every accepted
+   request still produces an ok result. *)
+let chaos_crash_heals_case () =
   let pool =
     Rio.Pool.create
       ~cfg:{ Rio.Options.default_pool with domains = 2; retries = 1 }
-      ~chaos
+      ~chaos:(crash_chaos ~seed:11 ~period:1)
       ~boots:(pool_boots ~opts:default_opts) ()
   in
   let n = 6 in
@@ -487,10 +474,39 @@ let worker_kill_respawn_case () =
            r.Rio.Pool.res_seed)
         true r.Rio.Pool.res_ok)
     results;
-  Alcotest.(check bool) "supervisor respawned workers" true
-    (snap.Rio.Pool.snap_respawns >= 1);
-  Alcotest.(check bool) "killed requests requeued" true
-    (snap.Rio.Pool.snap_requeues >= 1)
+  Alcotest.(check bool) "crashes counted" true (snap.Rio.Pool.snap_crashes >= 1);
+  Alcotest.(check bool) "ladder climbed" true (snap.Rio.Pool.snap_retries >= 1)
+
+(* Chaos is keyed by (seed, request, attempt), not by worker: the same
+   requests under the same crash-only chaos take the same number of
+   attempts on one domain as on two. *)
+let chaos_keyed_by_request_case () =
+  let attempts domains =
+    let pool =
+      Rio.Pool.create
+        ~cfg:{ Rio.Options.default_pool with domains }
+        ~chaos:(crash_chaos ~seed:5 ~period:2)
+        ~boots:(pool_boots ~opts:default_opts) ()
+    in
+    List.iter (submit_ok pool) (pool_requests 12);
+    let results = Rio.Pool.drain pool in
+    Rio.Pool.shutdown pool;
+    List.iter
+      (fun (r : Rio.Pool.result) ->
+        Alcotest.(check bool) (Printf.sprintf "request %d ok" r.res_id) true r.res_ok)
+      results;
+    List.sort compare
+      (List.map (fun (r : Rio.Pool.result) -> (r.res_id, r.res_attempts)) results)
+  in
+  let show l =
+    String.concat ";" (List.map (fun (id, a) -> Printf.sprintf "%d:%d" id a) l)
+  in
+  let d1 = attempts 1 and d2 = attempts 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "some request retried (%s)" (show d1))
+    true
+    (List.exists (fun (_, a) -> a > 1) d1);
+  Alcotest.(check string) "attempts per request, 1 vs 2 domains" (show d1) (show d2)
 
 (* The exception barrier: a raise while serving (here, a boot whose
    machine factory throws) becomes a Crashed result, not a dead worker;
@@ -536,8 +552,7 @@ let crash_barrier_case () =
   List.iter
     (fun r -> Alcotest.(check bool) "others still ok" true r.Rio.Pool.res_ok)
     rest;
-  Alcotest.(check bool) "crash counted" true (snap.Rio.Pool.snap_crashes >= 1);
-  Alcotest.(check int) "no respawn needed" 0 snap.Rio.Pool.snap_respawns
+  Alcotest.(check bool) "crash counted" true (snap.Rio.Pool.snap_crashes >= 1)
 
 (* A cycle-budget deadline preempts a request at a safe point and
    reports Deadline_exceeded as the final reason once the ladder is
@@ -610,33 +625,10 @@ let quarantine_case () =
    | [ r ] -> Alcotest.(check bool) "post-close serve ok" true r.Rio.Pool.res_ok
    | rs -> Alcotest.failf "expected 1 result, got %d" (List.length rs))
 
-(* drain_and_reload: quiesce, drop warm instances, resume; requests
-   accepted before and after the reload are all served. *)
-let reload_case () =
-  let pool =
-    Rio.Pool.create
-      ~cfg:{ Rio.Options.default_pool with domains = 2 }
-      ~boots:(pool_boots ~opts:default_opts) ()
-  in
-  let n = 8 in
-  List.iter (submit_ok pool) (pool_requests n);
-  let before = Rio.Pool.drain pool in
-  Rio.Pool.drain_and_reload pool;
-  List.iter (submit_ok pool) (pool_requests n);
-  let after = Rio.Pool.drain pool in
-  let snap = Rio.Pool.stats pool in
-  Rio.Pool.shutdown pool;
-  Alcotest.(check int) "served before reload" n (List.length before);
-  Alcotest.(check int) "served after reload" n (List.length after);
-  List.iter
-    (fun r -> Alcotest.(check bool) "ok across reload" true r.Rio.Pool.res_ok)
-    (before @ after);
-  Alcotest.(check int) "reload counted" 1 snap.Rio.Pool.snap_reloads
-
 (* A fresh pool instance has one warm source: its key's saved image.
-   Every instance the pool builds — pre-warmed at create, rebuilt on
-   reload, cold-booted by retry rungs 2 and 3 — loads it, and a damaged
-   image is refused by every one of them without changing an answer. *)
+   Every instance the pool builds — pre-warmed at create, cold-booted
+   by retry rungs 2 and 3 — loads it, and a damaged image is refused by
+   every one of them without changing an answer. *)
 let image_boot_case () =
   let warm = warm_server ~opts:default_opts () in
   let image name f =
@@ -654,9 +646,9 @@ let image_boot_case () =
         Out_channel.output_string oc (String.sub s 0 (String.length s / 2)))
   in
   let keys = List.length sites in
-  (* create and the reload each build one instance per (domain, key);
-     the failing request's rungs 2 and 3 build one each *)
-  let built = (2 * 2 * keys) + 2 in
+  (* create builds one instance per (domain, key); the failing
+     request's rungs 2 and 3 build one each *)
+  let built = (2 * keys) + 2 in
   let reqs = pool_requests 8 in
   let bad = List.hd reqs in
   let run_fleet ~label paths =
@@ -672,10 +664,7 @@ let image_boot_case () =
         ~boots ()
     in
     List.iter (submit_ok pool) reqs;
-    let before = Rio.Pool.drain pool in
-    Rio.Pool.drain_and_reload ~rebuild:true pool;
-    List.iter (submit_ok pool) reqs;
-    let after = Rio.Pool.drain pool in
+    let served = Rio.Pool.drain pool in
     submit_ok pool { bad with req_id = 99; req_expect = Some [ -1 ] };
     let wrong = Rio.Pool.drain pool in
     let snap = Rio.Pool.stats pool in
@@ -686,7 +675,7 @@ let image_boot_case () =
           (Printf.sprintf "%s: %s seed %d matches native" label
              r.Rio.Pool.res_key r.Rio.Pool.res_seed)
           true r.Rio.Pool.res_ok)
-      (before @ after);
+      served;
     (match wrong with
     | [ r ] ->
         Alcotest.(check int) (label ^ ": wrong expectation climbs the ladder")
@@ -700,8 +689,8 @@ let image_boot_case () =
     Alcotest.(check int) (label ^ ": instances built eagerly")
       (built - 2) snap.Rio.Pool.snap_prewarm_boots;
     Alcotest.(check int) (label ^ ": all but the last attempt warm")
-      (2 * List.length reqs) snap.Rio.Pool.snap_warm_hits;
-    (snap, List.fold_left (fun n r -> n + r.Rio.Pool.res_blocks_built) 0 before)
+      (List.length reqs) snap.Rio.Pool.snap_warm_hits;
+    (snap, List.fold_left (fun n r -> n + r.Rio.Pool.res_blocks_built) 0 served)
   in
   let good = List.map (fun (name, _) -> (name, image name ignore)) sites in
   let bad_images = List.map (fun (name, _) -> (name, image name truncate)) sites in
@@ -812,17 +801,15 @@ type op =
   | Submit of int * int      (* key index, seed *)
   | Try_submit of int * int
   | Drain
-  | Reload of bool           (* ~rebuild *)
 
 let show_op = function
   | Submit (k, s) -> Printf.sprintf "submit %s/%d" (List.nth serving_names k) s
   | Try_submit (k, s) ->
       Printf.sprintf "try_submit %s/%d" (List.nth serving_names k) s
   | Drain -> "drain"
-  | Reload b -> Printf.sprintf "reload ~rebuild:%b" b
 
 (* [None] is a fault-free pool; [Some seed] arms crash-only chaos, so
-   worker domains die mid-request wherever the seed's stream says. *)
+   requests crash mid-run wherever the seed's stream says. *)
 let gen_interleaving =
   let open QCheck.Gen in
   let key = int_range 0 (List.length serving_names - 1) in
@@ -833,7 +820,6 @@ let gen_interleaving =
         (4, map2 (fun k s -> Submit (k, s)) key seed);
         (3, map2 (fun k s -> Try_submit (k, s)) key seed);
         (1, return Drain);
-        (1, map (fun b -> Reload b) bool);
       ]
   in
   pair (opt (int_range 1 1000)) (list_size (int_range 3 8) op)
@@ -869,18 +855,7 @@ let interleavings_agree =
       let pool =
         Rio.Pool.create
           ~cfg:{ Rio.Options.default_pool with domains; accept_queue = 3 }
-          ?chaos:
-            (Option.map
-               (fun ch_seed ->
-                 {
-                   Rio.Faultinject.ch_seed;
-                   ch_period = 2;
-                   ch_crash = true;
-                   ch_stall = false;
-                   ch_poison = false;
-                   ch_hook_storm = false;
-                 })
-               chaos)
+          ?chaos:(Option.map (fun seed -> crash_chaos ~seed ~period:2) chaos)
           ~boots:(pool_boots ~opts:default_opts) ()
       in
       (* admitted requests, newest first; req_id is the op index *)
@@ -911,8 +886,7 @@ let interleavings_agree =
               | Error e ->
                   Alcotest.failf "try_submit rejected: %s"
                     (Rio.Pool.reject_to_string e))
-          | Drain -> results := Rio.Pool.drain pool @ !results
-          | Reload rebuild -> Rio.Pool.drain_and_reload ~rebuild pool)
+          | Drain -> results := Rio.Pool.drain pool @ !results)
         ops;
       results := Rio.Pool.drain pool @ !results;
       Rio.Pool.shutdown pool;
@@ -1002,25 +976,34 @@ let bundle_override_case () =
     [ "gcc"; "gzip"; "perlbmk" ];
   Rio.Pool.shutdown pool
 
+(* Every case runs under the hang backstop: a pool bug that ends a
+   worker domain leaves [drain] waiting forever. *)
+let guarded group cases =
+  ( group,
+    List.map
+      (fun (name, speed, f) ->
+        (name, speed, Backstop.guard ~name:("test_pool: " ^ name) ~secs:300 f))
+      cases )
+
 let () =
   Alcotest.run "pool"
     [
-      ( "warm reuse == fresh",
+      guarded "warm reuse == fresh"
         [
           QCheck_alcotest.to_alcotest
             (warm_equals_fresh ~name:"default options" ~opts:default_opts);
           QCheck_alcotest.to_alcotest
             (warm_equals_fresh ~name:"FIFO cache pressure"
                ~opts:pressure_opts);
-        ] );
-      ( "two-domain smoke",
+        ];
+      guarded "two-domain smoke"
         [
           Alcotest.test_case "same workload concurrently" `Slow
             (two_domain_smoke true);
           Alcotest.test_case "different workloads concurrently" `Slow
             (two_domain_smoke false);
-        ] );
-      ( "pool",
+        ];
+      guarded "pool"
         [
           Alcotest.test_case "warm serving with backpressure" `Slow pool_case;
           Alcotest.test_case "serving under fault injection" `Slow
@@ -1031,13 +1014,15 @@ let () =
             batcher_bound_case;
           Alcotest.test_case "snapshot refreshes free-list gauges" `Quick
             gauges_case;
-        ] );
-      ( "supervision",
+        ];
+      guarded "supervision"
         [
           Alcotest.test_case "unknown key rejected, pool survives" `Quick
             unknown_key_case;
-          Alcotest.test_case "worker killed mid-request is respawned" `Slow
-            worker_kill_respawn_case;
+          Alcotest.test_case "chaos crash mid-request heals on the ladder" `Slow
+            chaos_crash_heals_case;
+          Alcotest.test_case "chaos keyed by request, not by worker" `Slow
+            chaos_keyed_by_request_case;
           Alcotest.test_case "exception barrier yields Crashed result" `Quick
             crash_barrier_case;
           Alcotest.test_case "cycle deadline preempts" `Quick deadline_case;
@@ -1045,11 +1030,9 @@ let () =
             bundle_override_case;
           Alcotest.test_case "quarantine opens, probes, closes" `Slow
             quarantine_case;
-          Alcotest.test_case "drain_and_reload keeps serving" `Slow
-            reload_case;
           Alcotest.test_case "every new instance boots from the saved image"
             `Slow image_boot_case;
           QCheck_alcotest.to_alcotest hook_raise_never_hangs;
           QCheck_alcotest.to_alcotest interleavings_agree;
-        ] );
+        ];
     ]

@@ -5,8 +5,8 @@
 
     The loop sleeps in [select] with no timeout and is woken by the
     pool's completion hook, so a lost wake-up is a hang, not a delay:
-    every case runs under a [Unix.alarm] backstop that kills the
-    process with a distinct status instead. *)
+    every case runs under the shared {!Backstop} watchdog, which kills
+    the process with a distinct status instead. *)
 
 open Workloads
 
@@ -52,18 +52,13 @@ let run_msg ~id key seed : Rio.Wire.client_msg * int list =
 (* Harness                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let () =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Sys.set_signal Sys.sigalrm
-    (Sys.Signal_handle
-       (fun _ ->
-         prerr_endline "!! test_server: HANG — alarm fired (lost completion wake-up?)";
-         Unix._exit 3))
+let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
-(* Run [f] under the hang backstop. *)
-let guarded f () =
-  ignore (Unix.alarm 60);
-  Fun.protect ~finally:(fun () -> ignore (Unix.alarm 0)) f
+(* A socket-loop case under the hang backstop: a hang there is most
+   likely a lost completion wake-up. *)
+let guarded name f =
+  Alcotest.test_case name `Quick
+    (Backstop.guard ~name:("test_server: " ^ name) ~secs:60 f)
 
 type server = {
   pool : Rio.Pool.t;
@@ -375,16 +370,11 @@ let () =
     [
       ( "socket loop",
         [
-          Alcotest.test_case "overlapping client ids route correctly" `Quick
-            (guarded overlapping_ids);
-          Alcotest.test_case "idle server wakes on completion" `Quick
-            (guarded idle_wakeup);
-          Alcotest.test_case "quit answers in-flight requests" `Quick
-            (guarded quit_in_flight);
-          Alcotest.test_case "malformed frame closes only its connection" `Quick
-            (guarded malformed_frames);
-          Alcotest.test_case "client disconnect drops, loop keeps serving" `Quick
-            (guarded disconnect_in_flight);
+          guarded "overlapping client ids route correctly" overlapping_ids;
+          guarded "idle server wakes on completion" idle_wakeup;
+          guarded "quit answers in-flight requests" quit_in_flight;
+          guarded "malformed frame closes only its connection" malformed_frames;
+          guarded "client disconnect drops, loop keeps serving" disconnect_in_flight;
         ] );
       ( "wire codec",
         [
